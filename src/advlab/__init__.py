@@ -25,7 +25,7 @@ if "numpy" in _sys.modules:
     except ImportError:
         pass
 
-from .attacks import AttackSpec, attack_batch, cw_pgd, fgsm, pgd
+from .attacks import AttackSpec, pgd
 from .bounds import BOUND_KINDS, BoundInputs, BoundReport, evaluate_bound, phi_correlated, phi_standard
 from .data import Dataset, batches, load_idx, split_blobs, synth_blobs
 from .decorr import (

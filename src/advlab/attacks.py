@@ -9,7 +9,7 @@ left untouched by sign-based steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .network import LOSS_KINDS, Network, forward, input_gradient
 NORMS = ("linf", "l2")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class AttackSpec:
     epsilon: float
     step_size: float
@@ -45,8 +45,7 @@ class AttackSpec:
             raise ValueError("step_size must not exceed 2*epsilon")
 
     def replace(self, **kw) -> "AttackSpec":
-        fields = self.__dict__ | kw
-        return AttackSpec(**fields)
+        return dataclasses.replace(self, **kw)
 
 
 def _project(x: np.ndarray, origin: np.ndarray, spec: AttackSpec) -> np.ndarray:
@@ -80,17 +79,11 @@ def _random_start(origin: np.ndarray, spec: AttackSpec) -> np.ndarray:
     return _project(origin + deltas, origin, spec)
 
 
-def fgsm(net: Network, batch, labels, epsilon: float) -> np.ndarray:
-    """Single signed-gradient step of size epsilon, clipped to the box."""
-    x = as_matrix(batch, "batch")
-    grad = input_gradient(net, x, "cross_entropy", labels)
-    return np.clip(x + epsilon * np.sign(grad), 0.0, 1.0)
-
-
 def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=None) -> np.ndarray:
     """Projected gradient ascent on the configured loss within the ball.
 
-    For the KL loss, `ref_logits` are the reference (clean) logits held
+    FGSM is the one-step case `AttackSpec(eps, eps, steps=1)`; logit-margin
+    PGD is `loss="cw_margin"`. For the KL loss, `ref_logits` are the reference (clean) logits held
     fixed across steps; they default to the network's output on `batch`.
     """
     if spec is None:
@@ -108,15 +101,3 @@ def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=No
             x = x + spec.step_size * grad / np.maximum(norms, 1e-300)
         x = _project(x, origin, spec)
     return x
-
-
-def cw_pgd(net: Network, batch, labels, spec: AttackSpec) -> np.ndarray:
-    """PGD maximizing the logit margin max_{j != y} z_j - z_y."""
-    if spec.loss != "cw_margin":
-        raise ValueError("cw_pgd requires an AttackSpec with loss='cw_margin'")
-    return pgd(net, batch, labels, spec)
-
-
-def attack_batch(net: Network, batch, labels, spec: AttackSpec) -> np.ndarray:
-    """Dispatch on the spec's loss; the entry point used by the harness."""
-    return pgd(net, batch, labels, spec)

@@ -17,12 +17,11 @@ is an input and is always recorded.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .io import json_text, write_csv
 from .linalg import frobenius_sq, logdet_lower_bound, spectral_norm
 from .network import Network
 from .weight_stats import LayerCorrStats
@@ -84,28 +83,7 @@ class BoundReport:
     per_layer: list[dict]
 
     def to_json_text(self) -> str:
-        doc = {
-            "kind": self.kind,
-            "phi": self.phi,
-            "phi_term": self.phi_term,
-            "logdet_term": self.logdet_term,
-            "log_term": self.log_term,
-            "kl_proxy": self.kl_proxy,
-            "numerator": self.numerator,
-            "complexity_term": self.complexity_term,
-            "n_layers": self.n_layers,
-            "width": self.width,
-            "inputs": {
-                "gamma": self.inputs.gamma,
-                "delta": self.inputs.delta,
-                "m": self.inputs.m,
-                "input_bound": self.inputs.input_bound,
-                "epsilon": self.inputs.epsilon,
-                "constant": self.inputs.constant,
-            },
-            "per_layer": self.per_layer,
-        }
-        return json.dumps(doc, indent=1) + "\n"
+        return json_text(asdict(self))
 
     CSV_FIELDS = (
         "kind", "phi", "phi_term", "logdet_term", "log_term", "kl_proxy",
@@ -114,16 +92,9 @@ class BoundReport:
     )
 
     def write_csv(self, path):
-        row = [
-            self.kind, self.phi, self.phi_term, self.logdet_term, self.log_term,
-            self.kl_proxy, self.numerator, self.complexity_term, self.n_layers,
-            self.width, self.inputs.gamma, self.inputs.delta, self.inputs.m,
-            self.inputs.input_bound, self.inputs.epsilon, self.inputs.constant,
-        ]
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(self.CSV_FIELDS)
-            w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+        flat = asdict(self)
+        flat |= flat.pop("inputs")
+        write_csv(path, self.CSV_FIELDS, [[flat[name] for name in self.CSV_FIELDS]])
 
 
 def phi_standard(net: Network) -> float:
@@ -214,6 +185,9 @@ def evaluate_bound(
         logdet_term = 0.0
         for layer_idx in sorted(table):
             entry = table[layer_idx]
+            per_layer[layer_idx - 1].update(
+                lamc=entry["lamc"], lamr=entry["lamr"], det_lb=entry["det_lb"]
+            )
             if kind == "corr":
                 if not np.isfinite(entry["logdet"]):
                     raise IncompleteStats(
@@ -229,11 +203,6 @@ def evaluate_bound(
                     )
                 # log space: the bound itself underflows at realistic dims
                 logdet_term -= logdet_lower_bound(lo, hi, entry["dim"])
-        for layer_idx in sorted(table):
-            entry = table[layer_idx]
-            per_layer[layer_idx - 1].update(
-                lamc=entry["lamc"], lamr=entry["lamr"], det_lb=entry["det_lb"]
-            )
 
     phi_term = float(phi_term)
     numerator = phi_term + logdet_term + log_term

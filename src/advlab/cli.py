@@ -16,11 +16,14 @@ from pathlib import Path
 from .attacks import AttackSpec, pgd
 from .bounds import BOUND_KINDS, BoundInputs, evaluate_bound
 from .data import BadMagic, CountMismatch, Dataset, Truncated
-from .network import CheckpointError, load_checkpoint
+from .decorr import Unsupported
+from .io import write_json
+from .network import CheckpointError, Network, load_checkpoint
 from .train import (
     ConfigError,
     DivergedTraining,
     RunConfig,
+    build_config,
     dataset_from_spec,
     evaluate,
     train,
@@ -29,6 +32,8 @@ from .train import (
 from .weight_stats import (
     LayerCorrStats,
     SamplingConfig,
+    SamplingStalled,
+    StatsFormatError,
     check_perturbation_bound,
     corr_from_laplace,
     corr_from_samples,
@@ -71,13 +76,12 @@ def _cmd_train(doc: dict, out: Path, seed: int | None) -> int:
 
 
 def _attacks_from_config(doc: dict) -> list[AttackSpec]:
-    specs = []
-    for entry in doc.get("attacks", []):
-        try:
-            specs.append(AttackSpec(**entry))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"attack spec {entry}: {exc}") from exc
-    return specs
+    return [build_config(AttackSpec, e, f"attack spec {e}") for e in doc.get("attacks", [])]
+
+
+def _check_input_dim(net: Network, ds: Dataset):
+    if ds.dim != net.input_dim:
+        raise ConfigError(f"dataset has {ds.dim} features, checkpoint expects {net.input_dim}")
 
 
 def _cmd_evaluate(doc: dict, out: Path, seed: int | None) -> int:
@@ -86,6 +90,7 @@ def _cmd_evaluate(doc: dict, out: Path, seed: int | None) -> int:
     except KeyError as exc:
         raise ConfigError(f"evaluate config lacks {exc}") from exc
     ds = dataset_from_spec(doc.get("dataset"), doc.get("split", "test"))
+    _check_input_dim(net, ds)
     rows = evaluate(net, ds, _attacks_from_config(doc), seed=seed if seed is not None else doc.get("seed", 0))
     write_evaluation_csv(out / "evaluate.csv", rows)
     for row in rows:
@@ -109,22 +114,18 @@ def _cmd_stats(doc: dict, out: Path, seed: int | None) -> int:
         raise ConfigError(f"unknown stats method {method!r}")
     master = seed if seed is not None else doc.get("seed", 0)
     ds = dataset_from_spec(doc.get("dataset"), doc.get("split", "train"))
+    _check_input_dim(net, ds)
     layer = doc.get("layer", len(net.layers))
     variants = [("clean", ds)]
     if doc.get("attack") is not None:
-        try:
-            attack = AttackSpec(**doc["attack"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"attack spec: {exc}") from exc
+        attack = build_config(AttackSpec, doc["attack"], "attack spec")
         variants.append(("adversarial", _adversarial_copy(net, ds, attack, master)))
     for tag, data in variants:
         if method == "laplace":
             stats = corr_from_laplace(net, data, layer, damping=doc.get("damping", 1e-3))
         else:
-            try:
-                cfg = SamplingConfig(**(doc.get("sampling", {}) | {"seed": master}))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"sampling config: {exc}") from exc
+            sampling = doc.get("sampling", {}) | {"seed": master}
+            cfg = build_config(SamplingConfig, sampling, "sampling config")
             deltas = sample_weight_perturbations(net, data, cfg)
             stats = corr_from_samples(deltas, layer)
         stats.data = tag
@@ -142,11 +143,9 @@ def _cmd_bound(doc: dict, out: Path, seed: int | None) -> int:
     try:
         net = load_checkpoint(doc["checkpoint"])
         kind = doc["kind"]
-        inputs = BoundInputs(**doc["inputs"])
+        inputs = build_config(BoundInputs, doc["inputs"], "bound inputs")
     except KeyError as exc:
         raise ConfigError(f"bound config lacks {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bound inputs: {exc}") from exc
     if kind not in BOUND_KINDS:
         raise ConfigError(f"unknown bound kind {kind!r} (choose from {BOUND_KINDS})")
     stats = None
@@ -156,8 +155,7 @@ def _cmd_bound(doc: dict, out: Path, seed: int | None) -> int:
         report = evaluate_bound(net, inputs, kind, stats)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    with open(out / "bound.json", "w", encoding="utf-8") as f:
-        f.write(report.to_json_text())
+    (out / "bound.json").write_text(report.to_json_text(), encoding="utf-8")
     report.write_csv(out / "bound.csv")
     print(
         f"{kind}: complexity_term={report.complexity_term:.6g} "
@@ -195,8 +193,7 @@ def _cmd_simulate(doc: dict, out: Path, seed: int | None) -> int:
             )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    with open(out / "simulate_summary.json", "w", encoding="utf-8") as f:
-        f.write(json.dumps(summary, indent=1) + "\n")
+    write_json(out / "simulate_summary.json", summary)
     return EXIT_OK
 
 
@@ -231,13 +228,13 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](doc, out, args.seed)
-    except ConfigError as exc:
+    except (ConfigError, Unsupported, SamplingStalled) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergedTraining as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (OSError, BadMagic, Truncated, CountMismatch, CheckpointError) as exc:
+    except (OSError, BadMagic, Truncated, CountMismatch, CheckpointError, StatsFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

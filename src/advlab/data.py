@@ -146,6 +146,11 @@ def split_blobs(
     return train, test
 
 
+def epoch_seed_from(*parts: int) -> int:
+    """Seed of the sub-stream named by `parts` (master seed first)."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
 def batches(ds: Dataset, batch_size: int, epoch_seed: int):
     """Yield (inputs, labels) minibatches in a seeded shuffle order.
 

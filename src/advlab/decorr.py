@@ -76,7 +76,10 @@ def activation_covariance(tape: ForwardTape, layer: int) -> np.ndarray:
     """Second moment (1/B) sum a a^T of the activations feeding `layer`."""
     if not 1 <= layer <= len(tape.net.layers):
         raise ValueError(f"layer {layer} out of range")
-    a = tape.activations[layer - 1]
+    return _second_moment(tape.activations[layer - 1])
+
+
+def _second_moment(a: np.ndarray) -> np.ndarray:
     if a.shape[0] == 0:
         raise EmptyBatch("cannot form a covariance from an empty batch")
     return a.T @ a / a.shape[0]
@@ -99,9 +102,7 @@ def normalized_precision(cov: np.ndarray, damping: float) -> np.ndarray:
 
 def activation_penalty(activations: np.ndarray, cfg: DecorrConfig) -> float:
     """Penalty contribution of one activation matrix (rows = samples)."""
-    if activations.shape[0] == 0:
-        raise EmptyBatch("cannot form a covariance from an empty batch")
-    cov = activations.T @ activations / activations.shape[0]
+    cov = _second_moment(activations)
     return frobenius_sq(normalized_precision(cov, resolve_ridge(cov, cfg)))
 
 
@@ -155,10 +156,7 @@ def decorr_gradient(
             continue  # the input covariance does not depend on the weights
         for tape in (tape_clean, tape_adv):
             a = tape.activations[layer - 1]
-            if a.shape[0] == 0:
-                raise EmptyBatch("cannot form a covariance from an empty batch")
-            cov = a.T @ a / a.shape[0]
-            k = _penalty_cov_gradient(cov, cfg)
+            k = _penalty_cov_gradient(_second_moment(a), cfg)
             d_act = (2.0 / a.shape[0]) * a @ k
             for i, g in enumerate(backward_from_activation(net, tape, layer - 1, d_act)):
                 grads[i] += g

@@ -9,15 +9,12 @@ floating-point accumulation noise cannot trip strict symmetry checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
 TOL_SYM = 1e-9      # relative asymmetry tolerance
 TOL_PSD = 1e-10     # eigenvalues in [-TOL_PSD, 0) are treated as 0
 TOL_DIAG = 1e-12    # smallest diagonal accepted by correlation normalization
-KRON_MAX_ENTRIES = 4096 * 4096
 
 _POWER_TOL = 1e-8
 _POWER_MAX_ITERS = 10_000
@@ -29,10 +26,6 @@ class InvalidShape(ValueError):
 
 class NotPositiveDefinite(ValueError):
     """Matrix is not positive definite within tolerance."""
-
-
-class TooLarge(ValueError):
-    """Result would exceed the supported dense-matrix size."""
 
 
 class DegenerateDiagonal(ValueError):
@@ -64,29 +57,6 @@ def _as_symmetric(a, name: str = "matrix") -> np.ndarray:
     if float(np.abs(m - m.T).max()) > TOL_SYM * scale:
         raise InvalidShape(f"{name} is not symmetric within tolerance {TOL_SYM}")
     return 0.5 * (m + m.T)
-
-
-@dataclass(frozen=True)
-class SymEig:
-    """Eigen-decomposition of a symmetric matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns match eigenvalues
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
-
-def sym_eig(m) -> SymEig:
-    """Eigen-decompose a symmetric matrix; eigenvalues sorted descending.
-
-    Raises InvalidShape for non-square or asymmetric input.
-    """
-    s = _as_symmetric(m)
-    vals, vecs = np.linalg.eigh(s)
-    order = np.argsort(vals)[::-1]
-    return SymEig(eigenvalues=vals[order], eigenvectors=vecs[:, order])
 
 
 def _power_iteration(gram: np.ndarray, start: np.ndarray) -> float:
@@ -151,15 +121,6 @@ def inverse_psd(m) -> np.ndarray:
     chol = _cholesky_psd(m, "inverse input")
     inv = scipy.linalg.cho_solve((chol, True), np.eye(chol.shape[0]))
     return 0.5 * (inv + inv.T)
-
-
-def kronecker(a, b) -> np.ndarray:
-    """Kronecker product with a dense-size overflow guard."""
-    ma, mb = as_matrix(a, "a"), as_matrix(b, "b")
-    entries = ma.shape[0] * mb.shape[0] * ma.shape[1] * mb.shape[1]
-    if entries > KRON_MAX_ENTRIES:
-        raise TooLarge(f"kronecker product would hold {entries} entries")
-    return np.kron(ma, mb)
 
 
 def normalize_to_correlation(m) -> np.ndarray:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .io import json_text
 from .linalg import InvalidShape, as_matrix
 
 ACTIVATIONS = ("relu", "identity")
@@ -171,13 +172,6 @@ def backward(net: Network, tape: ForwardTape, dlogits: np.ndarray) -> list[np.nd
     return grads
 
 
-def backward_to_input(net: Network, tape: ForwardTape, dlogits: np.ndarray) -> np.ndarray:
-    """Gradient of the loss w.r.t. the input batch."""
-    _check_tape(net, tape)
-    _, dx = _backprop(net, tape, dlogits, len(net.layers))
-    return dx
-
-
 def backward_from_activation(
     net: Network, tape: ForwardTape, act_index: int, dact: np.ndarray
 ) -> list[np.ndarray]:
@@ -263,19 +257,23 @@ def cross_entropy_grad(logits, labels) -> np.ndarray:
     return g / len(y)
 
 
+def _mask_true_class(logits, labels):
+    """Validated logits and labels, row indices, and the logits with the true class at -inf."""
+    z = as_matrix(logits, "logits")
+    y = _check_labels(labels, z.shape[1])
+    rows = np.arange(len(y))
+    masked = z.copy()
+    masked[rows, y] = -np.inf
+    return z, y, rows, masked
+
+
 def margin_loss(logits, labels, gamma: float = 0.0) -> float:
     """Fraction of rows whose true-class logit beats the rest by at most gamma.
 
     gamma = 0 gives the plain classification error.
     """
-    z = as_matrix(logits, "logits")
-    y = _check_labels(labels, z.shape[1])
-    rows = np.arange(len(y))
-    true = z[rows, y]
-    masked = z.copy()
-    masked[rows, y] = -np.inf
-    runner_up = masked.max(axis=1)
-    return float(np.mean(true <= gamma + runner_up))
+    z, y, rows, masked = _mask_true_class(logits, labels)
+    return float(np.mean(z[rows, y] <= gamma + masked.max(axis=1)))
 
 
 def accuracy(logits, labels) -> float:
@@ -312,21 +310,13 @@ def kl_softmax_grad_p(logits_p, logits_q) -> np.ndarray:
 
 def cw_margin(logits, labels) -> float:
     """Mean logit margin max_{j != y} z_j - z_y (positive = misclassified)."""
-    z = as_matrix(logits, "logits")
-    y = _check_labels(labels, z.shape[1])
-    rows = np.arange(len(y))
-    masked = z.copy()
-    masked[rows, y] = -np.inf
+    z, y, rows, masked = _mask_true_class(logits, labels)
     return float((masked.max(axis=1) - z[rows, y]).mean())
 
 
 def cw_margin_grad(logits, labels) -> np.ndarray:
     """Gradient of the mean logit margin w.r.t. the logits."""
-    z = as_matrix(logits, "logits")
-    y = _check_labels(labels, z.shape[1])
-    rows = np.arange(len(y))
-    masked = z.copy()
-    masked[rows, y] = -np.inf
+    z, y, rows, masked = _mask_true_class(logits, labels)
     best_other = masked.argmax(axis=1)
     g = np.zeros_like(z)
     g[rows, best_other] += 1.0
@@ -335,16 +325,6 @@ def cw_margin_grad(logits, labels) -> np.ndarray:
 
 
 LOSS_KINDS = ("cross_entropy", "cw_margin", "kl")
-
-
-def loss_value(kind: str, logits, labels=None, ref_logits=None) -> float:
-    if kind == "cross_entropy":
-        return cross_entropy(logits, labels)
-    if kind == "cw_margin":
-        return cw_margin(logits, labels)
-    if kind == "kl":
-        return kl_softmax(ref_logits, logits)
-    raise InvalidShape(f"unknown loss kind {kind!r}")
 
 
 def loss_logit_grad(kind: str, logits, labels=None, ref_logits=None) -> np.ndarray:
@@ -361,7 +341,7 @@ def input_gradient(net: Network, batch, kind: str, labels=None, ref_logits=None)
     """Gradient of the chosen loss w.r.t. the input batch entries."""
     tape = forward(net, batch)
     dlogits = loss_logit_grad(kind, tape.logits, labels, ref_logits)
-    return backward_to_input(net, tape, dlogits)
+    return _backprop(net, tape, dlogits, len(net.layers))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +356,7 @@ def checkpoint_text(net: Network) -> str:
         "activations": [layer.activation for layer in net.layers],
         "weights": [layer.weight.reshape(-1).tolist() for layer in net.layers],
     }
-    return json.dumps(doc, indent=1) + "\n"
+    return json_text(doc)
 
 
 def save_checkpoint(net: Network, path):

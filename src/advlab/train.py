@@ -14,17 +14,16 @@ determinism contract.
 
 from __future__ import annotations
 
-import csv
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .attacks import AttackSpec, pgd
-from .data import Dataset, batches, load_idx, split_blobs
+from .data import Dataset, batches, epoch_seed_from, load_idx, split_blobs
 from .decorr import DecorrConfig, activation_penalty, decorr_gradient
+from .io import write_csv, write_json
 from .linalg import DegenerateDiagonal, NotPositiveDefinite
 from .network import (
     Network,
@@ -38,7 +37,6 @@ from .network import (
     kl_softmax_grad_q,
     save_checkpoint,
 )
-from .weight_stats import epoch_seed_from
 
 TRAIN_METHODS = ("standard", "at", "trades", "at_decorr", "trades_decorr")
 
@@ -56,18 +54,12 @@ class DivergedTraining(RuntimeError):
     """Training hit a non-finite loss; the last good checkpoint was kept."""
 
 
-def _attack_from_dict(doc: dict, what: str) -> AttackSpec:
+def build_config(cls, doc, what: str):
+    """`cls(**doc)`, reporting a malformed `doc` as a ConfigError prefixed with `what`."""
     try:
-        return AttackSpec(**doc)
+        return cls(**doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
-
-
-def _penalty_from_dict(doc: dict) -> DecorrConfig:
-    try:
-        return DecorrConfig(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"penalty: {exc}") from exc
 
 
 def dataset_from_spec(spec: dict, split: str) -> Dataset:
@@ -144,11 +136,11 @@ class RunConfig:
             if "hidden" in kw:
                 kw["hidden"] = tuple(int(h) for h in kw["hidden"])
             if kw.get("attack_train") is not None:
-                kw["attack_train"] = _attack_from_dict(kw["attack_train"], "attack_train")
+                kw["attack_train"] = build_config(AttackSpec, kw["attack_train"], "attack_train")
             if kw.get("attack_eval") is not None:
-                kw["attack_eval"] = _attack_from_dict(kw["attack_eval"], "attack_eval")
+                kw["attack_eval"] = build_config(AttackSpec, kw["attack_eval"], "attack_eval")
             if "penalty" in kw:
-                kw["penalty"] = _penalty_from_dict(kw["penalty"])
+                kw["penalty"] = build_config(DecorrConfig, kw["penalty"], "penalty")
             config = cls(**kw)
         except ConfigError:
             raise
@@ -159,23 +151,7 @@ class RunConfig:
         return config
 
     def to_dict(self) -> dict:
-        doc = {
-            "dataset": self.dataset,
-            "hidden": list(self.hidden),
-            "method": self.method,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "seed": self.seed,
-            "attack_train": None if self.attack_train is None else vars(self.attack_train).copy(),
-            "attack_eval": None if self.attack_eval is None else vars(self.attack_eval).copy(),
-            "penalty": vars(self.penalty).copy(),
-            "trades_lambda": self.trades_lambda,
-            "eval_subset": self.eval_subset,
-        }
-        return doc
+        return asdict(self)
 
 
 @dataclass
@@ -226,26 +202,24 @@ def _step_gradients(net, xb, yb, config: RunConfig, attack_seed: int):
     tape_clean = forward(net, xb)
     kl_spec = spec.replace(loss="kl", random_start=True)  # KL gradient vanishes at x
     x_adv = pgd(net, xb, None, kl_spec, ref_logits=tape_clean.logits)
-    loss, grads = trades_gradients(net, xb, yb, x_adv, config.trades_lambda)
+    tape_adv = forward(net, x_adv)
+    loss, grads = trades_gradients(net, tape_clean, tape_adv, yb, config.trades_lambda)
     if method == "trades_decorr" and config.penalty.alpha > 0:
-        tape_adv = forward(net, x_adv)
         extra = decorr_gradient(net, tape_clean, tape_adv, config.penalty)
         grads = [g + e for g, e in zip(grads, extra)]
     return loss, grads
 
 
-def trades_gradients(net, xb, yb, x_adv, trades_lambda: float):
+def trades_gradients(net, tape_clean, tape_adv, labels, trades_lambda: float):
     """Value and exact weight gradients of the clean+KL objective.
 
-    The adversarial inputs are fixed; the gradient flows through both the
-    clean and the adversarial forward passes.
+    The tapes hold the clean and the (fixed) adversarial forward passes;
+    the gradient flows through both.
     """
-    tape_clean = forward(net, xb)
-    tape_adv = forward(net, x_adv)
     ref_logits = tape_clean.logits
     inv_lambda = 1.0 / trades_lambda
-    loss = cross_entropy(ref_logits, yb) + inv_lambda * kl_softmax(ref_logits, tape_adv.logits)
-    d_clean = cross_entropy_grad(ref_logits, yb) + inv_lambda * kl_softmax_grad_p(
+    loss = cross_entropy(ref_logits, labels) + inv_lambda * kl_softmax(ref_logits, tape_adv.logits)
+    d_clean = cross_entropy_grad(ref_logits, labels) + inv_lambda * kl_softmax_grad_p(
         ref_logits, tape_adv.logits
     )
     d_adv = inv_lambda * kl_softmax_grad_q(ref_logits, tape_adv.logits)
@@ -265,19 +239,19 @@ def _eval_indices(n: int, cap: int, seed: int) -> np.ndarray:
 def _epoch_metrics(net, train, test, idx_train, idx_test, config: RunConfig, master: int):
     rows = {}
     eval_seed = epoch_seed_from(master, _EVAL, 1)
+    tapes = {}
     for tag, ds, idx in (("train", train, idx_train), ("test", test, idx_test)):
         x, y = ds.inputs[idx], ds.labels[idx]
-        logits = forward(net, x).logits
-        rows[f"clean_{tag}"] = accuracy(logits, y)
+        tapes[tag] = forward(net, x)
+        rows[f"clean_{tag}"] = accuracy(tapes[tag].logits, y)
         if config.attack_eval is not None:
             adv = pgd(net, x, y, config.attack_eval.replace(seed=eval_seed))
             rows[f"pgd_{tag}"] = accuracy(forward(net, adv).logits, y)
         else:
             rows[f"pgd_{tag}"] = rows[f"clean_{tag}"]
     # clean-side penalty of the last layer, comparable across methods
-    tape = forward(net, train.inputs[idx_train])
     try:
-        rows["penalty"] = activation_penalty(tape.activations[-2], config.penalty)
+        rows["penalty"] = activation_penalty(tapes["train"].activations[-2], config.penalty)
     except (NotPositiveDefinite, DegenerateDiagonal):
         rows["penalty"] = float("nan")  # degenerate activations: metric undefined
     return rows
@@ -309,12 +283,6 @@ def train(config: RunConfig, out_dir) -> RunRecord:
     checkpoint_path = out / "checkpoint.json"
     diverged = False
 
-    def flush(record_net):
-        save_checkpoint(record_net, checkpoint_path)
-        _write_metrics_csv(out / "metrics.csv", metrics)
-        _write_run_json(out / "run.json", config, metrics)
-        _write_timing_csv(out / "timing.csv", wall_train, wall_eval)
-
     if config.epochs == 0:
         t0 = time.perf_counter()
         row = {"epoch": 0, "train_loss": float("nan")}
@@ -322,8 +290,6 @@ def train(config: RunConfig, out_dir) -> RunRecord:
         metrics.append(row)
         wall_train.append(0.0)
         wall_eval.append(time.perf_counter() - t0)
-        flush(net)
-        return RunRecord(config.to_dict(), metrics, str(checkpoint_path), wall_train, wall_eval)
 
     good_net = net
     for epoch in range(config.epochs):
@@ -365,7 +331,10 @@ def train(config: RunConfig, out_dir) -> RunRecord:
         wall_eval.append(time.perf_counter() - t1)
         good_net = net
 
-    flush(good_net)
+    save_checkpoint(good_net, checkpoint_path)
+    _write_metrics_csv(out / "metrics.csv", metrics)
+    _write_run_json(out / "run.json", config, metrics)
+    _write_timing_csv(out / "timing.csv", wall_train, wall_eval)
     if diverged:
         raise DivergedTraining(
             f"non-finite loss; last good checkpoint kept at {checkpoint_path}"
@@ -373,37 +342,19 @@ def train(config: RunConfig, out_dir) -> RunRecord:
     return RunRecord(config.to_dict(), metrics, str(checkpoint_path), wall_train, wall_eval)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def _write_metrics_csv(path, metrics):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(METRICS_HEADER)
-        for row in metrics:
-            w.writerow([_fmt(row[k]) for k in METRICS_HEADER])
+    write_csv(path, METRICS_HEADER, ([row[k] for k in METRICS_HEADER] for row in metrics))
 
 
 def _write_run_json(path, config: RunConfig, metrics):
-    doc = {
-        "config": config.to_dict(),
-        "epochs_completed": len(metrics),
-        "final_metrics": metrics[-1] if metrics else None,
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(doc, indent=1) + "\n")
+    write_json(path, {"config": config.to_dict(), "epochs_completed": len(metrics),
+                      "final_metrics": metrics[-1] if metrics else None})
 
 
 def _write_timing_csv(path, wall_train, wall_eval):
     # wall-clock is environment noise: kept out of the deterministic set
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(("epoch", "wall_train_s", "wall_eval_s"))
-        for i, (a, b) in enumerate(zip(wall_train, wall_eval)):
-            w.writerow((i + 1, f"{a:.6f}", f"{b:.6f}"))
+    rows = ((i + 1, f"{a:.6f}", f"{b:.6f}") for i, (a, b) in enumerate(zip(wall_train, wall_eval)))
+    write_csv(path, ("epoch", "wall_train_s", "wall_eval_s"), rows)
 
 
 def evaluate(net: Network, ds: Dataset, attacks: list[AttackSpec], seed: int = 0) -> list[dict]:
@@ -428,8 +379,4 @@ EVALUATE_HEADER = ("attack", "norm", "epsilon", "steps", "step_size", "loss", "a
 
 
 def write_evaluation_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(EVALUATE_HEADER)
-        for row in rows:
-            w.writerow([_fmt(row[k]) for k in EVALUATE_HEADER])
+    write_csv(path, EVALUATE_HEADER, ([row[k] for k in EVALUATE_HEADER] for row in rows))

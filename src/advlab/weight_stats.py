@@ -18,17 +18,17 @@ perturbation matrices.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.stats
 
-from .data import Dataset, batches
+from .data import Dataset, batches, epoch_seed_from
 from .decorr import Unsupported, hessian_kron_factors
+from .io import write_csv
 from .linalg import (
     TOL_PSD,
     det_lower_bound,
-    equicorrelation,
     frobenius_sq,
     inverse_psd,
     logdet_psd,
@@ -51,6 +51,10 @@ class DegenerateVariance(ValueError):
 
 class SamplingStalled(RuntimeError):
     """The loss-constrained sampler's acceptance rate collapsed."""
+
+
+class StatsFormatError(ValueError):
+    """A stats CSV is not one that LayerCorrStats.write_csv writes."""
 
 
 @dataclass
@@ -100,29 +104,30 @@ class LayerCorrStats:
     )
 
     def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(self.CSV_FIELDS)
-            w.writerow([_csv_cell(getattr(self, name)) for name in self.CSV_FIELDS])
+        write_csv(path, self.CSV_FIELDS, [[getattr(self, name) for name in self.CSV_FIELDS]])
 
     @classmethod
     def read_csv(cls, path) -> "LayerCorrStats":
+        """Inverse of write_csv; StatsFormatError for a file write_csv could not have written."""
         with open(path, newline="", encoding="utf-8") as f:
             rows = list(csv.DictReader(f))
         if len(rows) != 1:
-            raise ValueError(f"{path}: expected exactly one stats row")
+            raise StatsFormatError(f"{path}: expected exactly one stats row")
         row = rows[0]
-        ints = {"layer", "dim", "sample_count"}
-        kw = {k: (int(row[k]) if k in ints else row[k] if k in ("source", "data") else float(row[k]))
-              for k in cls.CSV_FIELDS}
+        missing = [k for k in cls.CSV_FIELDS if row.get(k) is None]
+        if missing:
+            raise StatsFormatError(f"{path}: missing fields {', '.join(missing)}")
+        for name, allowed in (("source", SOURCES), ("data", DATA_TAGS)):
+            if row[name] not in allowed:
+                raise StatsFormatError(f"{path}: {name} {row[name]!r} is not one of {allowed}")
+        ints, strs = ("layer", "dim", "sample_count"), ("source", "data")
+        try:
+            kw = {k: int(row[k]) if k in ints else row[k] if k in strs else float(row[k])
+                  for k in cls.CSV_FIELDS}
+        except ValueError as exc:
+            raise StatsFormatError(f"{path}: {exc}") from exc
         dim_c = dim_r = 1  # matrices are not round-tripped through CSV
         return cls(rc=np.eye(dim_c), rr=np.eye(dim_r), **kw)
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +190,6 @@ def _refine(net: Network, ds: Dataset, cfg: SamplingConfig, active: list[bool], 
                  for w, g, on in zip(net.weights, grads, active)]
             )
     return net
-
-
-def epoch_seed_from(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
 def sample_weight_perturbations(
@@ -388,11 +389,7 @@ class CorrelationStudy:
     HEADER = ("frob_sq", "lam_proxy", "det_lb")
 
     def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(self.HEADER)
-            for row in self.rows:
-                w.writerow([f"{v:.17g}" for v in row])
+        write_csv(path, self.HEADER, self.rows)
 
 
 def equicorrelation_row(dim: int, r: float) -> tuple[float, float, float]:
@@ -480,11 +477,7 @@ class PerturbationReport:
     p95: float
 
     def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(("trial", "ratio"))
-            for i, ratio in enumerate(self.ratios):
-                w.writerow((i, f"{ratio:.17g}"))
+        write_csv(path, ("trial", "ratio"), enumerate(self.ratios))
 
 
 def check_perturbation_bound(

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from advlab.attacks import AttackSpec, attack_batch, cw_pgd, fgsm, pgd
-from advlab.network import Layer, Network, cross_entropy, cw_margin, forward
+from advlab.attacks import AttackSpec, pgd
+from advlab.network import Layer, Network, cross_entropy, cw_margin, forward, input_gradient
 
 
 def linear_two_class():
@@ -15,27 +15,39 @@ def random_net(seed=0, dims=(6, 12, 4)):
     return Network.he_init(list(dims), seed=seed)
 
 
+def one_step(net, x, labels, epsilon, loss="cross_entropy"):
+    """FGSM: one PGD step of size epsilon."""
+    return pgd(net, x, labels, AttackSpec(epsilon, epsilon, steps=1, loss=loss))
+
+
 class TestFgsm:
+    def test_one_step_pgd_is_the_signed_gradient_step(self):
+        rng = np.random.default_rng(4)
+        net = random_net(seed=5)
+        x = rng.uniform(0, 1, (7, 6))  # the box binds on some coordinates
+        labels = rng.integers(0, 4, size=7)
+        grad = input_gradient(net, x, "cross_entropy", labels)
+        expect = np.clip(x + 0.2 * np.sign(grad), 0.0, 1.0)
+        assert np.array_equal(one_step(net, x, labels, 0.2), expect)
+
     def test_constant_gradient_direction(self):
         net = linear_two_class()
         x = np.array([[0.5, 0.5]])
-        got = fgsm(net, x, [1], epsilon=0.1)
+        got = one_step(net, x, [1], epsilon=0.1)
         # loss x1 - x2 up to softmax monotonicity: push x1 up, x2 down
         assert np.allclose(got - x, [[0.1, -0.1]], atol=1e-15)
 
     def test_zero_gradient_leaves_input(self):
         net = Network([Layer(np.zeros((2, 3)), "identity")])
         x = np.array([[0.4, 0.6]])
-        assert np.array_equal(fgsm(net, x, [0], epsilon=0.1), x)
+        assert np.array_equal(one_step(net, x, [0], epsilon=0.1), x)
 
     def test_full_magnitude_on_active_coordinates(self):
         rng = np.random.default_rng(1)
         net = random_net(seed=2)
         x = rng.uniform(0.2, 0.8, (5, 6))  # box never binds at eps=0.1
         labels = rng.integers(0, 4, size=5)
-        delta = fgsm(net, x, labels, epsilon=0.1) - x
-        from advlab.network import input_gradient
-
+        delta = one_step(net, x, labels, epsilon=0.1) - x
         grad = input_gradient(net, x, "cross_entropy", labels)
         active = grad != 0
         assert np.allclose(np.abs(delta[active]), 0.1, atol=1e-15)
@@ -98,7 +110,7 @@ class TestPgdProjection:
 class TestAttackStrengthOrdering:
     def test_pgd_beats_fgsm_beats_clean_in_median(self):
         eps = 0.1
-        losses_clean, losses_fgsm, losses_pgd = [], [], []
+        losses_clean, losses_one_step, losses_pgd = [], [], []
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             net = random_net(seed=200 + seed)
@@ -106,23 +118,20 @@ class TestAttackStrengthOrdering:
             labels = rng.integers(0, 4, size=16)
             spec = AttackSpec(epsilon=eps, step_size=eps / 4, steps=20)
             losses_clean.append(cross_entropy(forward(net, x).logits, labels))
-            losses_fgsm.append(cross_entropy(forward(net, fgsm(net, x, labels, eps)).logits, labels))
+            adv = one_step(net, x, labels, eps)
+            losses_one_step.append(cross_entropy(forward(net, adv).logits, labels))
             losses_pgd.append(cross_entropy(forward(net, pgd(net, x, labels, spec)).logits, labels))
-        assert np.median(losses_pgd) >= np.median(losses_fgsm) >= np.median(losses_clean)
+        assert np.median(losses_pgd) >= np.median(losses_one_step) >= np.median(losses_clean)
 
 
 class TestCwPgd:
-    def test_requires_cw_loss(self):
-        with pytest.raises(ValueError):
-            cw_pgd(random_net(), np.zeros((1, 6)), [0], AttackSpec(0.1, 0.05))
-
     def test_margin_never_decreases_without_random_start(self):
         rng = np.random.default_rng(8)
         net = random_net(seed=9)
         x = rng.uniform(0, 1, (10, 6))
         labels = rng.integers(0, 4, size=10)
         spec = AttackSpec(epsilon=0.1, step_size=0.02, steps=10, loss="cw_margin")
-        adv = cw_pgd(net, x, labels, spec)
+        adv = pgd(net, x, labels, spec)
         before = cw_margin(forward(net, x).logits, labels)
         after = cw_margin(forward(net, adv).logits, labels)
         assert after >= before - 1e-9
@@ -131,7 +140,7 @@ class TestCwPgd:
         net = linear_two_class()
         x = np.array([[0.2, 0.8]])  # label 0 but logit_1 larger
         spec = AttackSpec(epsilon=0.05, step_size=0.01, steps=10, loss="cw_margin")
-        adv = cw_pgd(net, x, [0], spec)
+        adv = pgd(net, x, [0], spec)
         logits = forward(net, adv).logits
         assert logits[0, 1] > logits[0, 0]
 
@@ -141,10 +150,9 @@ class TestCwPgd:
         x = rng.uniform(0.3, 0.7, (6, 2))
         labels = rng.integers(0, 2, size=6)
         eps = 0.05
-        spec = AttackSpec(epsilon=eps, step_size=eps, steps=1, loss="cw_margin")
-        d_cw = np.sign(cw_pgd(net, x, labels, spec) - x)
-        d_fgsm = np.sign(fgsm(net, x, labels, eps) - x)
-        assert np.array_equal(d_cw, d_fgsm)
+        d_cw = np.sign(one_step(net, x, labels, eps, loss="cw_margin") - x)
+        d_ce = np.sign(one_step(net, x, labels, eps) - x)
+        assert np.array_equal(d_cw, d_ce)
 
 
 class TestSpecValidation:
@@ -165,11 +173,3 @@ class TestSpecValidation:
         x = np.random.default_rng(21).uniform(0, 1, (3, 6))
         spec = AttackSpec(epsilon=0.0, step_size=0.1, steps=4)
         assert np.array_equal(pgd(net, x, [0, 1, 2], spec), x)
-
-    def test_dispatch_matches_pgd(self):
-        rng = np.random.default_rng(11)
-        net = random_net(seed=12)
-        x = rng.uniform(0, 1, (3, 6))
-        labels = rng.integers(0, 4, size=3)
-        spec = AttackSpec(epsilon=0.1, step_size=0.02, steps=3)
-        assert np.array_equal(attack_batch(net, x, labels, spec), pgd(net, x, labels, spec))

@@ -212,6 +212,28 @@ class TestBoundCommand:
         report = json.loads((out / "bound.json").read_text())
         assert report["logdet_term"] >= 0.0
 
+    def test_malformed_stats_file_exits_4(self, tmp_path, trained, capsys):
+        bad = tmp_path / "stats_bad.csv"
+        bad.write_text("layer,dim\n1,48\n")
+        doc = {
+            "checkpoint": str(trained / "checkpoint.json"),
+            "kind": "corr",
+            "stats": [str(bad)],
+            "inputs": {"gamma": 0.5, "delta": 0.05, "m": 100, "input_bound": 2.0},
+        }
+        config = write_config(tmp_path, doc, "bound-bad-stats.json")
+        assert run(["bound", "--config", config, "--out", tmp_path / "x"]) == EXIT_IO
+        assert "missing fields" in capsys.readouterr().err
+
+    def test_missing_checkpoint_exits_4(self, tmp_path):
+        doc = {
+            "checkpoint": str(tmp_path / "nope.json"),
+            "kind": "xiao",
+            "inputs": {"gamma": 0.5, "delta": 0.05, "m": 100, "input_bound": 2.0},
+        }
+        config = write_config(tmp_path, doc, "bound-no-checkpoint.json")
+        assert run(["bound", "--config", config, "--out", tmp_path / "x"]) == EXIT_IO
+
     def test_missing_stats_exits_2(self, tmp_path, trained):
         doc = {
             "checkpoint": str(trained / "checkpoint.json"),
@@ -220,6 +242,31 @@ class TestBoundCommand:
         }
         config = write_config(tmp_path, doc, "bound-bad.json")
         assert run(["bound", "--config", config, "--out", tmp_path / "x"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("stats", {"method": "laplace", "layer": 1}, "output layer only"),
+        ("evaluate", {"dataset": DATASET | {"dim": 6}}, "dataset has 6 features, checkpoint expects 5"),
+        ("stats", {"method": "laplace", "dataset": DATASET | {"dim": 6}}, "dataset has 6 features"),
+        (
+            "stats",
+            {"method": "sampling", "sampling": {
+                "num_samples": 2, "loss_tolerance": 1e-9, "refine_epochs": 0, "noise_sigma": 5.0}},
+            "after 200 draws",
+        ),
+    ],
+    ids=["laplace-hidden-layer", "evaluate-input-dim", "stats-input-dim", "sampling-stalled"],
+)
+def test_unmeetable_request_exits_2_with_one_line(tmp_path, trained, capsys, command, extra, message):
+    doc = {"checkpoint": str(trained / "checkpoint.json"), "dataset": DATASET} | extra
+    config = write_config(tmp_path, doc, "unmeetable.json")
+    capsys.readouterr()
+    assert run([command, "--config", config, "--out", tmp_path / "x"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
 
 
 class TestSimulateCommand:

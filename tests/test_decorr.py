@@ -14,7 +14,7 @@ from advlab.decorr import (
     hessian_kron_factors,
     normalized_precision,
 )
-from advlab.linalg import kronecker, normalize_to_correlation
+from advlab.linalg import normalize_to_correlation
 from advlab.network import Layer, Network, StaleTape, cross_entropy, forward
 
 
@@ -190,7 +190,7 @@ class TestHessianFactors:
         y = [2]
         tape = forward(net, x)
         a_hat, h_hat = hessian_kron_factors(tape, y, 1)
-        kron = kronecker(a_hat, h_hat)
+        kron = np.kron(a_hat, h_hat)
 
         w0 = net.weights[0]
         out, cols = w0.shape
@@ -227,9 +227,9 @@ class TestHessianFactors:
         p = softmax(tape.logits)
         exact = np.zeros((a_hat.shape[0] * 4, a_hat.shape[0] * 4))
         for row_a, row_p in zip(aug, p):
-            exact += kronecker(np.outer(row_a, row_a), np.diag(row_p) - np.outer(row_p, row_p))
+            exact += np.kron(np.outer(row_a, row_a), np.diag(row_p) - np.outer(row_p, row_p))
         exact /= len(aug)
-        gap = np.linalg.norm(kronecker(a_hat, h_hat) - exact) / np.linalg.norm(exact)
+        gap = np.linalg.norm(np.kron(a_hat, h_hat) - exact) / np.linalg.norm(exact)
         # the factorized expectation differs in general: report, never bound
         print(f"multi-sample Kronecker factorization relative gap: {gap:.3e}")
         assert np.isfinite(gap)
@@ -250,5 +250,5 @@ class TestHessianFactors:
 
         aug = _augment(tape.activations[0])[0]
         p = softmax(tape.logits)[0]
-        exact = kronecker(np.outer(aug, aug), np.diag(p) - np.outer(p, p))
-        assert np.abs(kronecker(a_hat, h_hat) - exact).max() < 1e-12
+        exact = np.kron(np.outer(aug, aug), np.diag(p) - np.outer(p, p))
+        assert np.abs(np.kron(a_hat, h_hat) - exact).max() < 1e-12

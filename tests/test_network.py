@@ -12,7 +12,6 @@ from advlab.network import (
     StaleTape,
     backward,
     backward_from_activation,
-    backward_to_input,
     checkpoint_text,
     cross_entropy,
     cross_entropy_grad,

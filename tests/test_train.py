@@ -4,7 +4,7 @@ import pytest
 from conftest import away_from_relu_kinks, fd_weight_gradients, max_rel_error
 
 from advlab.attacks import AttackSpec, pgd
-from advlab.data import synth_blobs
+from advlab.data import epoch_seed_from, synth_blobs
 from advlab.decorr import DecorrConfig
 from advlab.network import Network, accuracy, forward, load_checkpoint
 from advlab.train import (
@@ -19,7 +19,6 @@ from advlab.train import (
     trades_gradients,
     write_evaluation_csv,
 )
-from advlab.weight_stats import epoch_seed_from
 
 
 DATASET = {
@@ -166,6 +165,10 @@ class TestTraining:
         assert record.final["clean_train"] >= 0.9
 
 
+def trades_on_inputs(net, xb, yb, x_adv, lam):
+    return trades_gradients(net, forward(net, xb), forward(net, x_adv), yb, lam)
+
+
 class TestTradesGradient:
     def test_matches_finite_differences_with_fixed_adversary(self):
         rng = np.random.default_rng(1)
@@ -175,9 +178,9 @@ class TestTradesGradient:
         x_adv = np.clip(xb + rng.uniform(-0.05, 0.05, xb.shape), 0, 1)
         assert away_from_relu_kinks(net, xb) and away_from_relu_kinks(net, x_adv)
         lam = 1.0 / 6.0
-        _, analytic = trades_gradients(net, xb, yb, x_adv, lam)
+        _, analytic = trades_on_inputs(net, xb, yb, x_adv, lam)
         oracle = fd_weight_gradients(
-            lambda n: trades_gradients(n, xb, yb, x_adv, lam)[0], net
+            lambda n: trades_on_inputs(n, xb, yb, x_adv, lam)[0], net
         )
         assert max_rel_error(analytic, oracle) < 1e-4
 
@@ -188,7 +191,7 @@ class TestTradesGradient:
         yb = rng.integers(0, 3, size=5)
         from advlab.network import cross_entropy
 
-        loss, _ = trades_gradients(net, xb, yb, xb, 1.0 / 6.0)
+        loss, _ = trades_on_inputs(net, xb, yb, xb, 1.0 / 6.0)
         assert loss == pytest.approx(cross_entropy(forward(net, xb).logits, yb), abs=1e-12)
 
 

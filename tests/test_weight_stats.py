@@ -3,7 +3,6 @@ import pytest
 
 from advlab.data import Dataset, synth_blobs
 from advlab.decorr import Unsupported
-from advlab.linalg import sym_eig
 from advlab.network import Layer, Network, backward, cross_entropy_grad, forward
 from advlab.weight_stats import (
     CorrelationStudy,
@@ -12,6 +11,7 @@ from advlab.weight_stats import (
     PerturbationReport,
     SamplingConfig,
     SamplingStalled,
+    StatsFormatError,
     check_perturbation_bound,
     corr_from_laplace,
     corr_from_samples,
@@ -93,9 +93,9 @@ class TestCorrFromSamples:
         # R is the normalized rank-one outer product: top eigenvalue = dim
         assert stats.lam_max == pytest.approx(6.0, abs=1e-9)
         assert stats.lam_min == pytest.approx(0.0, abs=1e-12)
-        eig = sym_eig(stats.r).eigenvalues
-        assert eig[0] == pytest.approx(6.0, abs=1e-9)
-        assert np.allclose(eig[1:], 0.0, atol=1e-9)
+        eig = np.linalg.eigvalsh(stats.r)
+        assert eig[-1] == pytest.approx(6.0, abs=1e-9)
+        assert np.allclose(eig[:-1], 0.0, atol=1e-9)
         assert stats.det_lb == 0.0
 
     def test_iid_noise_concentrates_to_identity(self):
@@ -305,3 +305,20 @@ class TestStatsCsv:
             assert getattr(back, name) == getattr(stats, name)
         for name in ("lam_max", "lam_min", "lamc_max", "lamr_max", "det_lb", "frob_sq"):
             assert getattr(back, name) == getattr(stats, name)
+
+        # files write_csv could not have written are rejected, naming the fault
+        header, row = path.read_text().splitlines()
+        fields, cells = header.split(","), row.split(",")
+        keep = [i for i, f in enumerate(fields) if f not in ("source", "dim")]
+        dropped = [",".join(fields[i] for i in keep), ",".join(cells[i] for i in keep)]
+        malformed = [
+            (dropped, "missing fields dim, source"),
+            ([header, row.replace(",sampling,", ",mcmc,")], "source 'mcmc'"),
+            ([header, row.replace(",clean,", ",noisy,")], "data 'noisy'"),
+            ([header, row, row], "exactly one stats row"),
+            ([header, row.replace(",40,", ",forty,")], "forty"),
+        ]
+        for lines, message in malformed:
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(StatsFormatError, match=message):
+                LayerCorrStats.read_csv(path)
