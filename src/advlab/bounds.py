@@ -97,6 +97,23 @@ class BoundReport:
         write_csv(path, self.CSV_FIELDS, [[flat[name] for name in self.CSV_FIELDS]])
 
 
+def _layer_norms(net: Network) -> list[dict]:
+    """The report's per-layer rows; every norm a bound uses comes from them."""
+    return [
+        {"layer": i + 1, "spectral_norm": spectral_norm(l.weight), "frob_sq": frobenius_sq(l.weight)}
+        for i, l in enumerate(net.layers)
+    ]
+
+
+def _capacity(per_layer: list[dict]) -> float:
+    """phi_standard from the rows of _layer_norms."""
+    if any(row["spectral_norm"] == 0.0 for row in per_layer):
+        raise DegenerateLayer("a layer has zero spectral norm")
+    spectral_sq = [row["spectral_norm"] * row["spectral_norm"] for row in per_layer]
+    product = float(np.prod(spectral_sq))
+    return product * sum(row["frob_sq"] / s2 for row, s2 in zip(per_layer, spectral_sq))
+
+
 def phi_standard(net: Network) -> float:
     """Capacity product prod ||W||_2^2 * sum ||W||_F^2 / ||W||_2^2.
 
@@ -104,15 +121,7 @@ def phi_standard(net: Network) -> float:
     Invariant under per-layer rescalings that preserve the product of
     spectral norms.
     """
-    spectral_sq = []
-    for layer in net.layers:
-        s = spectral_norm(layer.weight)
-        if s == 0.0:
-            raise DegenerateLayer("a layer has zero spectral norm")
-        spectral_sq.append(s * s)
-    product = float(np.prod(spectral_sq))
-    ratio_sum = sum(frobenius_sq(layer.weight) / s2 for layer, s2 in zip(net.layers, spectral_sq))
-    return product * ratio_sum
+    return _capacity(_layer_norms(net))
 
 
 def _lam_by_layer(net: Network, stats: list[LayerCorrStats]) -> dict[int, dict[str, float]]:
@@ -122,7 +131,7 @@ def _lam_by_layer(net: Network, stats: list[LayerCorrStats]) -> dict[int, dict[s
         entry = table.setdefault(
             s.layer,
             {"lamc": -np.inf, "lamr": -np.inf, "lam_max": -np.inf, "lam_min": np.inf,
-             "logdet": np.inf, "det_lb": np.inf, "dim": s.dim, "frob_sq": s.frob_sq},
+             "logdet": np.inf, "det_lb": np.inf, "dim": s.dim},
         )
         if s.dim != entry["dim"]:
             raise IncompleteStats(f"layer {s.layer} has entries of mismatched dimension")
@@ -132,7 +141,6 @@ def _lam_by_layer(net: Network, stats: list[LayerCorrStats]) -> dict[int, dict[s
         entry["lam_min"] = min(entry["lam_min"], s.lam_min)
         entry["logdet"] = min(entry["logdet"], s.logdet)
         entry["det_lb"] = min(entry["det_lb"], s.det_lb)
-        entry["frob_sq"] = max(entry["frob_sq"], s.frob_sq)
     missing = set(range(1, len(net.layers) + 1)) - set(table)
     if missing:
         raise IncompleteStats(f"no statistics for layers {sorted(missing)}")
@@ -145,8 +153,7 @@ def phi_correlated(net: Network, stats: list[LayerCorrStats]) -> float:
     The factor is (sum_l (lamc_l + lamr_l))^2 with per-layer maxima taken
     over the provided (clean and/or adversarial) statistics.
     """
-    table = _lam_by_layer(net, stats)
-    lam_sum = sum(entry["lamc"] + entry["lamr"] for entry in table.values())
+    lam_sum = sum(entry["lamc"] + entry["lamr"] for entry in _lam_by_layer(net, stats).values())
     return phi_standard(net) * lam_sum**2
 
 
@@ -165,13 +172,10 @@ def evaluate_bound(
     n = len(net.layers)
     width = max(layer.out_dim for layer in net.layers)
     log_term = float(np.log(n * inputs.m / inputs.delta))
-    per_layer = [
-        {"layer": i + 1, "spectral_norm": spectral_norm(l.weight), "frob_sq": frobenius_sq(l.weight)}
-        for i, l in enumerate(net.layers)
-    ]
+    per_layer = _layer_norms(net)
 
     if kind in ("neyshabur", "xiao"):
-        phi = phi_standard(net)
+        phi = _capacity(per_layer)
         radius = inputs.input_bound if kind == "neyshabur" else inputs.input_bound + inputs.epsilon
         phi_term = radius**2 * n**2 * width * np.log(n * width) * phi
         logdet_term = 0.0
@@ -179,7 +183,7 @@ def evaluate_bound(
         if stats is None:
             raise IncompleteStats("correlation bound kinds need layer statistics")
         table = _lam_by_layer(net, stats)
-        phi = phi_correlated(net, stats)
+        phi = _capacity(per_layer) * sum(e["lamc"] + e["lamr"] for e in table.values()) ** 2
         radius = inputs.input_bound + inputs.epsilon
         phi_term = radius**2 * inputs.constant**2 * phi
         logdet_term = 0.0

@@ -79,9 +79,11 @@ def _attacks_from_config(doc: dict) -> list[AttackSpec]:
     return [build_config(AttackSpec, e, f"attack spec {e}") for e in doc.get("attacks", [])]
 
 
-def _check_input_dim(net: Network, ds: Dataset):
+def _check_compatible(net: Network, ds: Dataset):
     if ds.dim != net.input_dim:
         raise ConfigError(f"dataset has {ds.dim} features, checkpoint expects {net.input_dim}")
+    if ds.num_classes != net.output_dim:
+        raise ConfigError(f"dataset has {ds.num_classes} classes, checkpoint expects {net.output_dim}")
 
 
 def _cmd_evaluate(doc: dict, out: Path, seed: int | None) -> int:
@@ -90,7 +92,7 @@ def _cmd_evaluate(doc: dict, out: Path, seed: int | None) -> int:
     except KeyError as exc:
         raise ConfigError(f"evaluate config lacks {exc}") from exc
     ds = dataset_from_spec(doc.get("dataset"), doc.get("split", "test"))
-    _check_input_dim(net, ds)
+    _check_compatible(net, ds)
     rows = evaluate(net, ds, _attacks_from_config(doc), seed=seed if seed is not None else doc.get("seed", 0))
     write_evaluation_csv(out / "evaluate.csv", rows)
     for row in rows:
@@ -114,8 +116,10 @@ def _cmd_stats(doc: dict, out: Path, seed: int | None) -> int:
         raise ConfigError(f"unknown stats method {method!r}")
     master = seed if seed is not None else doc.get("seed", 0)
     ds = dataset_from_spec(doc.get("dataset"), doc.get("split", "train"))
-    _check_input_dim(net, ds)
+    _check_compatible(net, ds)
     layer = doc.get("layer", len(net.layers))
+    if not (isinstance(layer, int) and 1 <= layer <= len(net.layers)):
+        raise ConfigError(f"stats layer {layer!r} outside 1..{len(net.layers)}")
     variants = [("clean", ds)]
     if doc.get("attack") is not None:
         attack = build_config(AttackSpec, doc["attack"], "attack spec")

@@ -76,17 +76,25 @@ def load_idx(images_path, labels_path) -> Dataset:
         pixels = np.frombuffer(
             _read_exact(f, count * rows * cols, "image payload"), dtype=np.uint8
         )
-    with open(labels_path, "rb") as f:
+    labels = _read_idx_labels(labels_path)
+    if len(labels) != count:
+        raise CountMismatch(f"{count} images but {len(labels)} labels")
+    inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    return Dataset(inputs, labels, int(labels.max(initial=0)) + 1, name=str(images_path))
+
+
+def _read_idx_labels(path) -> np.ndarray:
+    with open(path, "rb") as f:
         magic = _read_be32(f, "label magic")
         if magic != IDX_LABEL_MAGIC:
-            raise BadMagic(f"{labels_path}: magic {magic:#010x}, expected {IDX_LABEL_MAGIC:#010x}")
-        label_count = _read_be32(f, "label count")
-        labels = np.frombuffer(_read_exact(f, label_count, "label payload"), dtype=np.uint8)
-    if label_count != count:
-        raise CountMismatch(f"{count} images but {label_count} labels")
-    inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-    num_classes = int(labels.max()) + 1 if count else 1
-    return Dataset(inputs, labels.astype(np.int64), num_classes, name=str(images_path))
+            raise BadMagic(f"{path}: magic {magic:#010x}, expected {IDX_LABEL_MAGIC:#010x}")
+        count = _read_be32(f, "label count")
+        return np.frombuffer(_read_exact(f, count, "label payload"), dtype=np.uint8).astype(np.int64)
+
+
+def idx_num_classes(*labels_paths) -> int:
+    """Largest label in the IDX label files plus one: one count for every split."""
+    return 1 + max(int(_read_idx_labels(path).max(initial=0)) for path in labels_paths)
 
 
 def write_idx_images(path, images: np.ndarray):

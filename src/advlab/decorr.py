@@ -168,15 +168,16 @@ def hessian_kron_factors(tape: ForwardTape, labels, layer: int) -> tuple[np.ndar
 
     Returns (A_hat, H_hat): A_hat is the batch second moment of the
     layer's input including the folded bias coordinate, H_hat the batch
-    mean of diag(p) - p p^T over the softmax probabilities. For a
+    mean of diag(p) - p p^T over the softmax probabilities, formed as
+    (diag(sum_i p_i) - P^T P) / B from the (B, classes) probability
+    matrix P with one GEMM, the K-FAC output factor. For a
     single-sample batch their Kronecker product (column-major weight
     vectorization) equals the exact Hessian w.r.t. the layer's weights;
     for larger batches it is the standard factorized approximation.
     Softmax-CE only: its pre-activation Hessian has this closed form and
     does not involve the labels.
     """
-    net = tape.net
-    if layer != len(net.layers):
+    if layer != len(tape.net.layers):
         raise Unsupported("Hessian factorization is available for the output layer only")
     a = _augment(tape.activations[layer - 1])
     if a.shape[0] == 0:
@@ -186,8 +187,5 @@ def hessian_kron_factors(tape: ForwardTape, labels, layer: int) -> tuple[np.ndar
         raise ValueError("labels must match the batch")
     a_hat = a.T @ a / a.shape[0]
     p = softmax(tape.logits)
-    h_hat = np.zeros((net.output_dim, net.output_dim))
-    for row in p:
-        h_hat += np.diag(row) - np.outer(row, row)
-    h_hat /= a.shape[0]
+    h_hat = (np.diag(p.sum(axis=0)) - p.T @ p) / a.shape[0]
     return a_hat, 0.5 * (h_hat + h_hat.T)

@@ -16,9 +16,6 @@ TOL_SYM = 1e-9      # relative asymmetry tolerance
 TOL_PSD = 1e-10     # eigenvalues in [-TOL_PSD, 0) are treated as 0
 TOL_DIAG = 1e-12    # smallest diagonal accepted by correlation normalization
 
-_POWER_TOL = 1e-8
-_POWER_MAX_ITERS = 10_000
-
 
 class InvalidShape(ValueError):
     """Input is not a matrix of the required shape/symmetry."""
@@ -59,41 +56,14 @@ def _as_symmetric(a, name: str = "matrix") -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _power_iteration(gram: np.ndarray, start: np.ndarray) -> float:
-    """Largest eigenvalue of a PSD matrix by power iteration on `start`."""
-    v = start / np.linalg.norm(start)
-    prev = 0.0
-    for _ in range(_POWER_MAX_ITERS):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0  # start vector lies in the null space
-        v = w / norm
-        rayleigh = float(v @ (gram @ v))
-        if abs(rayleigh - prev) <= _POWER_TOL * max(abs(rayleigh), 1e-300):
-            return rayleigh
-        prev = rayleigh
-    return prev
-
-
 def spectral_norm(m) -> float:
-    """Largest singular value via power iteration on the Gram matrix.
+    """Largest singular value, from the LAPACK SVD (np.linalg.norm(a, 2)).
 
-    Deterministic: iterates from the all-ones vector, with a seeded random
-    start as tie-breaker (the ones vector can be exactly orthogonal to the
-    dominant eigenspace); the larger Rayleigh limit wins. Zero matrix
-    returns 0.0.
+    Accurate to rounding whatever the gap between the top singular
+    values, so the bounds' capacity product is not underestimated. The
+    zero matrix returns 0.0.
     """
-    a = as_matrix(m)
-    if not np.any(a):
-        return 0.0
-    # iterate on the smaller Gram matrix
-    gram = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
-    n = gram.shape[0]
-    best = _power_iteration(gram, np.ones(n))
-    rng = np.random.default_rng(0)
-    best = max(best, _power_iteration(gram, rng.standard_normal(n)))
-    return float(np.sqrt(max(best, 0.0)))
+    return float(np.linalg.norm(as_matrix(m), 2))
 
 
 def frobenius_sq(m) -> float:

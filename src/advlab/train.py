@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import AttackSpec, pgd
-from .data import Dataset, batches, epoch_seed_from, load_idx, split_blobs
+from .data import Dataset, batches, epoch_seed_from, idx_num_classes, load_idx, split_blobs
 from .decorr import DecorrConfig, activation_penalty, decorr_gradient
 from .io import write_csv, write_json
 from .linalg import DegenerateDiagonal, NotPositiveDefinite
@@ -66,7 +66,8 @@ def dataset_from_spec(spec: dict, split: str) -> Dataset:
     """Build the train or test split from a dataset spec.
 
     kind "synthetic": seeded Gaussian blobs, separate per_class/seed for
-    the test split. kind "idx": IDX image/label file pairs.
+    the test split. kind "idx": IDX image/label file pairs; num_classes
+    comes from both label files, so a split lacking the top class agrees.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("dataset spec needs a 'kind'")
@@ -82,10 +83,11 @@ def dataset_from_spec(spec: dict, split: str) -> Dataset:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"synthetic dataset spec: {exc}") from exc
     if kind == "idx":
+        prefix = "train" if split == "train" else "test"
         try:
-            if split == "train":
-                return load_idx(spec["train_images"], spec["train_labels"])
-            return load_idx(spec["test_images"], spec["test_labels"])
+            ds = load_idx(spec[f"{prefix}_images"], spec[f"{prefix}_labels"])
+            ds.num_classes = idx_num_classes(spec["train_labels"], spec["test_labels"])
+            return ds
         except KeyError as exc:
             raise ConfigError(f"idx dataset spec lacks {exc}") from exc
     raise ConfigError(f"unknown dataset kind {kind!r}")

@@ -33,12 +33,12 @@ from .linalg import (
     inverse_psd,
     logdet_psd,
     normalize_to_correlation,
-    random_correlation,
     spectral_norm,
 )
 from .network import Network, backward, cross_entropy, cross_entropy_grad, forward
 
 MAX_MATERIALIZED_DIM = 4096
+STUDY_BLOCK = 1024  # matrices per batch of the random study: a few MB of working set
 
 SOURCES = ("sampling", "laplace")
 DATA_TAGS = ("clean", "adversarial")
@@ -237,6 +237,8 @@ def corr_from_samples(deltas: list[list[np.ndarray]], layer: int) -> LayerCorrSt
     """
     if len(deltas) < 2:
         raise ValueError("need at least 2 weight samples")
+    if not 1 <= layer <= len(deltas[0]):
+        raise ValueError(f"layer {layer} outside 1..{len(deltas[0])}")
     mats = [d[layer - 1] for d in deltas]
     count = len(mats)
     flat = np.stack([m.reshape(-1) for m in mats])  # (samples, dim)
@@ -326,8 +328,8 @@ def laplace_stats_from_factors(
         rr=rr,
         lam_max=lam_max,
         lam_min=lam_min,
-        lamc_max=float(np.sqrt(spectral_norm(rc))),
-        lamr_max=float(np.sqrt(spectral_norm(rr))),
+        lamc_max=float(np.sqrt(eig_c[-1])),
+        lamr_max=float(np.sqrt(eig_r[-1])),
         det_lb=det_lb,
         logdet=logdet,
         frob_sq=frobenius_sq(rc) * frobenius_sq(rr),
@@ -404,6 +406,24 @@ def equicorrelation_row(dim: int, r: float) -> tuple[float, float, float]:
     return float(frob), proxy, det_lb
 
 
+def _random_study_rows(g: np.ndarray) -> np.ndarray:
+    """Study rows of a (k, dim, 2*dim) batch: random_correlation's arithmetic, batched."""
+    k, dim = g.shape[:2]
+    gram = g @ g.transpose(0, 2, 1)
+    gram = 0.5 * (gram + gram.transpose(0, 2, 1))
+    inv_sqrt = 1.0 / np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+    corr = gram * (inv_sqrt[:, :, None] * inv_sqrt[:, None, :])
+    corr[:, np.arange(dim), np.arange(dim)] = 1.0
+    eig = np.linalg.eigvalsh(corr)
+    lam_max = eig[:, -1]
+    det_lb = [
+        det_lower_bound(min(lo, 1.0), max(hi, 1.0), dim)
+        for lo, hi in zip(np.maximum(eig[:, 0], 1e-12).tolist(), lam_max.tolist())
+    ]
+    frob = (corr * corr).reshape(k, -1).sum(axis=1)
+    return np.column_stack([frob, np.sqrt(dim * lam_max), det_lb])
+
+
 def simulate_correlation_study(
     dim: int = 9,
     n_samples: int = 10_000,
@@ -413,9 +433,10 @@ def simulate_correlation_study(
 ) -> CorrelationStudy:
     """Sample correlation matrices and tabulate the norm trade-off.
 
-    The "random" family draws normalized-Wishart matrices; the
-    "equicorrelation" family sweeps the constant off-diagonal r over
-    r_range and uses the exact closed forms.
+    The "random" family draws normalized-Wishart matrices, STUDY_BLOCK
+    at a time from one generator: the stream and the values of n_samples
+    random_correlation calls. The "equicorrelation" family sweeps the
+    constant off-diagonal r over r_range and uses the exact closed forms.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -425,16 +446,9 @@ def simulate_correlation_study(
     r_values = None
     if family == "random":
         rng = np.random.default_rng(seed)
-        for i in range(n_samples):
-            corr = random_correlation(dim, rng)
-            eig = np.linalg.eigvalsh(corr)
-            lam_min = float(max(eig[0], 1e-12))
-            lam_max = float(eig[-1])
-            rows[i] = (
-                frobenius_sq(corr),
-                float(np.sqrt(dim * lam_max)),
-                det_lower_bound(min(lam_min, 1.0), max(lam_max, 1.0), dim),
-            )
+        for start in range(0, n_samples, STUDY_BLOCK):
+            g = rng.standard_normal((min(STUDY_BLOCK, n_samples - start), dim, 2 * dim))
+            rows[start : start + len(g)] = _random_study_rows(g)
     else:
         lo, hi = r_range
         if not (-1.0 / (dim - 1) < lo <= hi < 1.0):
@@ -486,11 +500,9 @@ def check_perturbation_bound(
     if trials < 30:
         raise ValueError("need at least 30 trials")
     scale = 2.0 * np.sqrt(h) * sigma
-    ratios = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        u = sigma * rng.standard_normal((h, h))
-        ratios[t] = spectral_norm(u) / scale
+    u = np.stack([sigma * np.random.default_rng([seed, t]).standard_normal((h, h))
+                  for t in range(trials)])
+    ratios = np.linalg.norm(u, 2, axis=(1, 2)) / scale  # the LAPACK SVD of spectral_norm
     return PerturbationReport(
         h=h,
         sigma=sigma,

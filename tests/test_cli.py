@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from advlab.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
+from advlab.data import write_idx_images, write_idx_labels
 
 DATASET = {
     "kind": "synthetic", "num_classes": 3, "per_class": 10, "dim": 5,
@@ -113,6 +114,17 @@ class TestEvaluateCommand:
         doc = {"checkpoint": str(tmp_path / "nope.json"), "dataset": DATASET, "attacks": []}
         config = write_config(tmp_path, doc, "eval-bad.json")
         assert run(["evaluate", "--config", config, "--out", tmp_path / "x"]) == EXIT_IO
+
+    def test_idx_test_split_without_top_class_is_accepted(self, tmp_path, trained):
+        # the checkpoint has 3 classes; only the train labels reach class 2
+        spec = {"kind": "idx"}
+        for split, labels in (("train", [0, 1, 2]), ("test", [1, 0, 1, 0])):
+            spec[f"{split}_images"] = tmp_path / f"{split}-images.idx"
+            spec[f"{split}_labels"] = tmp_path / f"{split}-labels.idx"
+            write_idx_images(spec[f"{split}_images"], np.full((len(labels), 1, 5), 128))
+            write_idx_labels(spec[f"{split}_labels"], labels)
+        config = self.config(tmp_path, trained, dataset={k: str(v) for k, v in spec.items()})
+        assert run(["evaluate", "--config", config, "--out", tmp_path / "idx-out"]) == EXIT_OK
 
 
 class TestStatsCommand:
@@ -256,8 +268,13 @@ class TestBoundCommand:
                 "num_samples": 2, "loss_tolerance": 1e-9, "refine_epochs": 0, "noise_sigma": 5.0}},
             "after 200 draws",
         ),
+        ("stats", {"method": "sampling", "layer": 5}, "stats layer 5 outside 1..2"),
+        ("stats", {"method": "sampling", "layer": 0}, "stats layer 0 outside 1..2"),
+        ("evaluate", {"dataset": DATASET | {"num_classes": 2}},
+         "dataset has 2 classes, checkpoint expects 3"),
     ],
-    ids=["laplace-hidden-layer", "evaluate-input-dim", "stats-input-dim", "sampling-stalled"],
+    ids=["laplace-hidden-layer", "evaluate-input-dim", "stats-input-dim", "sampling-stalled",
+         "sampling-layer-above-depth", "sampling-layer-zero", "evaluate-class-count"],
 )
 def test_unmeetable_request_exits_2_with_one_line(tmp_path, trained, capsys, command, extra, message):
     doc = {"checkpoint": str(trained / "checkpoint.json"), "dataset": DATASET} | extra

@@ -234,6 +234,19 @@ class TestHessianFactors:
         print(f"multi-sample Kronecker factorization relative gap: {gap:.3e}")
         assert np.isfinite(gap)
 
+    def test_matches_per_row_reference_sum(self):
+        net = Network.he_init([6, 8, 10], seed=27)
+        x = np.random.default_rng(13).uniform(0, 1, (500, 6))
+        tape = forward(net, x)
+        _, h_hat = hessian_kron_factors(tape, np.zeros(500, dtype=int), 2)
+        from advlab.network import softmax
+
+        reference = np.zeros((10, 10))
+        for row in softmax(tape.logits):
+            reference += np.diag(row) - np.outer(row, row)
+        reference /= 500
+        assert np.abs(h_hat - reference).max() <= 1e-13 * np.abs(reference).max()
+
     def test_hidden_layer_unsupported(self):
         net = Network.he_init([3, 4, 2], seed=23)
         tape = forward(net, np.random.default_rng(11).uniform(0, 1, (2, 3)))

@@ -80,10 +80,19 @@ class TestSpectralNorm:
         assert spectral_norm(m) == pytest.approx(oracle, rel=1e-7)
 
     def test_ones_start_orthogonal_to_top_eigenspace(self):
-        # top eigenvector (1,-1)/sqrt(2): the all-ones start is exactly
-        # orthogonal, so the seeded fallback must rescue the answer
+        # top eigenvector (1,-1)/sqrt(2) is exactly orthogonal to all-ones
         m = np.array([[2.0, -1.0], [-1.0, 2.0]])
         assert spectral_norm(m) == pytest.approx(3.0, rel=1e-7)
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+    def test_never_below_top_singular_value_at_small_gaps(self, gap):
+        # a bound built on an underestimated norm is optimistic
+        rng = np.random.default_rng([96, round(-np.log10(gap))])
+        for _ in range(10):
+            u, _ = np.linalg.qr(rng.standard_normal((96, 96)))
+            v, _ = np.linalg.qr(rng.standard_normal((97, 96)))
+            s = np.concatenate([[1.0, 1.0 - gap], rng.uniform(0.1, 0.9, 94)])
+            assert spectral_norm((u * s) @ v.T) >= 1.0 - 1e-12
 
 
 class TestFrobeniusSq:

@@ -4,7 +4,7 @@ import pytest
 from conftest import away_from_relu_kinks, fd_weight_gradients, max_rel_error
 
 from advlab.attacks import AttackSpec, pgd
-from advlab.data import epoch_seed_from, synth_blobs
+from advlab.data import epoch_seed_from, synth_blobs, write_idx_images, write_idx_labels
 from advlab.decorr import DecorrConfig
 from advlab.network import Network, accuracy, forward, load_checkpoint
 from advlab.train import (
@@ -86,6 +86,17 @@ class TestConfig:
     def test_bad_dataset_spec(self):
         with pytest.raises(ConfigError):
             dataset_from_spec({"kind": "tarball"}, "train")
+
+    @pytest.mark.parametrize("train_labels, test_labels", [([0, 1, 2, 1], [1, 0]), ([1], [0, 2])])
+    def test_idx_class_count_comes_from_both_label_files(self, tmp_path, train_labels, test_labels):
+        spec = {"kind": "idx"}
+        for split, labels in (("train", train_labels), ("test", test_labels)):
+            spec[f"{split}_images"] = str(tmp_path / f"{split}-images.idx")
+            spec[f"{split}_labels"] = str(tmp_path / f"{split}-labels.idx")
+            write_idx_images(spec[f"{split}_images"], np.zeros((len(labels), 1, 2)))
+            write_idx_labels(spec[f"{split}_labels"], labels)
+        assert dataset_from_spec(spec, "train").num_classes == 3
+        assert dataset_from_spec(spec, "test").num_classes == 3
 
     def test_lr_schedule_drops(self):
         config = tiny_config(epochs=20, lr=0.1)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 from advlab.data import Dataset, synth_blobs
 from advlab.decorr import Unsupported
+from advlab.linalg import det_lower_bound, frobenius_sq, random_correlation, spectral_norm
 from advlab.network import Layer, Network, backward, cross_entropy_grad, forward
 from advlab.weight_stats import (
     CorrelationStudy,
@@ -10,6 +12,7 @@ from advlab.weight_stats import (
     LayerCorrStats,
     PerturbationReport,
     SamplingConfig,
+    STUDY_BLOCK,
     SamplingStalled,
     StatsFormatError,
     check_perturbation_bound,
@@ -125,6 +128,13 @@ class TestCorrFromSamples:
         top_gram = np.linalg.eigvalsh(gram)[-1]
         assert stats.lam_max == pytest.approx(top_gram, rel=1e-10)
         assert stats.frob_sq == pytest.approx(float(np.sum(np.linalg.eigvalsh(gram) ** 2)), rel=1e-9)
+
+    @pytest.mark.parametrize("layer", [0, 3])
+    def test_layer_out_of_range_rejected(self, layer):
+        rng = np.random.default_rng(14)
+        deltas = [[rng.standard_normal((2, 3)), rng.standard_normal((2, 3))] for _ in range(3)]
+        with pytest.raises(ValueError, match=f"layer {layer} outside 1..2"):
+            corr_from_samples(deltas, layer)
 
     def test_invariants_hold(self):
         rng = np.random.default_rng(12)
@@ -258,6 +268,26 @@ class TestCorrelationStudy:
         assert study.rho_frob_lam > 0.5
         assert study.rho_frob_det < -0.5
 
+    def test_random_family_matches_per_matrix_loop(self):
+        dim, n = 7, STUDY_BLOCK + 300  # crosses a batch boundary
+        study = simulate_correlation_study(dim, n, "random", seed=3)
+        rng = np.random.default_rng(3)
+        rows = np.empty((n, 3))
+        for i in range(n):
+            corr = random_correlation(dim, rng)
+            eig = np.linalg.eigvalsh(corr)
+            lam_min, lam_max = float(max(eig[0], 1e-12)), float(eig[-1])
+            rows[i] = (
+                frobenius_sq(corr),
+                np.sqrt(dim * lam_max),
+                det_lower_bound(min(lam_min, 1.0), max(lam_max, 1.0), dim),
+            )
+        np.testing.assert_allclose(study.rows, rows, rtol=1e-12, atol=0)
+        rho_lam = scipy.stats.spearmanr(rows[:, 0], rows[:, 1]).statistic
+        rho_det = scipy.stats.spearmanr(rows[:, 0], rows[:, 2]).statistic
+        assert study.rho_frob_lam == pytest.approx(rho_lam, abs=1e-12)
+        assert study.rho_frob_det == pytest.approx(rho_det, abs=1e-12)
+
     def test_csv_output(self, tmp_path):
         study = simulate_correlation_study(5, 10, "random", seed=2)
         path = tmp_path / "study.csv"
@@ -283,6 +313,13 @@ class TestPerturbationBound:
         a = check_perturbation_bound(8, sigma=0.7, trials=40, seed=6)
         b = check_perturbation_bound(8, sigma=1.4, trials=40, seed=6)
         assert np.array_equal(a.ratios, b.ratios)
+
+    def test_batched_norms_match_per_trial_spectral_norm(self):
+        report = check_perturbation_bound(12, sigma=0.3, trials=30, seed=8)
+        scale = 2.0 * np.sqrt(12) * 0.3
+        for t, ratio in enumerate(report.ratios):
+            u = 0.3 * np.random.default_rng([8, t]).standard_normal((12, 12))
+            assert ratio == pytest.approx(spectral_norm(u) / scale, rel=1e-14)
 
     def test_csv_rows(self, tmp_path):
         report = check_perturbation_bound(4, sigma=1.0, trials=30, seed=7)
