@@ -1,4 +1,4 @@
-"""Print a sha256 manifest of the artifacts the five demo configs write.
+"""Print a sha256 manifest of the artifacts the six demo configs write.
 
 Runs the README demo (the `configs/*.json` commands) through
 `advlab.cli.main` in a temporary directory, with the advlab of this
@@ -31,6 +31,7 @@ DEMO = (
     ("train", "train_at_decorr.json", "demo"),
     ("evaluate", "evaluate.json", "demo-eval"),
     ("stats", "stats_laplace.json", "demo-stats"),
+    ("stats", "stats_sampling.json", "demo-stats"),
     ("bound", "bound_xiao.json", "demo-bound"),
     ("simulate", "simulate_random.json", "demo-sim"),
 )

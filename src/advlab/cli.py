@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .train import (
     write_evaluation_csv,
 )
 from .weight_stats import (
+    DegenerateVariance,
     LayerCorrStats,
     SamplingConfig,
     SamplingStalled,
@@ -120,13 +122,16 @@ def _cmd_stats(doc: dict, out: Path, seed: int | None) -> int:
     layer = doc.get("layer", len(net.layers))
     if not (isinstance(layer, int) and 1 <= layer <= len(net.layers)):
         raise ConfigError(f"stats layer {layer!r} outside 1..{len(net.layers)}")
+    damping = doc.get("damping", 1e-3)
+    if not (type(damping) in (int, float) and 0 < damping < math.inf):  # bool is no number
+        raise ConfigError(f"stats damping {damping!r} is not a finite number > 0")
     variants = [("clean", ds)]
     if doc.get("attack") is not None:
         attack = build_config(AttackSpec, doc["attack"], "attack spec")
         variants.append(("adversarial", _adversarial_copy(net, ds, attack, master)))
     for tag, data in variants:
         if method == "laplace":
-            stats = corr_from_laplace(net, data, layer, damping=doc.get("damping", 1e-3))
+            stats = corr_from_laplace(net, data, layer, damping=damping)
         else:
             sampling = doc.get("sampling", {}) | {"seed": master}
             cfg = build_config(SamplingConfig, sampling, "sampling config")
@@ -232,7 +237,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](doc, out, args.seed)
-    except (ConfigError, Unsupported, SamplingStalled) as exc:
+    except (ConfigError, Unsupported, SamplingStalled, DegenerateVariance) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergedTraining as exc:

@@ -180,12 +180,10 @@ def hessian_kron_factors(tape: ForwardTape, labels, layer: int) -> tuple[np.ndar
     if layer != len(tape.net.layers):
         raise Unsupported("Hessian factorization is available for the output layer only")
     a = _augment(tape.activations[layer - 1])
-    if a.shape[0] == 0:
-        raise EmptyBatch("cannot form Hessian factors from an empty batch")
+    a_hat = _second_moment(a)
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (a.shape[0],):
         raise ValueError("labels must match the batch")
-    a_hat = a.T @ a / a.shape[0]
     p = softmax(tape.logits)
     h_hat = (np.diag(p.sum(axis=0)) - p.T @ p) / a.shape[0]
     return a_hat, 0.5 * (h_hat + h_hat.T)

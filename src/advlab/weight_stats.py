@@ -24,20 +24,11 @@ import numpy as np
 import scipy.stats
 
 from .data import Dataset, batches, epoch_seed_from
-from .decorr import Unsupported, hessian_kron_factors
+from .decorr import Unsupported, hessian_kron_factors, normalized_precision
 from .io import write_csv
-from .linalg import (
-    TOL_PSD,
-    det_lower_bound,
-    frobenius_sq,
-    inverse_psd,
-    logdet_psd,
-    normalize_to_correlation,
-    spectral_norm,
-)
+from .linalg import TOL_PSD, det_lower_bound, normalize_to_correlation
 from .network import Network, backward, cross_entropy, cross_entropy_grad, forward
 
-MAX_MATERIALIZED_DIM = 4096
 STUDY_BLOCK = 1024  # matrices per batch of the random study: a few MB of working set
 
 SOURCES = ("sampling", "laplace")
@@ -61,9 +52,11 @@ class StatsFormatError(ValueError):
 class LayerCorrStats:
     """Per-layer second-order weight statistics from one estimator.
 
-    `dim` is the length of the vectorized layer weight; `r` is only
-    materialized when dim <= 4096. `logdet` is -inf when the estimate is
-    rank deficient (then `det_lb` degenerates to the trivial bound 0).
+    `dim` is the length of the vectorized layer weight and the size of its
+    correlation matrix R, which is never formed: every field comes from
+    `rc`, `rr` and the nonzero spectrum of R (see `_layer_stats`). When R
+    is singular, `lam_min` is 0, `logdet` is -inf and `det_lb` is the
+    trivial bound 0.
     """
 
     layer: int
@@ -80,7 +73,6 @@ class LayerCorrStats:
     source: str
     data: str
     sample_count: int
-    r: np.ndarray | None = None
 
     def validate(self):
         for name, mat in (("rc", self.rc), ("rr", self.rr)):
@@ -128,6 +120,38 @@ class LayerCorrStats:
             raise StatsFormatError(f"{path}: {exc}") from exc
         dim_c = dim_r = 1  # matrices are not round-tripped through CSV
         return cls(rc=np.eye(dim_c), rr=np.eye(dim_r), **kw)
+
+
+def _layer_stats(layer, dim, rc, rr, eig, source, sample_count) -> LayerCorrStats:
+    """The summary of a correlation matrix R of size `dim` from its nonzero spectrum.
+
+    `eig` holds R's eigenvalues, possibly fewer than `dim` (the rest are
+    0); `rc`/`rr` are its column and row correlations. R is singular when
+    an eigenvalue is missing or at most TOL_PSD.
+    """
+    lam_max = float(eig.max())
+    if len(eig) < dim or eig.min() <= TOL_PSD:
+        lam_min, logdet, det_lb = 0.0, -np.inf, 0.0  # the trivial determinant bound
+    else:
+        lam_min = float(eig.min())
+        logdet = float(np.sum(np.log(eig)))
+        det_lb = det_lower_bound(min(lam_min, 1.0), max(lam_max, 1.0), dim)
+    return LayerCorrStats(
+        layer=layer,
+        dim=dim,
+        rc=rc,
+        rr=rr,
+        lam_max=lam_max,
+        lam_min=lam_min,
+        lamc_max=float(np.sqrt(np.linalg.eigvalsh(rc)[-1])),
+        lamr_max=float(np.sqrt(np.linalg.eigvalsh(rr)[-1])),
+        det_lb=det_lb,
+        logdet=logdet,
+        frob_sq=float(np.sum(eig * eig)),
+        source=source,
+        data="clean",
+        sample_count=sample_count,
+    ).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +255,11 @@ def corr_from_samples(deltas: list[list[np.ndarray]], layer: int) -> LayerCorrSt
     """Empirical correlation statistics of one layer's weight deltas.
 
     Second moments are normalized by the scalar per-entry variance, which
-    gives the full correlation matrix trace equal to its dimension. The
-    full matrix is materialized only up to dim 4096; above that the
-    nonzero spectrum comes from the sample Gram matrix.
+    gives the full correlation matrix R trace equal to its dimension. R is
+    flat^T flat / (count * variance) over the (samples, dim) matrix of
+    vectorized deltas, so its nonzero spectrum is the squared singular
+    values of flat under the same scale; with fewer samples than
+    dimensions R is singular.
     """
     if len(deltas) < 2:
         raise ValueError("need at least 2 weight samples")
@@ -242,7 +268,6 @@ def corr_from_samples(deltas: list[list[np.ndarray]], layer: int) -> LayerCorrSt
     mats = [d[layer - 1] for d in deltas]
     count = len(mats)
     flat = np.stack([m.reshape(-1) for m in mats])  # (samples, dim)
-    dim = flat.shape[1]
     sigma_sq = float(np.mean(flat * flat))
     if sigma_sq <= 0.0:
         raise DegenerateVariance("all-zero weight samples")
@@ -251,47 +276,11 @@ def corr_from_samples(deltas: list[list[np.ndarray]], layer: int) -> LayerCorrSt
     rr_raw = sum(m @ m.T for m in mats) / count
     if min(np.diag(rc_raw).min(), np.diag(rr_raw).min()) <= 0.0:
         raise DegenerateVariance("a weight coordinate never varies across samples")
-    rc = normalize_to_correlation(rc_raw)
-    rr = normalize_to_correlation(rr_raw)
-
-    if dim <= MAX_MATERIALIZED_DIM:
-        r = flat.T @ flat / (count * sigma_sq)
-        eig = np.linalg.eigvalsh(r)
-        lam_max = float(eig[-1])
-        lam_min = float(max(eig[0], 0.0))
-        frob = frobenius_sq(r)
-    else:
-        gram = flat @ flat.T / (count * sigma_sq)
-        eig = np.linalg.eigvalsh(gram)
-        lam_max = float(eig[-1])
-        lam_min = 0.0  # fewer samples than dimensions: rank deficient
-        frob = float(np.sum(eig * eig))
-        r = None
-
-    if lam_min > TOL_PSD:
-        logdet = float(np.sum(np.log(np.maximum(eig, 1e-300))))
-        det_lb = det_lower_bound(min(lam_min, 1.0), max(lam_max, 1.0), dim)
-    else:
-        logdet = -np.inf
-        det_lb = 0.0  # trivial bound: the estimate is singular
-
-    return LayerCorrStats(
-        layer=layer,
-        dim=dim,
-        rc=rc,
-        rr=rr,
-        lam_max=lam_max,
-        lam_min=lam_min,
-        lamc_max=float(np.sqrt(spectral_norm(rc))),
-        lamr_max=float(np.sqrt(spectral_norm(rr))),
-        det_lb=det_lb,
-        logdet=logdet,
-        frob_sq=frob,
-        source="sampling",
-        data="clean",
-        sample_count=count,
-        r=r,
-    ).validate()
+    s = np.linalg.svd(flat, compute_uv=False)
+    return _layer_stats(
+        layer, flat.shape[1], normalize_to_correlation(rc_raw), normalize_to_correlation(rr_raw),
+        s * s / (count * sigma_sq), "sampling", count,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -305,39 +294,12 @@ def laplace_stats_from_factors(
 
     P and Q are the unit-diagonal normalizations of the damped factor
     inverses; eigenvalues of the product structure are products of the
-    factor eigenvalues, so the extremes, determinant, and Frobenius norm
-    all come from the small factors.
+    factor eigenvalues, so the whole summary comes from the small factors.
     """
-    ridge_a = damping * float(np.trace(a_hat)) / a_hat.shape[0]
-    ridge_h = damping * float(np.trace(h_hat)) / h_hat.shape[0]
-    rc = normalize_to_correlation(inverse_psd(a_hat + ridge_a * np.eye(a_hat.shape[0])))
-    rr = normalize_to_correlation(inverse_psd(h_hat + ridge_h * np.eye(h_hat.shape[0])))
-
-    eig_c = np.linalg.eigvalsh(rc)
-    eig_r = np.linalg.eigvalsh(rr)
-    lam_max = float(eig_c[-1] * eig_r[-1])
-    lam_min = float(max(eig_c[0], 0.0) * max(eig_r[0], 0.0))
-    dim = rc.shape[0] * rr.shape[0]
-    logdet = rr.shape[0] * logdet_psd(rc) + rc.shape[0] * logdet_psd(rr)
-    det_lb = det_lower_bound(min(lam_min, 1.0), max(lam_max, 1.0), dim)
-
-    return LayerCorrStats(
-        layer=layer,
-        dim=dim,
-        rc=rc,
-        rr=rr,
-        lam_max=lam_max,
-        lam_min=lam_min,
-        lamc_max=float(np.sqrt(eig_c[-1])),
-        lamr_max=float(np.sqrt(eig_r[-1])),
-        det_lb=det_lb,
-        logdet=logdet,
-        frob_sq=frobenius_sq(rc) * frobenius_sq(rr),
-        source="laplace",
-        data="clean",
-        sample_count=sample_count,
-        r=None,
-    ).validate()
+    rc, rr = (normalized_precision(f, damping * float(np.trace(f)) / f.shape[0])
+              for f in (a_hat, h_hat))
+    eig = np.multiply.outer(np.linalg.eigvalsh(rc), np.linalg.eigvalsh(rr)).ravel()
+    return _layer_stats(layer, eig.size, rc, rr, eig, "laplace", sample_count)
 
 
 def corr_from_laplace(
@@ -440,6 +402,8 @@ def simulate_correlation_study(
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2: a rank correlation needs two rows")
     if family not in STUDY_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     rows = np.empty((n_samples, 3))
@@ -451,8 +415,8 @@ def simulate_correlation_study(
             rows[start : start + len(g)] = _random_study_rows(g)
     else:
         lo, hi = r_range
-        if not (-1.0 / (dim - 1) < lo <= hi < 1.0):
-            raise ValueError(f"r_range {r_range} outside the PSD range")
+        if not (-1.0 / (dim - 1) < lo < hi < 1.0):
+            raise ValueError(f"r_range {r_range} needs lo < hi inside the PSD range")
         r_values = np.linspace(lo, hi, n_samples)
         for i, r in enumerate(r_values):
             rows[i] = equicorrelation_row(dim, float(r))
@@ -499,6 +463,8 @@ def check_perturbation_bound(
 ) -> PerturbationReport:
     if trials < 30:
         raise ValueError("need at least 30 trials")
+    if h < 1 or not 0 < sigma < np.inf:
+        raise ValueError(f"need h >= 1 and a finite sigma > 0, got h={h}, sigma={sigma}")
     scale = 2.0 * np.sqrt(h) * sigma
     u = np.stack([sigma * np.random.default_rng([seed, t]).standard_normal((h, h))
                   for t in range(trials)])

@@ -272,9 +272,19 @@ class TestBoundCommand:
         ("stats", {"method": "sampling", "layer": 0}, "stats layer 0 outside 1..2"),
         ("evaluate", {"dataset": DATASET | {"num_classes": 2}},
          "dataset has 2 classes, checkpoint expects 3"),
+        ("stats", {"method": "sampling", "layer": 2, "sampling": {"num_samples": 2, "layers": [1]}},
+         "all-zero weight samples"),
+        ("stats", {"method": "sampling", "sampling": {"num_samples": 2, "noise_sigma": 0}},
+         "all-zero weight samples"),
+        ("stats", {"method": "laplace", "damping": 0}, "stats damping 0 is not"),
+        ("stats", {"method": "laplace", "damping": -1}, "stats damping -1 is not"),
+        ("stats", {"method": "laplace", "damping": 1e400}, "stats damping inf is not"),
+        ("stats", {"method": "laplace", "damping": "x"}, "stats damping 'x' is not"),
     ],
     ids=["laplace-hidden-layer", "evaluate-input-dim", "stats-input-dim", "sampling-stalled",
-         "sampling-layer-above-depth", "sampling-layer-zero", "evaluate-class-count"],
+         "sampling-layer-above-depth", "sampling-layer-zero", "evaluate-class-count",
+         "sampling-layer-never-perturbed", "sampling-zero-noise", "laplace-damping-zero",
+         "laplace-damping-negative", "laplace-damping-overflow", "laplace-damping-string"],
 )
 def test_unmeetable_request_exits_2_with_one_line(tmp_path, trained, capsys, command, extra, message):
     doc = {"checkpoint": str(trained / "checkpoint.json"), "dataset": DATASET} | extra
@@ -314,6 +324,26 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", config, "--out", out]) == EXIT_OK
         summary = json.loads((out / "simulate_summary.json").read_text())
         assert 0.0 < summary["median"] < 2.0
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"family": "perturbation", "sigma": 0}, "finite sigma > 0"),
+            ({"family": "perturbation", "sigma": -1}, "finite sigma > 0"),
+            ({"family": "perturbation", "h": 0}, "need h >= 1"),
+            ({"family": "random", "n_samples": 1}, "n_samples must be >= 2"),
+            ({"family": "equicorrelation", "n_samples": 20, "r_range": [0.3, 0.3]}, "needs lo < hi"),
+        ],
+        ids=["sigma-zero", "sigma-negative", "h-zero", "one-sample", "equal-r-range-ends"],
+    )
+    def test_degenerate_request_exits_2_without_output(self, tmp_path, capsys, doc, message):
+        config = write_config(tmp_path, doc, "sim-bad.json")
+        out = tmp_path / "sim-bad-out"
+        assert run(["simulate", "--config", config, "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (out / "simulate.csv").exists()
 
     def test_rerun_identical(self, tmp_path):
         doc = {"family": "random", "dim": 5, "n_samples": 50, "seed": 7}

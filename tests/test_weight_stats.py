@@ -96,7 +96,9 @@ class TestCorrFromSamples:
         # R is the normalized rank-one outer product: top eigenvalue = dim
         assert stats.lam_max == pytest.approx(6.0, abs=1e-9)
         assert stats.lam_min == pytest.approx(0.0, abs=1e-12)
-        eig = np.linalg.eigvalsh(stats.r)
+        flat = np.stack([v.reshape(-1), -v.reshape(-1)])
+        r = flat.T @ flat / (2 * np.mean(flat * flat))
+        eig = np.linalg.eigvalsh(r)
         assert eig[-1] == pytest.approx(6.0, abs=1e-9)
         assert np.allclose(eig[:-1], 0.0, atol=1e-9)
         assert stats.det_lb == 0.0
@@ -117,17 +119,24 @@ class TestCorrFromSamples:
         with pytest.raises(DegenerateVariance):
             corr_from_samples([[v], [v]], 1)
 
-    def test_gram_path_matches_materialized_spectrum(self):
+    @pytest.mark.parametrize("count", [6, 40], ids=["fewer-samples-than-dim", "more-samples-than-dim"])
+    def test_summary_matches_materialized_spectrum(self, count):
         rng = np.random.default_rng(11)
-        mats = [rng.standard_normal((3, 5)) for _ in range(6)]
+        mats = [rng.standard_normal((3, 5)) for _ in range(count)]
         stats = corr_from_samples([[m] for m in mats], 1)
-        # cross-check the materialized spectrum against the Gram trick
         flat = np.stack([m.reshape(-1) for m in mats])
-        sigma_sq = np.mean(flat * flat)
-        gram = flat @ flat.T / (len(mats) * sigma_sq)
-        top_gram = np.linalg.eigvalsh(gram)[-1]
-        assert stats.lam_max == pytest.approx(top_gram, rel=1e-10)
-        assert stats.frob_sq == pytest.approx(float(np.sum(np.linalg.eigvalsh(gram) ** 2)), rel=1e-9)
+        r = flat.T @ flat / (count * np.mean(flat * flat))
+        eig = np.linalg.eigvalsh(r)
+        assert stats.lam_max == pytest.approx(eig[-1], rel=1e-10)
+        assert stats.frob_sq == pytest.approx(frobenius_sq(r), rel=1e-10)
+        if count < flat.shape[1]:
+            assert stats.lam_min == 0.0
+            assert stats.logdet == -np.inf
+            assert stats.det_lb == 0.0
+        else:
+            assert stats.lam_min == pytest.approx(eig[0], rel=1e-10)
+            assert stats.logdet == pytest.approx(np.linalg.slogdet(r)[1], rel=1e-10)
+            assert stats.det_lb == det_lower_bound(stats.lam_min, stats.lam_max, flat.shape[1])
 
     @pytest.mark.parametrize("layer", [0, 3])
     def test_layer_out_of_range_rejected(self, layer):
@@ -168,6 +177,19 @@ class TestLaplace:
         assert stats.det_lb > 0.0
         assert np.isfinite(stats.logdet)
         assert stats.det_lb <= np.exp(stats.logdet) * (1 + 1e-9)
+
+    def test_summary_matches_kronecker_product(self):
+        ds = synth_blobs(3, 20, 4, 0.1, seed=17)
+        net = small_trained_net(ds)
+        stats = corr_from_laplace(net, ds, 2, damping=1e-3)
+        r = np.kron(stats.rc, stats.rr)
+        eig = np.linalg.eigvalsh(r)
+        sign, logdet = np.linalg.slogdet(r)
+        assert stats.dim == r.shape[0] == 21
+        assert stats.lam_max == pytest.approx(eig[-1], rel=1e-10)
+        assert stats.lam_min == pytest.approx(eig[0], rel=1e-8)
+        assert sign == 1.0 and stats.logdet == pytest.approx(logdet, rel=1e-10)
+        assert stats.frob_sq == pytest.approx(frobenius_sq(r), rel=1e-12)
 
     def test_hidden_layer_unsupported(self):
         ds = synth_blobs(2, 8, 4, 0.1, seed=15)
