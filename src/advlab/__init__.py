@@ -31,10 +31,10 @@ from .data import Dataset, batches, load_idx, split_blobs, synth_blobs
 from .decorr import (
     DecorrConfig,
     activation_covariance,
-    decorr_gradient,
     decorr_penalty,
     hessian_kron_factors,
     normalized_precision,
+    penalty_and_grad,
 )
 from .network import Layer, Network, forward, backward, input_gradient, load_checkpoint, save_checkpoint
 from .train import RunConfig, RunRecord, evaluate, train

@@ -19,6 +19,7 @@ from .bounds import BOUND_KINDS, BoundInputs, evaluate_bound
 from .data import BadMagic, CountMismatch, Dataset, Truncated
 from .decorr import Unsupported
 from .io import write_json
+from .linalg import NotPositiveDefinite
 from .network import CheckpointError, Network, load_checkpoint
 from .train import (
     ConfigError,
@@ -131,7 +132,11 @@ def _cmd_stats(doc: dict, out: Path, seed: int | None) -> int:
         variants.append(("adversarial", _adversarial_copy(net, ds, attack, master)))
     for tag, data in variants:
         if method == "laplace":
-            stats = corr_from_laplace(net, data, layer, damping=damping)
+            try:
+                stats = corr_from_laplace(net, data, layer, damping=damping)
+            except NotPositiveDefinite as exc:
+                raise ConfigError(f"stats damping {damping!r} is too small: the {tag} Laplace "
+                                  "factor is not positive definite") from exc
         else:
             sampling = doc.get("sampling", {}) | {"seed": master}
             cfg = build_config(SamplingConfig, sampling, "sampling config")
@@ -176,6 +181,11 @@ def _cmd_bound(doc: dict, out: Path, seed: int | None) -> int:
 def _cmd_simulate(doc: dict, out: Path, seed: int | None) -> int:
     master = seed if seed is not None else doc.get("seed", 0)
     family = doc.get("family", "random")
+    for name in ("h", "trials", "dim", "n_samples"):
+        if name in doc and type(doc[name]) is not int:  # bool is no number
+            raise ConfigError(f"simulate {name} {doc[name]!r} is not an integer")
+    if "sigma" in doc and type(doc["sigma"]) not in (int, float):
+        raise ConfigError(f"simulate sigma {doc['sigma']!r} is not a number")
     kwargs = {}
     if "r_range" in doc:
         kwargs["r_range"] = tuple(doc["r_range"])

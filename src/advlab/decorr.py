@@ -7,11 +7,13 @@ Minimizing it pushes the normalized precision toward the identity, i.e.
 decorrelates the layer's input statistics and, through the Laplace view of
 the weight posterior, the weights themselves.
 
-The gradient is exact: the chain batch covariance -> ridge -> matrix
-inverse (dM = -M dS M) -> unit-diagonal normalization -> squared Frobenius
-norm is differentiated in closed form and then backpropagated through the
-network to every upstream weight. Adversarial inputs are treated as
-constants (no differentiation through the attack).
+`penalty_and_grad` gives a layer's value and its exact gradient w.r.t. the
+activations from one ridged inverse: the chain batch covariance -> ridge
+-> matrix inverse (dM = -M dS M) -> unit-diagonal normalization -> squared
+Frobenius norm is differentiated in closed form. That activation gradient
+joins the network's one reverse pass per tape (`network.backward`'s
+`dacts`), which carries it to every upstream weight. Adversarial inputs
+are treated as constants (no differentiation through the attack).
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import frobenius_sq, inverse_psd, normalize_to_correlation
-from .network import (
-    ForwardTape,
-    Network,
-    StaleTape,
-    _augment,
-    backward_from_activation,
-    softmax,
-)
+from .network import ForwardTape, Network, StaleTape, _augment, softmax
 
 LAYER_POLICIES = ("last", "all")
 
@@ -85,25 +80,42 @@ def _second_moment(a: np.ndarray) -> np.ndarray:
     return a.T @ a / a.shape[0]
 
 
-def resolve_ridge(cov: np.ndarray, cfg: DecorrConfig) -> float:
-    if cfg.damping_mode == "absolute":
-        return cfg.damping
+def resolve_ridge(cov: np.ndarray, cfg: DecorrConfig) -> tuple[float, float]:
+    """The ridge for `cov` and its slope d ridge / d trace(cov)."""
     scale = float(np.trace(cov)) / cov.shape[0]
-    if scale <= 1e-300:
-        return cfg.damping  # dead layer: fall back to the absolute ridge
-    return cfg.damping * scale
+    if cfg.damping_mode == "scaled" and scale > 1e-300:
+        return cfg.damping * scale, cfg.damping / cov.shape[0]
+    return cfg.damping, 0.0  # absolute mode, or a dead layer: the absolute ridge
+
+
+def _ridged_inverse(cov: np.ndarray, ridge: float) -> np.ndarray:
+    return inverse_psd(cov + ridge * np.eye(cov.shape[0]))
 
 
 def normalized_precision(cov: np.ndarray, damping: float) -> np.ndarray:
     """Unit-diagonal normalization of (cov + damping*I)^-1."""
-    ridged = cov + damping * np.eye(cov.shape[0])
-    return normalize_to_correlation(inverse_psd(ridged))
+    return normalize_to_correlation(_ridged_inverse(cov, damping))
 
 
-def activation_penalty(activations: np.ndarray, cfg: DecorrConfig) -> float:
-    """Penalty contribution of one activation matrix (rows = samples)."""
-    cov = _second_moment(activations)
-    return frobenius_sq(normalized_precision(cov, resolve_ridge(cov, cfg)))
+def penalty_and_grad(a: np.ndarray, cfg: DecorrConfig) -> tuple[float, np.ndarray]:
+    """Penalty of one activation matrix (rows = samples) and its gradient w.r.t. `a`.
+
+    The value is ||P||_F^2 for P the normalized precision of cov = a^T a / B
+    under the resolved ridge; both come from one ridged inverse M.
+    """
+    cov = _second_moment(a)
+    ridge, slope = resolve_ridge(cov, cfg)
+    m = _ridged_inverse(cov, ridge)
+    corr = normalize_to_correlation(m)
+    diag = np.diag(m)
+    # dP/dM: off-diagonal from the direct entries, diagonal from the
+    # normalization denominators (the unit diagonal itself is constant)
+    g = 2.0 * corr / np.outer(np.sqrt(diag), np.sqrt(diag))
+    np.fill_diagonal(g, -2.0 * ((corr * corr).sum(axis=1) - 1.0) / diag)
+    k = -(m @ g @ m)
+    # the ridge's own dependence on trace(cov) feeds back into the damped matrix
+    k += slope * np.trace(k) * np.eye(cov.shape[0])
+    return frobenius_sq(corr), (2.0 / a.shape[0]) * a @ (0.5 * (k + k.T))
 
 
 def decorr_penalty(tape_clean: ForwardTape, tape_adv: ForwardTape, cfg: DecorrConfig) -> float:
@@ -117,50 +129,18 @@ def decorr_penalty(tape_clean: ForwardTape, tape_adv: ForwardTape, cfg: DecorrCo
     total = 0.0
     for layer in penalized_layer_indices(tape_clean.net, cfg):
         for tape in (tape_clean, tape_adv):
-            total += activation_penalty(tape.activations[layer - 1], cfg)
+            total += penalty_and_grad(tape.activations[layer - 1], cfg)[0]
     return total
 
 
-def _penalty_cov_gradient(cov: np.ndarray, cfg: DecorrConfig) -> np.ndarray:
-    """d ||normalized_precision||_F^2 / d cov, including the ridge path."""
-    ridge = resolve_ridge(cov, cfg)
-    m = inverse_psd(cov + ridge * np.eye(cov.shape[0]))
-    corr = normalize_to_correlation(m)
-    diag = np.diag(m)
-    scale = np.outer(np.sqrt(diag), np.sqrt(diag))
-    # dP/dM: off-diagonal from the direct entries, diagonal from the
-    # normalization denominators (the unit diagonal itself is constant)
-    g = 2.0 * corr / scale
-    off_row_sq = (corr * corr).sum(axis=1) - 1.0
-    np.fill_diagonal(g, -2.0 * off_row_sq / diag)
-    k = -(m @ g @ m)
-    if cfg.damping_mode == "scaled" and float(np.trace(cov)) / cov.shape[0] > 1e-300:
-        # ridge = damping*tr(cov)/h feeds back into the damped matrix
-        k += (cfg.damping / cov.shape[0]) * np.trace(k) * np.eye(cov.shape[0])
-    return 0.5 * (k + k.T)
+def penalty_dacts(tape: ForwardTape, cfg: DecorrConfig) -> dict[int, np.ndarray]:
+    """alpha-scaled penalty gradients w.r.t. the tape's penalized activations.
 
-
-def decorr_gradient(
-    net: Network, tape_clean: ForwardTape, tape_adv: ForwardTape, cfg: DecorrConfig
-) -> list[np.ndarray]:
-    """alpha-scaled exact gradient of the penalty w.r.t. every weight.
-
-    Weights downstream of a penalized layer's input activations receive an
-    exactly zero block.
+    Keyed by activation index, as `network.backward` takes them. The input
+    batch feeding layer 1 does not depend on the weights and is left out.
     """
-    if tape_clean.net is not net or tape_adv.net is not net:
-        raise StaleTape("tapes were recorded on a different network")
-    grads = [np.zeros_like(w) for w in net.weights]
-    for layer in penalized_layer_indices(net, cfg):
-        if layer == 1:
-            continue  # the input covariance does not depend on the weights
-        for tape in (tape_clean, tape_adv):
-            a = tape.activations[layer - 1]
-            k = _penalty_cov_gradient(_second_moment(a), cfg)
-            d_act = (2.0 / a.shape[0]) * a @ k
-            for i, g in enumerate(backward_from_activation(net, tape, layer - 1, d_act)):
-                grads[i] += g
-    return [cfg.alpha * g for g in grads]
+    return {layer - 1: cfg.alpha * penalty_and_grad(tape.activations[layer - 1], cfg)[1]
+            for layer in penalized_layer_indices(tape.net, cfg) if layer > 1}
 
 
 def hessian_kron_factors(tape: ForwardTape, labels, layer: int) -> tuple[np.ndarray, np.ndarray]:

@@ -161,59 +161,37 @@ def _check_tape(net: Network, tape: ForwardTape):
         raise StaleTape("tape was recorded on a different network")
 
 
-def backward(net: Network, tape: ForwardTape, dlogits: np.ndarray) -> list[np.ndarray]:
+def backward(net: Network, tape: ForwardTape, dlogits: np.ndarray, dacts=None) -> list[np.ndarray]:
     """Exact gradients of a scalar loss w.r.t. every layer weight.
 
     `dlogits` is the loss gradient w.r.t. the logits for the batch on the
-    tape (already including any 1/batch factor).
+    tape (already including any 1/batch factor). `dacts` maps an inner
+    activation index l (1 <= l < number of layers) to the gradient of
+    further loss terms w.r.t. activations[l]; it joins the one reverse
+    pass where the pass crosses that activation. With zero `dlogits` the
+    blocks of the layers above every such activation are exactly zero.
     """
     _check_tape(net, tape)
-    grads, _ = _backprop(net, tape, dlogits, len(net.layers))
-    return grads
+    dacts = dacts or {}
+    for idx, dact in dacts.items():
+        if not 1 <= idx < len(net.layers) or np.shape(dact) != tape.activations[idx].shape:
+            raise InvalidShape(f"activation gradient {idx} does not match an inner activation")
+    return _backprop(net, tape, dlogits, dacts)[0]
 
 
-def backward_from_activation(
-    net: Network, tape: ForwardTape, act_index: int, dact: np.ndarray
-) -> list[np.ndarray]:
-    """Gradients of a scalar that depends on activations[act_index].
-
-    Layers above act_index do not influence that activation; their
-    gradient blocks are exactly zero.
-    """
-    _check_tape(net, tape)
-    if not 1 <= act_index <= len(net.layers):
-        raise InvalidShape(f"activation index {act_index} out of range")
-    grads, _ = _backprop(net, tape, dact, act_index, seed_is_post=True)
-    for layer in net.layers[act_index:]:
-        grads.append(np.zeros_like(layer.weight))
-    return grads
-
-
-def _backprop(net, tape, seed_grad, top_layer, seed_is_post=False):
-    """Shared reverse pass from layer `top_layer` down to the input.
-
-    The seed gradient is w.r.t. layer `top_layer`'s pre-activation, or its
-    post-activation when seed_is_post (in which case it is first pulled
-    through that layer's nonlinearity).
-    """
-    da = np.asarray(seed_grad, dtype=np.float64)
+def _backprop(net, tape, dlogits, dacts):
+    """Reverse pass from the logits down to the input: weight and input gradients."""
+    dz = np.asarray(dlogits, dtype=np.float64)
     grads: list[np.ndarray] = []
-    start = top_layer - 1
-    if seed_is_post and net.layers[start].activation == "relu":
-        dz = da * (tape.pre_activations[start] > 0.0)
-    else:
-        dz = da
-    for idx in range(start, -1, -1):
-        layer = net.layers[idx]
-        a_in = _augment(tape.activations[idx])
-        grads.append(dz.T @ a_in)
-        da_in = dz @ layer.weight
-        da = da_in[:, :-1]
-        if idx > 0:
-            if net.layers[idx - 1].activation == "relu":
-                dz = da * (tape.pre_activations[idx - 1] > 0.0)
-            else:
-                dz = da
+    for idx in range(len(net.layers) - 1, -1, -1):
+        grads.append(dz.T @ _augment(tape.activations[idx]))
+        da = (dz @ net.layers[idx].weight)[:, :-1]
+        if idx in dacts:
+            da = da + dacts[idx]
+        if idx > 0 and net.layers[idx - 1].activation == "relu":
+            dz = da * (tape.pre_activations[idx - 1] > 0.0)
+        else:
+            dz = da
     grads.reverse()
     return grads, da
 
@@ -341,7 +319,7 @@ def input_gradient(net: Network, batch, kind: str, labels=None, ref_logits=None)
     """Gradient of the chosen loss w.r.t. the input batch entries."""
     tape = forward(net, batch)
     dlogits = loss_logit_grad(kind, tape.logits, labels, ref_logits)
-    return _backprop(net, tape, dlogits, len(net.layers))[1]
+    return _backprop(net, tape, dlogits, {})[1]
 
 
 # ---------------------------------------------------------------------------

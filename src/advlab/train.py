@@ -22,7 +22,7 @@ import numpy as np
 
 from .attacks import AttackSpec, pgd
 from .data import Dataset, batches, epoch_seed_from, idx_num_classes, load_idx, split_blobs
-from .decorr import DecorrConfig, activation_penalty, decorr_gradient
+from .decorr import DecorrConfig, penalty_and_grad, penalty_dacts
 from .io import write_csv, write_json
 from .linalg import DegenerateDiagonal, NotPositiveDefinite
 from .network import (
@@ -188,35 +188,34 @@ def _step_gradients(net, xb, yb, config: RunConfig, attack_seed: int):
         loss = cross_entropy(tape.logits, yb)
         return loss, backward(net, tape, cross_entropy_grad(tape.logits, yb))
 
+    penalty = config.penalty if method.endswith("_decorr") and config.penalty.alpha > 0 else None
     spec = config.attack_train.replace(seed=attack_seed)
     if method.startswith("at"):
         x_adv = pgd(net, xb, yb, spec)
         tape_adv = forward(net, x_adv)
         loss = cross_entropy(tape_adv.logits, yb)
-        grads = backward(net, tape_adv, cross_entropy_grad(tape_adv.logits, yb))
-        if method == "at_decorr" and config.penalty.alpha > 0:
-            tape_clean = forward(net, xb)
-            extra = decorr_gradient(net, tape_clean, tape_adv, config.penalty)
-            grads = [g + e for g, e in zip(grads, extra)]
-        return loss, grads
+        d_adv = cross_entropy_grad(tape_adv.logits, yb)
+        if penalty is None:
+            return loss, backward(net, tape_adv, d_adv)
+        tape_clean = forward(net, xb)  # enters through the penalty alone: zero logits gradient
+        d_clean = np.zeros_like(d_adv)
+        return loss, _tape_pair_gradients(net, tape_clean, d_clean, tape_adv, d_adv, penalty)
 
     # trades family: clean CE plus KL to the attacked input, both sides live
     tape_clean = forward(net, xb)
     kl_spec = spec.replace(loss="kl", random_start=True)  # KL gradient vanishes at x
     x_adv = pgd(net, xb, None, kl_spec, ref_logits=tape_clean.logits)
     tape_adv = forward(net, x_adv)
-    loss, grads = trades_gradients(net, tape_clean, tape_adv, yb, config.trades_lambda)
-    if method == "trades_decorr" and config.penalty.alpha > 0:
-        extra = decorr_gradient(net, tape_clean, tape_adv, config.penalty)
-        grads = [g + e for g, e in zip(grads, extra)]
-    return loss, grads
+    return trades_gradients(net, tape_clean, tape_adv, yb, config.trades_lambda, penalty)
 
 
-def trades_gradients(net, tape_clean, tape_adv, labels, trades_lambda: float):
+def trades_gradients(net, tape_clean, tape_adv, labels, trades_lambda: float, penalty=None):
     """Value and exact weight gradients of the clean+KL objective.
 
     The tapes hold the clean and the (fixed) adversarial forward passes;
-    the gradient flows through both.
+    the gradient flows through both. With a `penalty` DecorrConfig the
+    gradient also holds alpha times `decorr_penalty` of the two tapes; the
+    value stays the clean+KL objective.
     """
     ref_logits = tape_clean.logits
     inv_lambda = 1.0 / trades_lambda
@@ -225,11 +224,20 @@ def trades_gradients(net, tape_clean, tape_adv, labels, trades_lambda: float):
         ref_logits, tape_adv.logits
     )
     d_adv = inv_lambda * kl_softmax_grad_q(ref_logits, tape_adv.logits)
-    grads = [
-        g1 + g2
-        for g1, g2 in zip(backward(net, tape_clean, d_clean), backward(net, tape_adv, d_adv))
-    ]
-    return loss, grads
+    return loss, _tape_pair_gradients(net, tape_clean, d_clean, tape_adv, d_adv, penalty)
+
+
+def _tape_pair_gradients(net, tape_clean, d_clean, tape_adv, d_adv, penalty):
+    """Summed weight gradients of one reverse pass per tape.
+
+    With a `penalty` config each pass also carries its tape's alpha-scaled
+    penalty activation gradients.
+    """
+    clean, adv = (
+        backward(net, tape, dlogits, None if penalty is None else penalty_dacts(tape, penalty))
+        for tape, dlogits in ((tape_clean, d_clean), (tape_adv, d_adv))
+    )
+    return [g1 + g2 for g1, g2 in zip(clean, adv)]
 
 
 def _eval_indices(n: int, cap: int, seed: int) -> np.ndarray:
@@ -253,7 +261,7 @@ def _epoch_metrics(net, train, test, idx_train, idx_test, config: RunConfig, mas
             rows[f"pgd_{tag}"] = rows[f"clean_{tag}"]
     # clean-side penalty of the last layer, comparable across methods
     try:
-        rows["penalty"] = activation_penalty(tapes["train"].activations[-2], config.penalty)
+        rows["penalty"] = penalty_and_grad(tapes["train"].activations[-2], config.penalty)[0]
     except (NotPositiveDefinite, DegenerateDiagonal):
         rows["penalty"] = float("nan")  # degenerate activations: metric undefined
     return rows

@@ -122,12 +122,13 @@ class LayerCorrStats:
         return cls(rc=np.eye(dim_c), rr=np.eye(dim_r), **kw)
 
 
-def _layer_stats(layer, dim, rc, rr, eig, source, sample_count) -> LayerCorrStats:
+def _layer_stats(layer, dim, rc, rr, eig_c, eig_r, eig, source, sample_count) -> LayerCorrStats:
     """The summary of a correlation matrix R of size `dim` from its nonzero spectrum.
 
     `eig` holds R's eigenvalues, possibly fewer than `dim` (the rest are
-    0); `rc`/`rr` are its column and row correlations. R is singular when
-    an eigenvalue is missing or at most TOL_PSD.
+    0); `rc`/`rr` are its column and row correlations and `eig_c`/`eig_r`
+    their ascending spectra. R is singular when an eigenvalue is missing
+    or at most TOL_PSD.
     """
     lam_max = float(eig.max())
     if len(eig) < dim or eig.min() <= TOL_PSD:
@@ -143,8 +144,8 @@ def _layer_stats(layer, dim, rc, rr, eig, source, sample_count) -> LayerCorrStat
         rr=rr,
         lam_max=lam_max,
         lam_min=lam_min,
-        lamc_max=float(np.sqrt(np.linalg.eigvalsh(rc)[-1])),
-        lamr_max=float(np.sqrt(np.linalg.eigvalsh(rr)[-1])),
+        lamc_max=float(np.sqrt(eig_c[-1])),
+        lamr_max=float(np.sqrt(eig_r[-1])),
         det_lb=det_lb,
         logdet=logdet,
         frob_sq=float(np.sum(eig * eig)),
@@ -276,9 +277,10 @@ def corr_from_samples(deltas: list[list[np.ndarray]], layer: int) -> LayerCorrSt
     rr_raw = sum(m @ m.T for m in mats) / count
     if min(np.diag(rc_raw).min(), np.diag(rr_raw).min()) <= 0.0:
         raise DegenerateVariance("a weight coordinate never varies across samples")
+    rc, rr = normalize_to_correlation(rc_raw), normalize_to_correlation(rr_raw)
     s = np.linalg.svd(flat, compute_uv=False)
     return _layer_stats(
-        layer, flat.shape[1], normalize_to_correlation(rc_raw), normalize_to_correlation(rr_raw),
+        layer, flat.shape[1], rc, rr, np.linalg.eigvalsh(rc), np.linalg.eigvalsh(rr),
         s * s / (count * sigma_sq), "sampling", count,
     )
 
@@ -298,8 +300,9 @@ def laplace_stats_from_factors(
     """
     rc, rr = (normalized_precision(f, damping * float(np.trace(f)) / f.shape[0])
               for f in (a_hat, h_hat))
-    eig = np.multiply.outer(np.linalg.eigvalsh(rc), np.linalg.eigvalsh(rr)).ravel()
-    return _layer_stats(layer, eig.size, rc, rr, eig, "laplace", sample_count)
+    eig_c, eig_r = np.linalg.eigvalsh(rc), np.linalg.eigvalsh(rr)
+    eig = np.multiply.outer(eig_c, eig_r).ravel()
+    return _layer_stats(layer, eig.size, rc, rr, eig_c, eig_r, eig, "laplace", sample_count)
 
 
 def corr_from_laplace(

@@ -18,7 +18,7 @@ from conftest import away_from_relu_kinks, fd_weight_gradients, max_rel_error
 from advlab.attacks import AttackSpec
 from advlab.bounds import BoundInputs, evaluate_bound, phi_standard
 from advlab.cli import EXIT_OK, main
-from advlab.decorr import DecorrConfig, activation_penalty, decorr_gradient, hessian_kron_factors
+from advlab.decorr import DecorrConfig, hessian_kron_factors, penalty_and_grad, penalty_dacts
 from advlab.linalg import (
     det_lower_bound,
     equicorrelation,
@@ -87,15 +87,16 @@ def test_criterion_1_gradient_suite():
 
     def augmented(n):
         t_clean, t_adv = forward(n, x), forward(n, x_adv)
-        penalty = activation_penalty(t_adv.activations[-2], cfg) + activation_penalty(
+        penalty = penalty_and_grad(t_adv.activations[-2], cfg)[0] + penalty_and_grad(
             t_clean.activations[-2], cfg
-        )
+        )[0]
         return cross_entropy(t_adv.logits, y) + cfg.alpha * penalty
 
     t_clean, t_adv = forward(net, x), forward(net, x_adv)
-    ce = backward(net, t_adv, cross_entropy_grad(t_adv.logits, y))
-    pen = decorr_gradient(net, t_clean, t_adv, cfg)
-    analytic = [a + b for a, b in zip(ce, pen)]
+    d_adv = cross_entropy_grad(t_adv.logits, y)
+    adv = backward(net, t_adv, d_adv, penalty_dacts(t_adv, cfg))
+    clean = backward(net, t_clean, np.zeros_like(d_adv), penalty_dacts(t_clean, cfg))
+    analytic = [a + b for a, b in zip(adv, clean)]
     oracle = fd_weight_gradients(augmented, net, step=1e-6)
     worst["augmented"] = max_rel_error(analytic, oracle)
 
@@ -352,7 +353,7 @@ def test_criterion_7_training_directions(tmp_path):
     def shared_penalty(out_dir):
         net = load_checkpoint(out_dir / "checkpoint.json")
         tape = forward(net, train_ds.inputs)
-        return activation_penalty(tape.activations[-2], metric_cfg)
+        return penalty_and_grad(tape.activations[-2], metric_cfg)[0]
 
     def estimated_lamc(out_dir):
         # ridge comparable to the one the penalty trained against; far

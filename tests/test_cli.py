@@ -280,11 +280,13 @@ class TestBoundCommand:
         ("stats", {"method": "laplace", "damping": -1}, "stats damping -1 is not"),
         ("stats", {"method": "laplace", "damping": 1e400}, "stats damping inf is not"),
         ("stats", {"method": "laplace", "damping": "x"}, "stats damping 'x' is not"),
+        ("stats", {"method": "laplace", "damping": 1e-30}, "stats damping 1e-30 is too small"),
     ],
     ids=["laplace-hidden-layer", "evaluate-input-dim", "stats-input-dim", "sampling-stalled",
          "sampling-layer-above-depth", "sampling-layer-zero", "evaluate-class-count",
          "sampling-layer-never-perturbed", "sampling-zero-noise", "laplace-damping-zero",
-         "laplace-damping-negative", "laplace-damping-overflow", "laplace-damping-string"],
+         "laplace-damping-negative", "laplace-damping-overflow", "laplace-damping-string",
+         "laplace-damping-tiny"],
 )
 def test_unmeetable_request_exits_2_with_one_line(tmp_path, trained, capsys, command, extra, message):
     doc = {"checkpoint": str(trained / "checkpoint.json"), "dataset": DATASET} | extra
@@ -333,8 +335,17 @@ class TestSimulateCommand:
             ({"family": "perturbation", "h": 0}, "need h >= 1"),
             ({"family": "random", "n_samples": 1}, "n_samples must be >= 2"),
             ({"family": "equicorrelation", "n_samples": 20, "r_range": [0.3, 0.3]}, "needs lo < hi"),
+            ({"family": "perturbation", "h": "x"}, "simulate h 'x' is not an integer"),
+            ({"family": "perturbation", "h": 2.5}, "simulate h 2.5 is not an integer"),
+            ({"family": "perturbation", "trials": True}, "simulate trials True is not an integer"),
+            ({"family": "random", "dim": 4.0}, "simulate dim 4.0 is not an integer"),
+            ({"family": "random", "n_samples": "x"}, "simulate n_samples 'x' is not an integer"),
+            ({"family": "perturbation", "sigma": "x"}, "simulate sigma 'x' is not a number"),
+            ({"family": "perturbation", "sigma": True}, "simulate sigma True is not a number"),
         ],
-        ids=["sigma-zero", "sigma-negative", "h-zero", "one-sample", "equal-r-range-ends"],
+        ids=["sigma-zero", "sigma-negative", "h-zero", "one-sample", "equal-r-range-ends",
+             "h-string", "h-fraction", "trials-bool", "dim-float", "n-samples-string",
+             "sigma-string", "sigma-bool"],
     )
     def test_degenerate_request_exits_2_without_output(self, tmp_path, capsys, doc, message):
         config = write_config(tmp_path, doc, "sim-bad.json")

@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import away_from_relu_kinks, fd_weight_gradients, max_rel_error
+from conftest import away_from_relu_kinks, fd_input_gradient, fd_weight_gradients, max_rel_error
 
 from advlab.decorr import (
     DecorrConfig,
     EmptyBatch,
     Unsupported,
     activation_covariance,
-    activation_penalty,
-    decorr_gradient,
     decorr_penalty,
     hessian_kron_factors,
     normalized_precision,
+    penalty_and_grad,
+    penalty_dacts,
 )
 from advlab.linalg import normalize_to_correlation
-from advlab.network import Layer, Network, StaleTape, cross_entropy, forward
+from advlab.network import Layer, Network, StaleTape, backward, cross_entropy, forward
 
 
 def identity_layer(dim, activation="relu"):
@@ -107,8 +107,8 @@ class TestPenalty:
         cfg = DecorrConfig(alpha=1.0)
         perm = rng.permutation(5)
         # relabeling units only reorders the elimination, equal to roundoff
-        assert activation_penalty(a[:, perm], cfg) == pytest.approx(
-            activation_penalty(a, cfg), rel=1e-12
+        assert penalty_and_grad(a[:, perm], cfg)[0] == pytest.approx(
+            penalty_and_grad(a, cfg)[0], rel=1e-12
         )
 
     def test_rejects_mismatched_tapes(self):
@@ -117,6 +117,30 @@ class TestPenalty:
         x = np.array([[0.5, 0.5]])
         with pytest.raises(StaleTape):
             decorr_penalty(forward(net_a, x), forward(net_b, x), DecorrConfig())
+
+
+def penalty_weight_gradients(net, tape_clean, tape_adv, cfg):
+    """alpha * d decorr_penalty / d weights: one zero-logits reverse pass per tape."""
+    clean, adv = (backward(net, t, np.zeros_like(t.logits), penalty_dacts(t, cfg))
+                  for t in (tape_clean, tape_adv))
+    return [g1 + g2 for g1, g2 in zip(clean, adv)]
+
+
+class TestActivationGradient:
+    @pytest.mark.parametrize("mode", ["absolute", "scaled"])
+    def test_matches_finite_differences(self, mode):
+        a = np.random.default_rng(14).uniform(0, 1, (7, 5))
+        cfg = DecorrConfig(alpha=1.0, damping=1e-2, damping_mode=mode)
+        analytic = penalty_and_grad(a, cfg)[1]
+        oracle = fd_input_gradient(lambda b: penalty_and_grad(b, cfg)[0], a, step=1e-6)
+        assert max_rel_error([analytic], [oracle]) < 1e-4
+
+    def test_value_is_the_normalized_precision_norm(self):
+        a = np.random.default_rng(15).uniform(0, 1, (6, 4))
+        cov = a.T @ a / 6
+        ridge = 1e-2 * np.trace(cov) / 4
+        value = penalty_and_grad(a, DecorrConfig(damping=1e-2))[0]
+        assert value == pytest.approx(float((normalized_precision(cov, ridge) ** 2).sum()), rel=1e-12)
 
 
 class TestGradient:
@@ -134,7 +158,7 @@ class TestGradient:
         x_adv = np.clip(x_clean + rng.uniform(-0.1, 0.1, x_clean.shape), 0, 1)
         assert away_from_relu_kinks(net, x_clean) and away_from_relu_kinks(net, x_adv)
         cfg = DecorrConfig(alpha=1.0, damping=1e-2, damping_mode=mode, layer_policy="last")
-        analytic = decorr_gradient(net, forward(net, x_clean), forward(net, x_adv), cfg)
+        analytic = penalty_weight_gradients(net, forward(net, x_clean), forward(net, x_adv), cfg)
         oracle = self.fd_reference(net, x_clean, x_adv, cfg)
         assert max_rel_error(analytic, oracle) < 1e-4
 
@@ -145,7 +169,7 @@ class TestGradient:
         x_adv = np.clip(x_clean + rng.uniform(-0.05, 0.05, x_clean.shape), 0, 1)
         assert away_from_relu_kinks(net, x_clean) and away_from_relu_kinks(net, x_adv)
         cfg = DecorrConfig(alpha=0.7, damping=1e-2, damping_mode="absolute", layer_policy="all")
-        analytic = decorr_gradient(net, forward(net, x_clean), forward(net, x_adv), cfg)
+        analytic = penalty_weight_gradients(net, forward(net, x_clean), forward(net, x_adv), cfg)
         oracle = self.fd_reference(net, x_clean, x_adv, cfg)
         assert max_rel_error(analytic, oracle) < 1e-4
 
@@ -154,7 +178,7 @@ class TestGradient:
         net = Network.he_init([4, 6, 3], seed=15)
         x = rng.uniform(0, 1, (5, 4))
         tape = forward(net, x)
-        grads = decorr_gradient(net, tape, tape, DecorrConfig(alpha=1.0))
+        grads = penalty_weight_gradients(net, tape, tape, DecorrConfig(alpha=1.0))
         assert np.array_equal(grads[-1], np.zeros_like(net.layers[-1].weight))
         assert np.any(grads[0] != 0.0)
 
@@ -163,8 +187,8 @@ class TestGradient:
         net = Network.he_init([4, 6, 3], seed=17)
         x = rng.uniform(0, 1, (5, 4))
         tape = forward(net, x)
-        one = decorr_gradient(net, tape, tape, DecorrConfig(alpha=0.25))
-        two = decorr_gradient(net, tape, tape, DecorrConfig(alpha=0.5))
+        one = penalty_weight_gradients(net, tape, tape, DecorrConfig(alpha=0.25))
+        two = penalty_weight_gradients(net, tape, tape, DecorrConfig(alpha=0.5))
         for g1, g2 in zip(one, two):
             assert np.array_equal(2.0 * g1, g2)
 

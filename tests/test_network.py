@@ -11,7 +11,6 @@ from advlab.network import (
     Network,
     StaleTape,
     backward,
-    backward_from_activation,
     checkpoint_text,
     cross_entropy,
     cross_entropy_grad,
@@ -211,7 +210,7 @@ class TestBackward:
         with pytest.raises(StaleTape):
             backward(other, tape, np.zeros((1, 2)))
 
-    def test_backward_from_activation_matches_fd(self):
+    def test_activation_gradient_matches_fd(self):
         rng = np.random.default_rng(10)
         net = Network.he_init([4, 6, 5, 3], seed=31)
         x = rng.uniform(0, 1, (3, 4))
@@ -222,10 +221,34 @@ class TestBackward:
             return float((forward(n, x).activations[2] ** 2).sum())
 
         tape = forward(net, x)
-        analytic = backward_from_activation(net, tape, 2, 2.0 * tape.activations[2])
+        analytic = backward(net, tape, np.zeros_like(tape.logits), {2: 2.0 * tape.activations[2]})
         oracle = fd_weight_gradients(scalar, net)
         assert max_rel_error(analytic, oracle) < 1e-4
         assert np.array_equal(analytic[2], np.zeros_like(net.layers[2].weight))
+
+    def test_activation_gradients_add_to_the_logit_pass(self):
+        rng = np.random.default_rng(14)
+        net = Network.he_init([4, 7, 6, 3], seed=33)
+        x = rng.uniform(0, 1, (5, 4))
+        y = rng.integers(0, 3, size=5)
+        tape = forward(net, x)
+        dlogits = cross_entropy_grad(tape.logits, y)
+        dacts = {1: rng.standard_normal((5, 7)), 2: rng.standard_normal((5, 6))}
+        got = backward(net, tape, dlogits, dacts)
+        # reference: a logits-only pass plus a zero-logits pass holding only dacts
+        reference = [a + b for a, b in zip(
+            backward(net, tape, dlogits), backward(net, tape, np.zeros_like(dlogits), dacts)
+        )]
+        for g, r in zip(got, reference):
+            assert np.allclose(g, r, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dacts", [{0: np.ones((2, 3))}, {2: np.ones((2, 2))},
+                                       {1: np.ones((2, 5))}, {1: np.ones(4)}])
+    def test_activation_gradient_must_match_an_inner_activation(self, dacts):
+        net = Network.he_init([3, 4, 2], seed=3)
+        tape = forward(net, np.ones((2, 3)))
+        with pytest.raises(InvalidShape):
+            backward(net, tape, np.zeros((2, 2)), dacts)
 
 
 class TestInputGradient:

@@ -5,7 +5,7 @@ from conftest import away_from_relu_kinks, fd_weight_gradients, max_rel_error
 
 from advlab.attacks import AttackSpec, pgd
 from advlab.data import epoch_seed_from, synth_blobs, write_idx_images, write_idx_labels
-from advlab.decorr import DecorrConfig
+from advlab.decorr import DecorrConfig, decorr_penalty
 from advlab.network import Network, accuracy, forward, load_checkpoint
 from advlab.train import (
     ConfigError,
@@ -193,6 +193,25 @@ class TestTradesGradient:
         oracle = fd_weight_gradients(
             lambda n: trades_on_inputs(n, xb, yb, x_adv, lam)[0], net
         )
+        assert max_rel_error(analytic, oracle) < 1e-4
+
+    @pytest.mark.parametrize("policy", ["last", "all"])
+    def test_penalty_matches_finite_differences(self, policy):
+        rng = np.random.default_rng(3)
+        net = Network.he_init([5, 8, 6, 3], seed=9)
+        xb = rng.uniform(0, 1, (7, 5))
+        yb = rng.integers(0, 3, size=7)
+        x_adv = np.clip(xb + rng.uniform(-0.05, 0.05, xb.shape), 0, 1)
+        assert away_from_relu_kinks(net, xb) and away_from_relu_kinks(net, x_adv)
+        lam, cfg = 1.0 / 6.0, DecorrConfig(alpha=0.3, damping=1e-2, layer_policy=policy)
+
+        def objective(n):
+            tape_clean, tape_adv = forward(n, xb), forward(n, x_adv)
+            value, _ = trades_gradients(n, tape_clean, tape_adv, yb, lam)
+            return value + cfg.alpha * decorr_penalty(tape_clean, tape_adv, cfg)
+
+        _, analytic = trades_gradients(net, forward(net, xb), forward(net, x_adv), yb, lam, cfg)
+        oracle = fd_weight_gradients(objective, net, step=1e-6)
         assert max_rel_error(analytic, oracle) < 1e-4
 
     def test_loss_reduces_to_ce_when_adversary_is_clean(self):
