@@ -26,11 +26,10 @@ if "numpy" in _sys.modules:
         pass
 
 from .attacks import AttackSpec, pgd
-from .bounds import BOUND_KINDS, BoundInputs, BoundReport, evaluate_bound, phi_correlated, phi_standard
+from .bounds import BOUND_KINDS, BoundInputs, BoundReport, evaluate_bound
 from .data import Dataset, batches, load_idx, split_blobs, synth_blobs
 from .decorr import (
     DecorrConfig,
-    activation_covariance,
     decorr_penalty,
     hessian_kron_factors,
     normalized_precision,

@@ -106,22 +106,12 @@ def _layer_norms(net: Network) -> list[dict]:
 
 
 def _capacity(per_layer: list[dict]) -> float:
-    """phi_standard from the rows of _layer_norms."""
+    """Capacity product prod ||W||_2^2 * sum ||W||_F^2 / ||W||_2^2 of the folded weights."""
     if any(row["spectral_norm"] == 0.0 for row in per_layer):
         raise DegenerateLayer("a layer has zero spectral norm")
     spectral_sq = [row["spectral_norm"] * row["spectral_norm"] for row in per_layer]
     product = float(np.prod(spectral_sq))
     return product * sum(row["frob_sq"] / s2 for row, s2 in zip(per_layer, spectral_sq))
-
-
-def phi_standard(net: Network) -> float:
-    """Capacity product prod ||W||_2^2 * sum ||W||_F^2 / ||W||_2^2.
-
-    Norms are taken on the folded weight matrices (bias column included).
-    Invariant under per-layer rescalings that preserve the product of
-    spectral norms.
-    """
-    return _capacity(_layer_norms(net))
 
 
 def _lam_by_layer(net: Network, stats: list[LayerCorrStats]) -> dict[int, dict[str, float]]:
@@ -147,16 +137,6 @@ def _lam_by_layer(net: Network, stats: list[LayerCorrStats]) -> dict[int, dict[s
     return table
 
 
-def phi_correlated(net: Network, stats: list[LayerCorrStats]) -> float:
-    """phi_standard inflated by the squared sum of correlation norms.
-
-    The factor is (sum_l (lamc_l + lamr_l))^2 with per-layer maxima taken
-    over the provided (clean and/or adversarial) statistics.
-    """
-    lam_sum = sum(entry["lamc"] + entry["lamr"] for entry in _lam_by_layer(net, stats).values())
-    return phi_standard(net) * lam_sum**2
-
-
 def evaluate_bound(
     net: Network, inputs: BoundInputs, kind: str, stats: list[LayerCorrStats] | None = None
 ) -> BoundReport:
@@ -168,7 +148,7 @@ def evaluate_bound(
     layer's entries, so its numerator can only be larger.
     """
     if kind not in BOUND_KINDS:
-        raise ValueError(f"unknown bound kind {kind!r}")
+        raise ValueError(f"unknown bound kind {kind!r} (choose from {BOUND_KINDS})")
     n = len(net.layers)
     width = max(layer.out_dim for layer in net.layers)
     log_term = float(np.log(n * inputs.m / inputs.delta))

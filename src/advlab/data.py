@@ -140,6 +140,8 @@ def split_blobs(
     One generator draw produces train_per_class + test_per_class samples
     per class; the first block of each class becomes the train split.
     """
+    if min(train_per_class, test_per_class) < 1:
+        raise ValueError("train_per_class and test_per_class must be >= 1")
     full = synth_blobs(num_classes, train_per_class + test_per_class, dim, spread, seed)
     per = train_per_class + test_per_class
     train_idx, test_idx = [], []

@@ -67,13 +67,6 @@ def penalized_layer_indices(net: Network, cfg: DecorrConfig) -> list[int]:
     return [n] if cfg.layer_policy == "last" else list(range(1, n + 1))
 
 
-def activation_covariance(tape: ForwardTape, layer: int) -> np.ndarray:
-    """Second moment (1/B) sum a a^T of the activations feeding `layer`."""
-    if not 1 <= layer <= len(tape.net.layers):
-        raise ValueError(f"layer {layer} out of range")
-    return _second_moment(tape.activations[layer - 1])
-
-
 def _second_moment(a: np.ndarray) -> np.ndarray:
     if a.shape[0] == 0:
         raise EmptyBatch("cannot form a covariance from an empty batch")

@@ -72,23 +72,12 @@ def frobenius_sq(m) -> float:
     return float(np.sum(a * a))
 
 
-def _cholesky_psd(m, name: str) -> np.ndarray:
-    s = _as_symmetric(m, name)
-    try:
-        return np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"{name} is not positive definite") from None
-
-
-def logdet_psd(m) -> float:
-    """log(det m) for a symmetric positive-definite matrix, via Cholesky."""
-    chol = _cholesky_psd(m, "logdet input")
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
-
-
 def inverse_psd(m) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix, via Cholesky solves."""
-    chol = _cholesky_psd(m, "inverse input")
+    try:
+        chol = np.linalg.cholesky(_as_symmetric(m, "inverse input"))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("inverse input is not positive definite") from None
     inv = scipy.linalg.cho_solve((chol, True), np.eye(chol.shape[0]))
     return 0.5 * (inv + inv.T)
 

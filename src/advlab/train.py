@@ -14,13 +14,18 @@ determinism contract.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 import time
+import types
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .attacks import AttackSpec, pgd
+from .bounds import BoundInputs
 from .data import Dataset, batches, epoch_seed_from, idx_num_classes, load_idx, split_blobs
 from .decorr import DecorrConfig, penalty_and_grad, penalty_dacts
 from .io import write_csv, write_json
@@ -37,6 +42,7 @@ from .network import (
     kl_softmax_grad_q,
     save_checkpoint,
 )
+from .weight_stats import SOURCES, SamplingConfig
 
 TRAIN_METHODS = ("standard", "at", "trades", "at_decorr", "trades_decorr")
 
@@ -54,43 +60,109 @@ class DivergedTraining(RuntimeError):
     """Training hit a non-finite loss; the last good checkpoint was kept."""
 
 
-def build_config(cls, doc, what: str):
-    """`cls(**doc)`, reporting a malformed `doc` as a ConfigError prefixed with `what`."""
+def build_config(cls, doc, what: str, path: str = "", seed: int | None = None):
+    """The dataclass `cls` built from the JSON object `doc`; ConfigError otherwise.
+
+    Values are checked against the field annotations, never coerced: a bool is no number, a
+    number is finite, an int in a float field stays an int, `tuple[...]` takes a JSON list, a
+    nested dataclass is built by a recursive call, a `dict` is taken as it is, and a `seed` is
+    a non-negative int. A given `seed` (the CLI's --seed) replaces the document's. Messages
+    name the command `what` and the field's dotted path (`doc` sits at `path`).
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path or 'config'} {doc!r} is not an object")
+    doc = doc if seed is None else doc | {"seed": seed}
+    where = f"{path}." if path else ""
+    fields, hints = dataclasses.fields(cls), typing.get_type_hints(cls)
+    unknown = sorted(doc.keys() - {f.name for f in fields})
+    if unknown:
+        raise ConfigError(f"{what} config has unknown field '{where}{unknown[0]}'")
+    missing = [f.name for f in fields if f.name not in doc
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{what} config lacks '{where}{missing[0]}'")
+    kw = {name: _checked(hints[name], value, what, where + name) for name, value in doc.items()}
     try:
-        return cls(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
+        return cls(**kw)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a range check of the dataclass itself
+        raise ConfigError(f"{what} {path}: {exc}" if path else f"{what}: {exc}") from exc
+
+
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean", dict: "an object"}
+
+
+def _checked(hint, value, what: str, path: str):
+    """`value` if it fits the annotation `hint` (a JSON list made a tuple); see build_config."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _checked(args[0], value, what, path)
+    if dataclasses.is_dataclass(hint):
+        return build_config(hint, value, what, path)
+    if origin is tuple:
+        variadic = args[-1] is Ellipsis
+        items = args[:1] * len(value) if variadic and isinstance(value, list) else args
+        if not isinstance(value, list) or len(value) != len(items):
+            size = "" if variadic else f" of {len(args)}"
+            raise ConfigError(f"{what} {path} {value!r} is not a list{size}")
+        return tuple(_checked(h, v, what, f"{path}[{i}]") for i, (h, v) in enumerate(zip(items, value)))
+    seed = path.rsplit(".", 1)[-1] == "seed"
+    if hint is float:  # finite: JSON has no infinity, yet 1e400 parses as one
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:
+        ok = type(value) is hint and not (seed and value < 0)
+    if not ok:
+        kind = "a non-negative integer" if seed else _KINDS[hint]
+        raise ConfigError(f"{what} {path} {value!r} is not {kind}")
+    return value
+
+
+@dataclass(frozen=True)
+class SyntheticSpec:
+    kind: str
+    num_classes: int
+    per_class: int
+    dim: int
+    spread: float
+    seed: int
+    test_per_class: int | None = None  # per_class
+
+
+@dataclass(frozen=True)
+class IdxSpec:
+    kind: str
+    train_labels: str
+    test_labels: str
+    train_images: str | None = None  # needed when the split is read
+    test_images: str | None = None
 
 
 def dataset_from_spec(spec: dict, split: str) -> Dataset:
-    """Build the train or test split from a dataset spec.
+    """The train or test split of a "synthetic" (SyntheticSpec) or "idx" (IdxSpec) dataset spec.
 
-    kind "synthetic": seeded Gaussian blobs, separate per_class/seed for
-    the test split. kind "idx": IDX image/label file pairs; num_classes
-    comes from both label files, so a split lacking the top class agrees.
+    Blob splits share their class centers. An IDX split's num_classes comes
+    from both label files, so a split lacking the top class agrees.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("dataset spec needs a 'kind'")
-    kind = spec["kind"]
+    kind = spec.get("kind")
+    if kind not in ("synthetic", "idx"):
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    if split not in ("train", "test"):
+        raise ConfigError(f"dataset split {split!r} is not 'train' or 'test'")
     if kind == "synthetic":
+        s = build_config(SyntheticSpec, spec, "dataset")
+        test_per_class = s.per_class if s.test_per_class is None else s.test_per_class
         try:
-            train_ds, test_ds = split_blobs(
-                spec["num_classes"], spec["per_class"],
-                spec.get("test_per_class", spec["per_class"]),
-                spec["dim"], spec["spread"], spec["seed"],
-            )
-            return train_ds if split == "train" else test_ds
-        except (KeyError, ValueError) as exc:
+            splits = split_blobs(s.num_classes, s.per_class, test_per_class, s.dim, s.spread, s.seed)
+        except ValueError as exc:
             raise ConfigError(f"synthetic dataset spec: {exc}") from exc
-    if kind == "idx":
-        prefix = "train" if split == "train" else "test"
-        try:
-            ds = load_idx(spec[f"{prefix}_images"], spec[f"{prefix}_labels"])
-            ds.num_classes = idx_num_classes(spec["train_labels"], spec["test_labels"])
-            return ds
-        except KeyError as exc:
-            raise ConfigError(f"idx dataset spec lacks {exc}") from exc
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+        return splits[split == "test"]
+    s = build_config(IdxSpec, spec, "dataset")
+    if getattr(s, f"{split}_images") is None:
+        raise ConfigError(f"dataset config lacks '{split}_images'")
+    ds = load_idx(getattr(s, f"{split}_images"), getattr(s, f"{split}_labels"))
+    ds.num_classes = idx_num_classes(s.train_labels, s.test_labels)
+    return ds
 
 
 @dataclass(frozen=True)
@@ -113,8 +185,8 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in TRAIN_METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0:
-            raise ConfigError("epochs must be >= 0, batch_size >= 1, lr > 0")
+        if self.epochs < 0 or self.lr <= 0 or min(self.batch_size, self.eval_subset, *self.hidden) < 1:
+            raise ConfigError("epochs must be >= 0, lr > 0, batch_size, eval_subset, hidden >= 1")
         if not 0 <= self.momentum < 1 or self.weight_decay < 0:
             raise ConfigError("momentum in [0,1), weight_decay >= 0")
         if self.method != "standard" and self.attack_train is None:
@@ -123,37 +195,64 @@ class RunConfig:
             raise ConfigError("trades methods need trades_lambda > 0")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        """Parse and validate an external (CLI) configuration.
-
-        External configs additionally require a positive penalty weight
-        for the decorr methods; the in-process constructor allows
-        alpha = 0, where the decorr methods reduce to their base method
-        bit for bit.
-        """
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        kw = dict(doc)
-        try:
-            if "hidden" in kw:
-                kw["hidden"] = tuple(int(h) for h in kw["hidden"])
-            if kw.get("attack_train") is not None:
-                kw["attack_train"] = build_config(AttackSpec, kw["attack_train"], "attack_train")
-            if kw.get("attack_eval") is not None:
-                kw["attack_eval"] = build_config(AttackSpec, kw["attack_eval"], "attack_eval")
-            if "penalty" in kw:
-                kw["penalty"] = build_config(DecorrConfig, kw["penalty"], "penalty")
-            config = cls(**kw)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+    def from_dict(cls, doc: dict, seed: int | None = None) -> "RunConfig":
+        """A CLI config, whose decorr methods need penalty.alpha > 0; in process,
+        alpha = 0 reduces them to their base method bit for bit."""
+        config = build_config(cls, doc, "train", seed=seed)
         if config.method.endswith("_decorr") and config.penalty.alpha <= 0:
             raise ConfigError("decorr methods need penalty.alpha > 0")
         return config
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+@dataclass(frozen=True)
+class EvaluateConfig:
+    checkpoint: str
+    dataset: dict
+    split: str = "test"
+    attacks: tuple[AttackSpec, ...] = ()
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class StatsConfig:
+    checkpoint: str
+    method: str
+    dataset: dict
+    split: str = "train"
+    layer: int | None = None  # the output layer
+    damping: float = 1e-3
+    attack: AttackSpec | None = None
+    sampling: SamplingConfig = field(default_factory=SamplingConfig)  # its seed is the run's
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.method not in SOURCES:
+            raise ConfigError(f"unknown stats method {self.method!r}")
+        if self.damping <= 0:
+            raise ConfigError(f"stats damping {self.damping!r} is not a finite number > 0")
+
+
+@dataclass(frozen=True)
+class BoundConfig:
+    checkpoint: str
+    kind: str
+    inputs: BoundInputs
+    stats: tuple[str, ...] = ()  # stats CSVs, as `stats` writes them
+
+
+@dataclass(frozen=True)
+class SimulateConfig:
+    family: str = "random"
+    h: int = 64
+    sigma: float = 1.0
+    trials: int = 200
+    dim: int = 9
+    n_samples: int = 10_000
+    r_range: tuple[float, float] = (0.0, 0.9)
+    seed: int = 0
 
 
 @dataclass
@@ -342,29 +441,15 @@ def train(config: RunConfig, out_dir) -> RunRecord:
         good_net = net
 
     save_checkpoint(good_net, checkpoint_path)
-    _write_metrics_csv(out / "metrics.csv", metrics)
-    _write_run_json(out / "run.json", config, metrics)
-    _write_timing_csv(out / "timing.csv", wall_train, wall_eval)
-    if diverged:
-        raise DivergedTraining(
-            f"non-finite loss; last good checkpoint kept at {checkpoint_path}"
-        )
-    return RunRecord(config.to_dict(), metrics, str(checkpoint_path), wall_train, wall_eval)
-
-
-def _write_metrics_csv(path, metrics):
-    write_csv(path, METRICS_HEADER, ([row[k] for k in METRICS_HEADER] for row in metrics))
-
-
-def _write_run_json(path, config: RunConfig, metrics):
-    write_json(path, {"config": config.to_dict(), "epochs_completed": len(metrics),
-                      "final_metrics": metrics[-1] if metrics else None})
-
-
-def _write_timing_csv(path, wall_train, wall_eval):
+    write_csv(out / "metrics.csv", METRICS_HEADER, ([r[k] for k in METRICS_HEADER] for r in metrics))
+    write_json(out / "run.json", {"config": config.to_dict(), "epochs_completed": len(metrics),
+                                  "final_metrics": metrics[-1] if metrics else None})
     # wall-clock is environment noise: kept out of the deterministic set
-    rows = ((i + 1, f"{a:.6f}", f"{b:.6f}") for i, (a, b) in enumerate(zip(wall_train, wall_eval)))
-    write_csv(path, ("epoch", "wall_train_s", "wall_eval_s"), rows)
+    write_csv(out / "timing.csv", ("epoch", "wall_train_s", "wall_eval_s"),
+              ((i + 1, f"{a:.6f}", f"{b:.6f}") for i, (a, b) in enumerate(zip(wall_train, wall_eval))))
+    if diverged:
+        raise DivergedTraining(f"non-finite loss; last good checkpoint kept at {checkpoint_path}")
+    return RunRecord(config.to_dict(), metrics, str(checkpoint_path), wall_train, wall_eval)
 
 
 def evaluate(net: Network, ds: Dataset, attacks: list[AttackSpec], seed: int = 0) -> list[dict]:

@@ -183,8 +183,8 @@ class SamplingConfig:
     def __post_init__(self):
         if self.num_samples < 2:
             raise ValueError("num_samples must be >= 2")
-        if self.loss_tolerance <= 0 or self.refine_epochs < 0 or self.refine_lr <= 0:
-            raise ValueError("loss_tolerance, refine_epochs, refine_lr must be positive")
+        if self.refine_epochs < 0 or min(self.loss_tolerance, self.refine_lr, self.refine_batch_size) <= 0:
+            raise ValueError("need refine_epochs >= 0; loss_tolerance, refine_lr, refine_batch_size > 0")
 
 
 def _dataset_loss(net: Network, ds: Dataset) -> float:

@@ -16,7 +16,7 @@ import pytest
 from conftest import away_from_relu_kinks, fd_weight_gradients, max_rel_error
 
 from advlab.attacks import AttackSpec
-from advlab.bounds import BoundInputs, evaluate_bound, phi_standard
+from advlab.bounds import BoundInputs, evaluate_bound
 from advlab.cli import EXIT_OK, main
 from advlab.decorr import DecorrConfig, hessian_kron_factors, penalty_and_grad, penalty_dacts
 from advlab.linalg import (
@@ -255,14 +255,18 @@ def test_criterion_6_bound_calculator():
     rng = np.random.default_rng(606)
 
     net = Network.he_init([5, 8, 8, 4], seed=66)
-    base = phi_standard(net)
+
+    def capacity(n):
+        return evaluate_bound(n, BoundInputs(0.5, 0.05, 2000, 3.0), "xiao").phi
+
+    base = capacity(net)
     for _ in range(20):
         s0, s1 = rng.uniform(0.3, 3.0, size=2)
         # scale layers against each other, preserving the spectral product
         scaled = net.with_weights(
             [s0 * net.weights[0], (s1 / s0) * net.weights[1], net.weights[2] / s1]
         )
-        assert abs(phi_standard(scaled) - base) <= 1e-10 * base
+        assert abs(capacity(scaled) - base) <= 1e-10 * base
 
     def identity_stats(n):
         return [

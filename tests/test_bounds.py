@@ -11,8 +11,6 @@ from advlab.bounds import (
     IncompleteStats,
     InvalidMargin,
     evaluate_bound,
-    phi_correlated,
-    phi_standard,
 )
 from advlab.linalg import random_correlation
 from advlab.network import Layer, Network
@@ -46,40 +44,54 @@ def rank_one_two_layer_net():
 INPUTS = BoundInputs(gamma=0.5, delta=0.05, m=1000, input_bound=3.0, epsilon=0.1)
 
 
+def capacity(net):
+    """The capacity product of the spectral kinds, as `evaluate_bound` reports it."""
+    return evaluate_bound(net, INPUTS, "xiao").phi
+
+
+def correlated_capacity(net, stats):
+    """The capacity product inflated by (sum_l lamc_l + lamr_l)^2, as the `corr` kind reports it."""
+    return evaluate_bound(net, INPUTS, "corr", stats).phi
+
+
 class TestPhiStandard:
+    """The capacity product phi of the spectral kinds."""
+
     def test_identity_layer(self):
-        assert phi_standard(single_identity_net(3)) == pytest.approx(3.0, rel=1e-10)
+        assert capacity(single_identity_net(3)) == pytest.approx(3.0, rel=1e-10)
 
     def test_rank_one_two_layers(self):
         # (2^2 * 0.5^2) * (4/4 + 0.25/0.25)
-        assert phi_standard(rank_one_two_layer_net()) == pytest.approx(2.0, rel=1e-10)
+        assert capacity(rank_one_two_layer_net()) == pytest.approx(2.0, rel=1e-10)
 
     def test_rescaling_invariance(self):
         net = Network.he_init([5, 7, 6, 4], seed=1)
-        base = phi_standard(net)
+        base = capacity(net)
         alpha = 2.9
         scaled = net.with_weights(
             [alpha * net.weights[0], net.weights[1] / alpha, net.weights[2]]
         )
-        assert phi_standard(scaled) == pytest.approx(base, rel=1e-10)
+        assert capacity(scaled) == pytest.approx(base, rel=1e-10)
 
     def test_zero_layer_rejected(self):
         net = Network([Layer(np.zeros((2, 3)), "identity")])
         with pytest.raises(DegenerateLayer):
-            phi_standard(net)
+            capacity(net)
 
 
 class TestPhiCorrelated:
+    """The correlation-inflated capacity product phi of the correlation kinds."""
+
     def test_identity_correlations_give_two_n_squared(self):
         net = Network.he_init([4, 6, 5, 3], seed=2)
         n = len(net.layers)
-        got = phi_correlated(net, identity_stats(net))
-        assert got == pytest.approx(phi_standard(net) * (2 * n) ** 2, rel=1e-12)
+        got = correlated_capacity(net, identity_stats(net))
+        assert got == pytest.approx(capacity(net) * (2 * n) ** 2, rel=1e-12)
 
     def test_single_layer_hand_value(self):
         net = single_identity_net(3)
         stats = [stats_entry(1, net.layers[0].weight.size, lamc=2.0, lamr=3.0)]
-        assert phi_correlated(net, stats) == pytest.approx(25.0 * phi_standard(net), rel=1e-12)
+        assert correlated_capacity(net, stats) == pytest.approx(25.0 * capacity(net), rel=1e-12)
 
     def test_uniform_scaling_is_quadratic(self):
         net = Network.he_init([4, 5, 3], seed=3)
@@ -89,14 +101,14 @@ class TestPhiCorrelated:
             stats_entry(s.layer, s.dim, lamc=t * s.lamc_max, lamr=t * s.lamr_max)
             for s in base
         ]
-        assert phi_correlated(net, scaled) == pytest.approx(
-            t * t * phi_correlated(net, base), rel=1e-12
+        assert correlated_capacity(net, scaled) == pytest.approx(
+            t * t * correlated_capacity(net, base), rel=1e-12
         )
 
     def test_missing_layer_rejected(self):
         net = Network.he_init([4, 5, 3], seed=4)
         with pytest.raises(IncompleteStats):
-            phi_correlated(net, identity_stats(net)[:1])
+            correlated_capacity(net, identity_stats(net)[:1])
 
     def test_max_over_clean_and_adversarial(self):
         net = single_identity_net(2)
@@ -106,7 +118,7 @@ class TestPhiCorrelated:
             stats_entry(1, dim, lamc=2.0, lamr=0.5, data="adversarial"),
         ]
         # per-layer maxima: lamc 2.0, lamr 1.0
-        assert phi_correlated(net, stats) == pytest.approx(9.0 * phi_standard(net), rel=1e-12)
+        assert correlated_capacity(net, stats) == pytest.approx(9.0 * capacity(net), rel=1e-12)
 
 
 class TestEvaluateBound:

@@ -10,6 +10,7 @@ from advlab.data import (
     Truncated,
     batches,
     load_idx,
+    split_blobs,
     synth_blobs,
     write_idx_images,
     write_idx_labels,
@@ -105,6 +106,11 @@ class TestSynthBlobs:
             grads = backward(net, tape, cross_entropy_grad(tape.logits, ds.labels))
             net = net.with_weights([w - 0.5 * g for w, g in zip(net.weights, grads)])
         assert accuracy(forward(net, ds.inputs).logits, ds.labels) >= 0.99
+
+    @pytest.mark.parametrize("train_per_class, test_per_class", [(-1, 5), (5, -1), (0, 5), (5, 0)])
+    def test_split_size_below_one_rejected(self, train_per_class, test_per_class):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            split_blobs(3, train_per_class, test_per_class, 4, 0.1, seed=0)
 
 
 class TestBatches:

@@ -7,7 +7,7 @@ from advlab.decorr import (
     DecorrConfig,
     EmptyBatch,
     Unsupported,
-    activation_covariance,
+    _second_moment,
     decorr_penalty,
     hessian_kron_factors,
     normalized_precision,
@@ -27,35 +27,33 @@ def identity_passthrough_net(dim):
 
 
 class TestActivationCovariance:
+    """The penalty's covariance (1/B) sum a a^T of the activations feeding a layer."""
+
     def test_single_vector(self):
         net = identity_passthrough_net(2)
         tape = forward(net, np.array([[1.0, 0.0]]))
-        assert np.array_equal(activation_covariance(tape, 1), [[1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(_second_moment(tape.activations[0]), [[1.0, 0.0], [0.0, 0.0]])
 
     def test_antipodal_pair(self):
         net = identity_passthrough_net(2)
         v = 1.0 / np.sqrt(2.0)
         # the covariance is over the raw layer-1 inputs, sign included
         tape = forward(net, np.array([[v, v], [-v, -v]]))
-        assert np.allclose(activation_covariance(tape, 1), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+        assert np.allclose(_second_moment(tape.activations[0]), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_matches_outer_product_loop(self):
         rng = np.random.default_rng(0)
         net = Network.he_init([4, 6, 3], seed=1)
         x = rng.uniform(0, 1, (8, 4))
         tape = forward(net, x)
-        got = activation_covariance(tape, 2)
+        got = _second_moment(tape.activations[1])
         a = tape.activations[1]
         expect = sum(np.outer(row, row) for row in a) / len(a)
         assert np.allclose(got, expect, atol=1e-12)
 
     def test_empty_batch(self):
-        from advlab.network import ForwardTape
-
-        net = identity_passthrough_net(2)
-        tape = ForwardTape(net=net, activations=[np.empty((0, 2))])
         with pytest.raises(EmptyBatch):
-            activation_covariance(tape, 1)
+            penalty_and_grad(np.empty((0, 2)), DecorrConfig())
 
 
 class TestNormalizedPrecision:

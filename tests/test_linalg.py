@@ -11,11 +11,11 @@ from advlab.linalg import (
     equicorrelation,
     frobenius_sq,
     inverse_psd,
-    logdet_psd,
     normalize_to_correlation,
     random_correlation,
     spectral_norm,
 )
+from advlab.weight_stats import laplace_stats_from_factors
 
 
 def random_pd(dim, rng):
@@ -51,15 +51,15 @@ class TestSymEig:
 
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidShape):
-            logdet_psd(np.ones((2, 3)))
+            inverse_psd(np.ones((2, 3)))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidShape):
-            logdet_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            inverse_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_accepts_roundoff_asymmetry(self):
         m = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
-        logdet_psd(m)
+        inverse_psd(m)
 
 
 class TestSpectralNorm:
@@ -108,21 +108,25 @@ class TestFrobeniusSq:
 
 
 class TestLogdetPsd:
+    """The log-determinant of a positive-definite correlation as the Laplace summary
+    reports it: log det(P (x) Q) from the spectra of the normalized factor inverses."""
+
     def test_identity(self):
-        assert logdet_psd(np.eye(4)) == 0.0
+        assert laplace_stats_from_factors(np.eye(4), np.eye(3), 1e-9, 1, 1).logdet == 0.0
 
     def test_scaled_identity(self):
-        assert logdet_psd(2.0 * np.eye(3)) == pytest.approx(3.0 * np.log(2.0), rel=1e-12)
+        # the unit-diagonal normalization removes a factor's scale
+        assert laplace_stats_from_factors(2.0 * np.eye(3), np.eye(2), 1e-9, 1, 1).logdet == 0.0
 
     def test_matches_eigenvalue_sum(self):
         rng = np.random.default_rng(5)
-        m = random_pd(6, rng)
-        oracle = float(np.sum(np.log(np.linalg.eigvalsh(m))))
-        assert logdet_psd(m) == pytest.approx(oracle, abs=1e-9)
+        stats = laplace_stats_from_factors(random_pd(6, rng), random_pd(3, rng), 1e-3, 1, 1)
+        oracle = float(np.sum(np.log(np.linalg.eigvalsh(np.kron(stats.rc, stats.rr)))))
+        assert stats.logdet == pytest.approx(oracle, abs=1e-9)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
-            logdet_psd(np.diag([1.0, -1.0]))
+            laplace_stats_from_factors(np.diag([1.0, -1.0]), np.eye(2), 1e-3, 1, 1)
 
 
 class TestInversePsd:
