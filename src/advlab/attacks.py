@@ -1,10 +1,16 @@
 """White-box adversarial example generation in the [0,1] input box.
 
 Supports l-inf and l2 threat models with per-step projection onto the
-epsilon ball and the box. Randomness (the optional random start) is drawn
-per row from (seed, row index) so batch rows can be attacked in parallel
-yet bit-reproducibly. sign(0) = 0, so coordinates with zero gradient are
+epsilon ball and the box. sign(0) = 0, so coordinates with zero gradient are
 left untouched by sign-based steps.
+
+The optional random start is drawn for the whole batch at once from
+sub-streams of the spec's seed, each read row after row in C order:
+l-inf takes a (rows, dim) uniform draw from `default_rng([seed, 0])`; l2
+takes its (rows, dim) normal directions from `default_rng([seed, 0])` and
+its (rows, 1) radius quantiles from `default_rng([seed, 1])`. So row i's
+start depends only on (seed, i, dim): the first k rows of a batch start
+exactly as a k-row batch does.
 """
 
 from __future__ import annotations
@@ -49,34 +55,42 @@ class AttackSpec:
 
 
 def _project(x: np.ndarray, origin: np.ndarray, spec: AttackSpec) -> np.ndarray:
-    """Project onto the epsilon ball around origin, then the [0,1] box.
+    """Project `x` in place onto the epsilon ball around origin, then the [0,1] box.
 
     Box clipping moves coordinates toward the (in-box) origin, so it never
-    re-violates the ball constraint.
+    re-violates the ball constraint. For l-inf both intervals hold the
+    origin, so ball-then-box is one clip to their intersection; clipping
+    does not round, so the result is exactly that of the two clips.
     """
     if spec.norm == "linf":
-        x = np.clip(x, origin - spec.epsilon, origin + spec.epsilon)
-    else:
-        delta = x - origin
-        norms = np.linalg.norm(delta, axis=1, keepdims=True)
-        scale = np.where(norms > spec.epsilon, spec.epsilon / np.maximum(norms, 1e-300), 1.0)
-        x = origin + delta * scale
-    return np.clip(x, 0.0, 1.0)
+        lo = np.subtract(origin, spec.epsilon)
+        np.maximum(lo, 0.0, out=lo)
+        hi = np.add(origin, spec.epsilon)
+        np.minimum(hi, 1.0, out=hi)
+        return np.clip(x, lo, hi, out=x)
+    delta = x - origin
+    norms = np.linalg.norm(delta, axis=1, keepdims=True)
+    delta *= np.where(norms > spec.epsilon, spec.epsilon / np.maximum(norms, 1e-300), 1.0)
+    np.add(origin, delta, out=x)
+    return np.clip(x, 0.0, 1.0, out=x)
 
 
 def _random_start(origin: np.ndarray, spec: AttackSpec) -> np.ndarray:
-    dim = origin.shape[1]
-    deltas = np.empty_like(origin)
-    for i in range(origin.shape[0]):
-        rng = np.random.default_rng([spec.seed, i])
-        if spec.norm == "linf":
-            deltas[i] = rng.uniform(-spec.epsilon, spec.epsilon, size=dim)
-        else:
-            direction = rng.standard_normal(dim)
-            direction /= max(np.linalg.norm(direction), 1e-300)
-            radius = spec.epsilon * rng.uniform() ** (1.0 / dim)
-            deltas[i] = radius * direction
-    return _project(origin + deltas, origin, spec)
+    """Uniform draws from the epsilon ball around each row, projected into the box.
+
+    The batch is drawn at once from sub-streams of `spec.seed` that are read
+    row after row (see the module docstring), so row i depends only on
+    (seed, i, dim).
+    """
+    rows, dim = origin.shape
+    if spec.norm == "linf":
+        x = np.random.default_rng([spec.seed, 0]).uniform(-spec.epsilon, spec.epsilon, (rows, dim))
+    else:
+        x = np.random.default_rng([spec.seed, 0]).standard_normal((rows, dim))
+        radii = np.random.default_rng([spec.seed, 1]).uniform(size=(rows, 1)) ** (1.0 / dim)
+        x *= spec.epsilon * radii / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-300)
+    x += origin
+    return _project(x, origin, spec)
 
 
 def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=None) -> np.ndarray:
@@ -93,11 +107,14 @@ def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=No
         ref_logits = forward(net, origin).logits
     x = _random_start(origin, spec) if spec.random_start else origin.copy()
     for _ in range(spec.steps):
-        grad = input_gradient(net, x, spec.loss, labels, ref_logits)
+        step = input_gradient(net, x, spec.loss, labels, ref_logits)
         if spec.norm == "linf":
-            x = x + spec.step_size * np.sign(grad)
+            np.sign(step, out=step)
+            step *= spec.step_size
         else:
-            norms = np.linalg.norm(grad, axis=1, keepdims=True)
-            x = x + spec.step_size * grad / np.maximum(norms, 1e-300)
-        x = _project(x, origin, spec)
+            norms = np.linalg.norm(step, axis=1, keepdims=True)
+            step *= spec.step_size
+            step /= np.maximum(norms, 1e-300)
+        x += step
+        _project(x, origin, spec)
     return x

@@ -131,7 +131,8 @@ def _cmd_bound(doc, out: Path, seed: int | None) -> int:
     del seed  # bound evaluation is deterministic in its inputs
     config = build_config(BoundConfig, doc, "bound")
     net = load_checkpoint(config.checkpoint)
-    stats = [LayerCorrStats.read_csv(p) for p in config.stats] or None
+    paths = config.stats if config.kind in ("corr", "corr_mixed") else ()  # the spectral kinds read none
+    stats = [LayerCorrStats.read_csv(p) for p in paths] or None
     try:
         report = evaluate_bound(net, config.inputs, config.kind, stats)
     except ValueError as exc:

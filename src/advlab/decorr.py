@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_sq, inverse_psd, normalize_to_correlation
+from .linalg import inverse_psd, normalize_to_correlation
 from .network import ForwardTape, Network, StaleTape, _augment, softmax
 
 LAYER_POLICIES = ("last", "all")
@@ -82,7 +82,9 @@ def resolve_ridge(cov: np.ndarray, cfg: DecorrConfig) -> tuple[float, float]:
 
 
 def _ridged_inverse(cov: np.ndarray, ridge: float) -> np.ndarray:
-    return inverse_psd(cov + ridge * np.eye(cov.shape[0]))
+    ridged = cov.copy()
+    ridged.flat[:: cov.shape[0] + 1] += ridge
+    return inverse_psd(ridged)
 
 
 def normalized_precision(cov: np.ndarray, damping: float) -> np.ndarray:
@@ -99,16 +101,23 @@ def penalty_and_grad(a: np.ndarray, cfg: DecorrConfig) -> tuple[float, np.ndarra
     cov = _second_moment(a)
     ridge, slope = resolve_ridge(cov, cfg)
     m = _ridged_inverse(cov, ridge)
-    corr = normalize_to_correlation(m)
     diag = np.diag(m)
-    # dP/dM: off-diagonal from the direct entries, diagonal from the
+    inv_sqrt = 1.0 / np.sqrt(diag)
+    scale = np.outer(inv_sqrt, inv_sqrt)
+    corr = m * scale  # normalize_to_correlation(m), sharing its scale with dP/dM
+    np.fill_diagonal(corr, 1.0)
+    sq = corr * corr
+    # half of dP/dM: off-diagonal from the direct entries, diagonal from the
     # normalization denominators (the unit diagonal itself is constant)
-    g = 2.0 * corr / np.outer(np.sqrt(diag), np.sqrt(diag))
-    np.fill_diagonal(g, -2.0 * ((corr * corr).sum(axis=1) - 1.0) / diag)
-    k = -(m @ g @ m)
+    g = corr * scale
+    np.fill_diagonal(g, (1.0 - sq.sum(axis=1)) / diag)
+    k = m @ g @ m  # -1/2 d penalty / d cov; the factor joins the last scale
     # the ridge's own dependence on trace(cov) feeds back into the damped matrix
-    k += slope * np.trace(k) * np.eye(cov.shape[0])
-    return frobenius_sq(corr), (2.0 / a.shape[0]) * a @ (0.5 * (k + k.T))
+    k.flat[:: k.shape[0] + 1] += slope * np.trace(k)
+    k += k.T
+    grad = a @ k
+    grad *= -2.0 / a.shape[0]
+    return float(sq.sum()), grad
 
 
 def decorr_penalty(tape_clean: ForwardTape, tape_adv: ForwardTape, cfg: DecorrConfig) -> float:

@@ -10,7 +10,7 @@ floating-point accumulation noise cannot trip strict symmetry checks.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 TOL_SYM = 1e-9      # relative asymmetry tolerance
 TOL_PSD = 1e-10     # eigenvalues in [-TOL_PSD, 0) are treated as 0
@@ -46,10 +46,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _as_symmetric(a, name: str = "matrix") -> np.ndarray:
-    """Validate squareness and symmetry, then return (m + m.T)/2."""
+    """Validate squareness and symmetry, then return (m + m.T)/2.
+
+    An exactly symmetric matrix is returned as it is (it may be `a` itself).
+    """
     m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:
         raise InvalidShape(f"{name} must be square, got {m.shape}")
+    if np.array_equal(m, m.T):
+        return m
     scale = max(1.0, float(np.abs(m).max()))
     if float(np.abs(m - m.T).max()) > TOL_SYM * scale:
         raise InvalidShape(f"{name} is not symmetric within tolerance {TOL_SYM}")
@@ -73,13 +78,22 @@ def frobenius_sq(m) -> float:
 
 
 def inverse_psd(m) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix, via Cholesky solves."""
-    try:
-        chol = np.linalg.cholesky(_as_symmetric(m, "inverse input"))
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("inverse input is not positive definite") from None
-    inv = scipy.linalg.cho_solve((chol, True), np.eye(chol.shape[0]))
-    return 0.5 * (inv + inv.T)
+    """Inverse of a symmetric positive-definite matrix from its Cholesky factor.
+
+    LAPACK dpotrf factors m = L L^T and dtrtri inverts L; the inverse is then
+    L^-T L^-1, which numpy forms with one symmetric rank-k update, so it is
+    exactly symmetric. A Cholesky pivot whose square is at most n*eps times
+    the largest diagonal entry (LAPACK dpstrf's default rank tolerance) is
+    rejected like a non-positive one: the matrix is singular to working
+    precision, and whether rounding leaves such a pivot positive is luck.
+    """
+    s = _as_symmetric(m, "inverse input")
+    chol, info = scipy.linalg.lapack.dpotrf(s, lower=1, clean=1)
+    pivots = np.diag(chol)
+    if info != 0 or (pivots * pivots).min() <= s.shape[0] * np.finfo(np.float64).eps * np.diag(s).max():
+        raise NotPositiveDefinite("inverse input is not positive definite")
+    chol_inv, _ = scipy.linalg.lapack.dtrtri(chol, lower=1, overwrite_c=1)  # every pivot is nonzero
+    return chol_inv.T @ chol_inv
 
 
 def normalize_to_correlation(m) -> np.ndarray:

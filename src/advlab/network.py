@@ -316,10 +316,19 @@ def loss_logit_grad(kind: str, logits, labels=None, ref_logits=None) -> np.ndarr
 
 
 def input_gradient(net: Network, batch, kind: str, labels=None, ref_logits=None) -> np.ndarray:
-    """Gradient of the chosen loss w.r.t. the input batch entries."""
+    """Gradient of the chosen loss w.r.t. the input batch entries.
+
+    An input-only reverse pass: each layer multiplies by its weight without
+    the bias column and forms no weight gradient. Its result is bit-identical
+    to the input gradient of `backward`'s full pass.
+    """
     tape = forward(net, batch)
-    dlogits = loss_logit_grad(kind, tape.logits, labels, ref_logits)
-    return _backprop(net, tape, dlogits, {})[1]
+    dz = loss_logit_grad(kind, tape.logits, labels, ref_logits)
+    for idx in range(len(net.layers) - 1, 0, -1):
+        dz = dz @ net.layers[idx].weight[:, :-1]
+        if net.layers[idx - 1].activation == "relu":
+            dz *= tape.pre_activations[idx - 1] > 0.0
+    return dz @ net.layers[0].weight[:, :-1]
 
 
 # ---------------------------------------------------------------------------

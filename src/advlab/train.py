@@ -332,10 +332,10 @@ def _tape_pair_gradients(net, tape_clean, d_clean, tape_adv, d_adv, penalty):
     With a `penalty` config each pass also carries its tape's alpha-scaled
     penalty activation gradients.
     """
-    clean, adv = (
-        backward(net, tape, dlogits, None if penalty is None else penalty_dacts(tape, penalty))
-        for tape, dlogits in ((tape_clean, d_clean), (tape_adv, d_adv))
-    )
+    tapes = ((tape_clean, d_clean), (tape_adv, d_adv))
+    # both penalties before both passes: each kind of small kernel runs back to back
+    dacts = [None if penalty is None else penalty_dacts(tape, penalty) for tape, _ in tapes]
+    clean, adv = (backward(net, tape, dlogits, d) for (tape, dlogits), d in zip(tapes, dacts))
     return [g1 + g2 for g1, g2 in zip(clean, adv)]
 
 

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from advlab.attacks import AttackSpec, pgd
-from advlab.network import Layer, Network, cross_entropy, cw_margin, forward, input_gradient
+from advlab.attacks import AttackSpec, _random_start, pgd
+from advlab.network import (
+    Layer,
+    Network,
+    _backprop,
+    cross_entropy,
+    cw_margin,
+    forward,
+    input_gradient,
+    loss_logit_grad,
+)
 
 
 def linear_two_class():
@@ -105,6 +114,78 @@ class TestPgdProjection:
         a = pgd(net, x, labels, AttackSpec(0.1, 0.02, 5, random_start=True, seed=1))
         b = pgd(net, x, labels, AttackSpec(0.1, 0.02, 5, random_start=True, seed=2))
         assert not np.array_equal(a, b)
+
+
+def reference_pgd(net, x, labels, spec, ref_logits=None):
+    """Non-random-start PGD as separate steps: the full reverse pass, the
+    step, the clip to the ball, then the clip to the box."""
+    if spec.loss == "kl" and ref_logits is None:
+        ref_logits = forward(net, x).logits
+    adv = x.copy()
+    for _ in range(spec.steps):
+        tape = forward(net, adv)
+        grad = _backprop(net, tape, loss_logit_grad(spec.loss, tape.logits, labels, ref_logits), {})[1]
+        if spec.norm == "linf":
+            adv = adv + spec.step_size * np.sign(grad)
+            adv = np.clip(adv, x - spec.epsilon, x + spec.epsilon)
+        else:
+            adv = adv + spec.step_size * grad / np.maximum(np.linalg.norm(grad, axis=1, keepdims=True), 1e-300)
+            delta = adv - x
+            norms = np.linalg.norm(delta, axis=1, keepdims=True)
+            adv = x + delta * np.where(norms > spec.epsilon, spec.epsilon / np.maximum(norms, 1e-300), 1.0)
+        adv = np.clip(adv, 0.0, 1.0)
+    return adv
+
+
+class TestPgdMatchesReferenceLoop:
+    @pytest.mark.parametrize("spec", [
+        AttackSpec(0.15, 0.15, 1),
+        AttackSpec(0.15, 0.0375, 20),
+        AttackSpec(0.15, 0.0375, 20, loss="cw_margin"),
+        AttackSpec(0.15, 0.0375, 10, loss="kl"),
+        AttackSpec(0.75, 0.1875, 20, norm="l2"),
+        AttackSpec(0.75, 0.1875, 10, norm="l2", loss="kl"),
+    ], ids=["fgsm", "linf", "cw_margin", "kl", "l2", "l2-kl"])
+    @pytest.mark.parametrize("dims", [(32, 96, 96, 10), (784, 64, 10)])
+    def test_bit_identical(self, spec, dims):
+        rng = np.random.default_rng(30)
+        net = random_net(seed=31, dims=dims)
+        x = rng.uniform(0, 1, (50, dims[0]))
+        x[:, :3] = [0.0, 1.0, 0.05]  # the box binds on these columns
+        labels = rng.integers(0, dims[-1], size=50)
+        got = pgd(net, x, labels, spec)
+        assert got.tobytes() == reference_pgd(net, x, labels, spec).tobytes()
+
+
+class TestRandomStart:
+    @pytest.mark.parametrize("norm, epsilon", [("linf", 0.15), ("l2", 0.75)])
+    def test_rows_are_a_prefix_stream(self, norm, epsilon):
+        origin = np.random.default_rng(40).uniform(0, 1, (64, 32))
+        spec = AttackSpec(epsilon, epsilon, norm=norm, random_start=True, seed=41)
+        full = _random_start(origin, spec)
+        for k in (1, 7, 63):
+            assert np.array_equal(_random_start(origin[:k], spec), full[:k])
+
+    @pytest.mark.parametrize("norm, epsilon", [("linf", 0.15), ("l2", 0.75)])
+    def test_inside_the_ball_and_the_box(self, norm, epsilon):
+        rng = np.random.default_rng(42)
+        for seed in range(20):
+            origin = rng.uniform(0, 1, (50, 32))
+            origin[:, :2] = [0.0, 1.0]
+            start = _random_start(origin, AttackSpec(epsilon, epsilon, norm=norm, random_start=True, seed=seed))
+            assert np.all(start >= 0.0) and np.all(start <= 1.0)
+            delta = start - origin
+            if norm == "linf":
+                assert np.abs(delta).max() <= epsilon * (1 + 1e-12)
+            else:
+                assert np.linalg.norm(delta, axis=1).max() <= epsilon * (1 + 1e-12)
+
+    @pytest.mark.parametrize("norm, epsilon", [("linf", 0.15), ("l2", 0.75)])
+    def test_another_seed_changes_the_start(self, norm, epsilon):
+        origin = np.full((10, 32), 0.5)
+        a, b = (_random_start(origin, AttackSpec(epsilon, epsilon, norm=norm, random_start=True, seed=s))
+                for s in (1, 2))
+        assert np.all((a != b).any(axis=1))
 
 
 class TestAttackStrengthOrdering:

@@ -237,6 +237,21 @@ class TestBoundCommand:
         assert run(["bound", "--config", config, "--out", tmp_path / "x"]) == EXIT_IO
         assert "missing fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["xiao", "neyshabur"])
+    def test_spectral_kinds_do_not_read_stats(self, tmp_path, trained, kind):
+        bad = tmp_path / "stats_bad.csv"
+        bad.write_text("layer,dim\n1,48\n")
+        doc = {
+            "checkpoint": str(trained / "checkpoint.json"),
+            "kind": kind,
+            "stats": [str(bad)],
+            "inputs": {"gamma": 0.5, "delta": 0.05, "m": 100, "input_bound": 2.0},
+        }
+        config = write_config(tmp_path, doc, f"bound-{kind}-bad-stats.json")
+        out = tmp_path / f"bound-{kind}-out"
+        assert run(["bound", "--config", config, "--out", out]) == EXIT_OK
+        assert json.loads((out / "bound.json").read_text())["kind"] == kind
+
     def test_missing_checkpoint_exits_4(self, tmp_path):
         doc = {
             "checkpoint": str(tmp_path / "nope.json"),

@@ -146,6 +146,34 @@ class TestInversePsd:
         with pytest.raises(NotPositiveDefinite):
             inverse_psd(np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("m", [np.ones((3, 3)), [[1.0, 2.0], [2.0, 1.0]], -np.eye(4)],
+                             ids=["singular", "indefinite", "negative-definite"])
+    def test_rejects_singular_and_indefinite(self, m):
+        with pytest.raises(NotPositiveDefinite):
+            inverse_psd(m)
+
+    def test_rejects_singular_to_working_precision(self):
+        # a 1e-30 ridge on a zero direction: Cholesky succeeds with pivot 1e-15
+        with pytest.raises(NotPositiveDefinite):
+            inverse_psd(np.diag([1.0, 0.0]) + 1e-30 * np.eye(2))
+
+    @staticmethod
+    def ridged_activation_covariance():
+        # the decorrelation penalty's input: a ReLU layer's batch second moment plus a ridge
+        rng = np.random.default_rng(10)
+        a = np.maximum(rng.standard_normal((100, 96)) @ rng.standard_normal((96, 96)), 0.0)
+        cov = a.T @ a / 100
+        return cov + 5.0 * np.trace(cov) / 96 * np.eye(96)
+
+    def test_exactly_symmetric(self):
+        inv = inverse_psd(self.ridged_activation_covariance())
+        assert np.array_equal(inv, inv.T)
+
+    def test_matches_lu_inverse(self):
+        m = self.ridged_activation_covariance()
+        expect = np.linalg.inv(m)
+        assert np.abs(inverse_psd(m) - expect).max() <= 1e-12 * np.abs(expect).max()
+
 
 class TestKronecker:
     """Kronecker products via np.kron, the layout the Laplace factors assume."""

@@ -3,8 +3,10 @@ import pytest
 
 from conftest import away_from_relu_kinks, fd_input_gradient, fd_weight_gradients, max_rel_error
 
+from advlab import network
 from advlab.linalg import InvalidShape
 from advlab.network import (
+    LOSS_KINDS,
     CheckpointError,
     InvalidLabel,
     Layer,
@@ -22,6 +24,7 @@ from advlab.network import (
     kl_softmax_grad_p,
     kl_softmax_grad_q,
     load_checkpoint,
+    loss_logit_grad,
     margin_loss,
     save_checkpoint,
     softmax,
@@ -282,6 +285,38 @@ class TestInputGradient:
         ref = forward(net, x).logits
         got = input_gradient(net, x, "kl", ref_logits=ref)
         assert np.array_equal(got, np.zeros_like(x))
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @pytest.mark.parametrize("dims", [(32, 96, 96, 10), (784, 64, 32, 10)])
+    def test_bit_identical_to_the_full_reverse_pass(self, kind, dims):
+        rng = np.random.default_rng(15)
+        net = Network.he_init(list(dims), seed=16)
+        x = rng.uniform(0, 1, (100, dims[0]))
+        y = rng.integers(0, dims[-1], size=100)
+        ref = rng.standard_normal((100, dims[-1]))
+        tape = forward(net, x)
+        full = network._backprop(net, tape, loss_logit_grad(kind, tape.logits, y, ref), {})[1]
+        got = input_gradient(net, x, kind, y, ref)
+        assert got.tobytes() == full.tobytes()
+
+    def test_reverse_side_forms_no_weight_gradient(self, monkeypatch):
+        calls = {"_backprop": 0, "_augment": 0}
+
+        def counted(name):
+            original = getattr(network, name)
+
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return original(*args, **kw)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(network, name, counted(name))
+        net = Network.he_init([8, 6, 5, 3], seed=17)
+        x = np.random.default_rng(18).uniform(0, 1, (4, 8))
+        input_gradient(net, x, "cross_entropy", [0, 1, 2, 0])
+        # forward augments once per layer; the reverse side adds nothing
+        assert calls == {"_backprop": 0, "_augment": len(net.layers)}
 
 
 class TestHomogeneity:
