@@ -34,7 +34,7 @@ class DegenerateLayer(ValueError):
 
 
 class IncompleteStats(ValueError):
-    """Correlation statistics do not cover every layer."""
+    """Correlation statistics do not cover every layer, or name a layer the network lacks."""
 
 
 class InvalidMargin(ValueError):
@@ -131,9 +131,8 @@ def _lam_by_layer(net: Network, stats: list[LayerCorrStats]) -> dict[int, dict[s
         entry["lam_min"] = min(entry["lam_min"], s.lam_min)
         entry["logdet"] = min(entry["logdet"], s.logdet)
         entry["det_lb"] = min(entry["det_lb"], s.det_lb)
-    missing = set(range(1, len(net.layers) + 1)) - set(table)
-    if missing:
-        raise IncompleteStats(f"no statistics for layers {sorted(missing)}")
+    if set(table) != set(range(1, len(net.layers) + 1)):
+        raise IncompleteStats(f"statistics cover layers {sorted(table)}, not 1..{len(net.layers)}")
     return table
 
 

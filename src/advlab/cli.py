@@ -133,6 +133,9 @@ def _cmd_bound(doc, out: Path, seed: int | None) -> int:
     net = load_checkpoint(config.checkpoint)
     paths = config.stats if config.kind in ("corr", "corr_mixed") else ()  # the spectral kinds read none
     stats = [LayerCorrStats.read_csv(p) for p in paths] or None
+    for path, s in zip(paths, stats or ()):  # a layer beyond the net is evaluate_bound's to reject
+        if s.layer <= len(net.layers) and s.dim != (size := net.layers[s.layer - 1].weight.size):
+            raise ConfigError(f"stats {path} has dim {s.dim}; layer {s.layer} has {size} weights")
     try:
         report = evaluate_bound(net, config.inputs, config.kind, stats)
     except ValueError as exc:

@@ -262,7 +262,6 @@ class RunRecord:
     checkpoint_path: str
     wall_train_s: list[float]
     wall_eval_s: list[float]
-    diverged: bool = False
 
     @property
     def final(self) -> dict:

@@ -50,19 +50,23 @@ class StatsFormatError(ValueError):
 
 @dataclass
 class LayerCorrStats:
-    """Per-layer second-order weight statistics from one estimator.
+    """Per-layer second-order weight statistics from one estimator: one stats CSV row.
 
-    `dim` is the length of the vectorized layer weight and the size of its
-    correlation matrix R, which is never formed: every field comes from
-    `rc`, `rr` and the nonzero spectrum of R (see `_layer_stats`). When R
-    is singular, `lam_min` is 0, `logdet` is -inf and `det_lb` is the
-    trivial bound 0.
+    `dim` is the size of the layer's weight correlation R; no matrix is kept (`_layer_stats`).
+    R has unit diagonal, hence trace dim, so `validate()` checks, within 1e-8 relative,
+    that no field is NaN and:
+    - `source` is in SOURCES, `data` in DATA_TAGS, and `layer`, `dim`, `sample_count` >= 1;
+    - 0 <= lam_min <= 1 <= lam_max <= dim, and dim <= frob_sq <= dim^2;
+    - 1 <= lamc_max, lamr_max <= sqrt(dim): unit-diagonal factors whose sizes multiply to dim;
+    - dim * log(lam_min) <= logdet <= 0 (AM-GM); logdet is -inf exactly when lam_min is 0;
+    - 0 <= det_lb <= exp(logdet), so det_lb is 0 when R is singular.
     """
 
     layer: int
     dim: int
-    rc: np.ndarray
-    rr: np.ndarray
+    source: str
+    data: str
+    sample_count: int
     lam_max: float
     lam_min: float
     lamc_max: float
@@ -70,37 +74,39 @@ class LayerCorrStats:
     det_lb: float
     logdet: float
     frob_sq: float
-    source: str
-    data: str
-    sample_count: int
-
-    def validate(self):
-        for name, mat in (("rc", self.rc), ("rr", self.rr)):
-            if np.abs(mat - mat.T).max() > 1e-10:
-                raise ValueError(f"{name} is not symmetric")
-            if np.abs(np.diag(mat) - 1.0).max() > 1e-8:
-                raise ValueError(f"{name} does not have a unit diagonal")
-            if np.linalg.eigvalsh(mat).min() < -TOL_PSD:
-                raise ValueError(f"{name} is not PSD within tolerance")
-            if np.abs(mat).max() > 1.0 + 1e-12:
-                raise ValueError(f"{name} has off-diagonal magnitude above 1")
-        if self.lam_min > 1.0 + 1e-8 or self.lam_max < 1.0 - 1e-8:
-            raise ValueError("eigenvalue extremes must bracket 1 for unit-trace scaling")
-        if self.logdet > -np.inf and self.det_lb > np.exp(self.logdet) * (1 + 1e-9):
-            raise ValueError("determinant lower bound exceeds the determinant")
-        return self
 
     CSV_FIELDS = (
         "layer", "dim", "source", "data", "sample_count",
         "lam_max", "lam_min", "lamc_max", "lamr_max", "det_lb", "logdet", "frob_sq",
     )
 
+    def validate(self) -> "LayerCorrStats":
+        """The record itself, or ValueError naming the first invariant it breaks."""
+        if self.source not in SOURCES or self.data not in DATA_TAGS:
+            raise ValueError(f"unknown source {self.source!r} or data {self.data!r}")
+        tol, dim = 1e-8, max(float(self.dim), 1.0)  # a dim below 1 fails in the table
+        floor = dim * (np.log(self.lam_min) * (1.0 + tol) - tol) if self.lam_min > 0.0 else -np.inf
+        for name, lo, hi in (  # a NaN fails every comparison
+            ("layer", 1, np.inf), ("dim", 1, np.inf), ("sample_count", 1, np.inf),
+            ("lam_min", 0.0, 1.0 + tol),
+            ("lam_max", 1.0 - tol, dim * (1.0 + tol)),
+            *((name, 1.0 - tol, np.sqrt(dim) * (1.0 + tol)) for name in ("lamc_max", "lamr_max")),
+            ("frob_sq", dim * (1.0 - tol), dim * dim * (1.0 + tol)),
+            ("logdet", floor, dim * tol),  # every eigenvalue is at least lam_min
+            ("det_lb", 0.0, np.exp(min(self.logdet, 0.0)) * (1.0 + 1e-9)),
+        ):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} {getattr(self, name)!r} outside [{lo:.9g}, {hi:.9g}]")
+        if (self.lam_min == 0.0) != (self.logdet == -np.inf):
+            raise ValueError(f"lam_min {self.lam_min!r} is 0 iff logdet {self.logdet!r} is -inf")
+        return self
+
     def write_csv(self, path):
         write_csv(path, self.CSV_FIELDS, [[getattr(self, name) for name in self.CSV_FIELDS]])
 
     @classmethod
     def read_csv(cls, path) -> "LayerCorrStats":
-        """Inverse of write_csv; StatsFormatError for a file write_csv could not have written."""
+        """Inverse of write_csv; StatsFormatError for a file no estimate could have written."""
         with open(path, newline="", encoding="utf-8") as f:
             rows = list(csv.DictReader(f))
         if len(rows) != 1:
@@ -109,27 +115,30 @@ class LayerCorrStats:
         missing = [k for k in cls.CSV_FIELDS if row.get(k) is None]
         if missing:
             raise StatsFormatError(f"{path}: missing fields {', '.join(missing)}")
-        for name, allowed in (("source", SOURCES), ("data", DATA_TAGS)):
-            if row[name] not in allowed:
-                raise StatsFormatError(f"{path}: {name} {row[name]!r} is not one of {allowed}")
         ints, strs = ("layer", "dim", "sample_count"), ("source", "data")
         try:
-            kw = {k: int(row[k]) if k in ints else row[k] if k in strs else float(row[k])
-                  for k in cls.CSV_FIELDS}
-        except ValueError as exc:
+            return cls(**{k: int(row[k]) if k in ints else row[k] if k in strs else float(row[k])
+                          for k in cls.CSV_FIELDS}).validate()
+        except (ValueError, OverflowError) as exc:  # OverflowError: a dim beyond float range
             raise StatsFormatError(f"{path}: {exc}") from exc
-        dim_c = dim_r = 1  # matrices are not round-tripped through CSV
-        return cls(rc=np.eye(dim_c), rr=np.eye(dim_r), **kw)
 
 
-def _layer_stats(layer, dim, rc, rr, eig_c, eig_r, eig, source, sample_count) -> LayerCorrStats:
-    """The summary of a correlation matrix R of size `dim` from its nonzero spectrum.
+def _layer_stats(layer, rc, rr, eig_c, eig_r, eig, source, sample_count) -> LayerCorrStats:
+    """The checked summary of a correlation matrix R from its nonzero spectrum `eig`.
 
-    `eig` holds R's eigenvalues, possibly fewer than `dim` (the rest are
-    0); `rc`/`rr` are its column and row correlations and `eig_c`/`eig_r`
-    their ascending spectra. R is singular when an eigenvalue is missing
-    or at most TOL_PSD.
+    `rc`/`rr` are R's column/row correlations, `eig_c`/`eig_r` their ascending spectra. R has
+    size rc.shape[0] * rr.shape[0]; it is singular when `eig` is shorter or holds a value <= TOL_PSD.
     """
+    for name, mat, spectrum in (("rc", rc, eig_c), ("rr", rr, eig_r)):
+        if np.abs(mat - mat.T).max() > 1e-10:
+            raise ValueError(f"{name} is not symmetric")
+        if np.abs(np.diag(mat) - 1.0).max() > 1e-8:
+            raise ValueError(f"{name} does not have a unit diagonal")
+        if spectrum[0] < -TOL_PSD:
+            raise ValueError(f"{name} is not PSD within tolerance")
+        if np.abs(mat).max() > 1.0 + 1e-12:
+            raise ValueError(f"{name} has off-diagonal magnitude above 1")
+    dim = rc.shape[0] * rr.shape[0]
     lam_max = float(eig.max())
     if len(eig) < dim or eig.min() <= TOL_PSD:
         lam_min, logdet, det_lb = 0.0, -np.inf, 0.0  # the trivial determinant bound
@@ -138,20 +147,10 @@ def _layer_stats(layer, dim, rc, rr, eig_c, eig_r, eig, source, sample_count) ->
         logdet = float(np.sum(np.log(eig)))
         det_lb = det_lower_bound(min(lam_min, 1.0), max(lam_max, 1.0), dim)
     return LayerCorrStats(
-        layer=layer,
-        dim=dim,
-        rc=rc,
-        rr=rr,
-        lam_max=lam_max,
-        lam_min=lam_min,
-        lamc_max=float(np.sqrt(eig_c[-1])),
-        lamr_max=float(np.sqrt(eig_r[-1])),
-        det_lb=det_lb,
-        logdet=logdet,
+        layer=layer, dim=dim, source=source, data="clean", sample_count=sample_count,
+        lam_max=lam_max, lam_min=lam_min, lamc_max=float(np.sqrt(eig_c[-1])),
+        lamr_max=float(np.sqrt(eig_r[-1])), det_lb=det_lb, logdet=logdet,
         frob_sq=float(np.sum(eig * eig)),
-        source=source,
-        data="clean",
-        sample_count=sample_count,
     ).validate()
 
 
@@ -280,7 +279,7 @@ def corr_from_samples(deltas: list[list[np.ndarray]], layer: int) -> LayerCorrSt
     rc, rr = normalize_to_correlation(rc_raw), normalize_to_correlation(rr_raw)
     s = np.linalg.svd(flat, compute_uv=False)
     return _layer_stats(
-        layer, flat.shape[1], rc, rr, np.linalg.eigvalsh(rc), np.linalg.eigvalsh(rr),
+        layer, rc, rr, np.linalg.eigvalsh(rc), np.linalg.eigvalsh(rr),
         s * s / (count * sigma_sq), "sampling", count,
     )
 
@@ -302,7 +301,7 @@ def laplace_stats_from_factors(
               for f in (a_hat, h_hat))
     eig_c, eig_r = np.linalg.eigvalsh(rc), np.linalg.eigvalsh(rr)
     eig = np.multiply.outer(eig_c, eig_r).ravel()
-    return _layer_stats(layer, eig.size, rc, rr, eig_c, eig_r, eig, "laplace", sample_count)
+    return _layer_stats(layer, rc, rr, eig_c, eig_r, eig, "laplace", sample_count)
 
 
 def corr_from_laplace(

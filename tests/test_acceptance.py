@@ -271,7 +271,7 @@ def test_criterion_6_bound_calculator():
     def identity_stats(n):
         return [
             LayerCorrStats(
-                layer=i, dim=layer.weight.size, rc=np.eye(2), rr=np.eye(2),
+                layer=i, dim=layer.weight.size,
                 lam_max=1.0, lam_min=1.0, lamc_max=1.0, lamr_max=1.0,
                 det_lb=1.0, logdet=0.0, frob_sq=float(layer.weight.size),
                 source="laplace", data="clean", sample_count=1,
@@ -309,7 +309,7 @@ def test_criterion_6_bound_calculator():
                 violations += 1
         bigger = [
             LayerCorrStats(
-                layer=s.layer, dim=s.dim, rc=s.rc, rr=s.rr, lam_max=1.0, lam_min=1.0,
+                layer=s.layer, dim=s.dim, lam_max=1.0, lam_min=1.0,
                 lamc_max=1.4 * s.lamc_max, lamr_max=1.4 * s.lamr_max, det_lb=1.0,
                 logdet=0.0, frob_sq=s.frob_sq, source=s.source, data=s.data,
                 sample_count=1,

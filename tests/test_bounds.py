@@ -20,7 +20,7 @@ from advlab.weight_stats import LayerCorrStats
 def stats_entry(layer, dim, lamc=1.0, lamr=1.0, lam_max=1.0, lam_min=1.0,
                 logdet=0.0, det_lb=1.0, data="clean"):
     return LayerCorrStats(
-        layer=layer, dim=dim, rc=np.eye(2), rr=np.eye(2),
+        layer=layer, dim=dim,
         lam_max=lam_max, lam_min=lam_min, lamc_max=lamc, lamr_max=lamr,
         det_lb=det_lb, logdet=logdet, frob_sq=float(dim),
         source="laplace", data=data, sample_count=1,

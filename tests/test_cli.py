@@ -201,7 +201,7 @@ class TestBoundCommand:
         net = load_checkpoint(trained / "checkpoint.json")
         dim = net.layers[0].weight.size
         first = LayerCorrStats(
-            layer=1, dim=dim, rc=np.eye(2), rr=np.eye(2), lam_max=1.0, lam_min=1.0,
+            layer=1, dim=dim, lam_max=1.0, lam_min=1.0,
             lamc_max=1.0, lamr_max=1.0, det_lb=1.0, logdet=0.0, frob_sq=float(dim),
             source="laplace", data="clean", sample_count=1,
         )

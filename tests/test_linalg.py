@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from advlab import linalg
+from advlab.decorr import normalized_precision
 from advlab.linalg import (
     DegenerateDiagonal,
     InvalidEigenRange,
@@ -120,8 +121,10 @@ class TestLogdetPsd:
 
     def test_matches_eigenvalue_sum(self):
         rng = np.random.default_rng(5)
-        stats = laplace_stats_from_factors(random_pd(6, rng), random_pd(3, rng), 1e-3, 1, 1)
-        oracle = float(np.sum(np.log(np.linalg.eigvalsh(np.kron(stats.rc, stats.rr)))))
+        factors = random_pd(6, rng), random_pd(3, rng)
+        stats = laplace_stats_from_factors(*factors, 1e-3, 1, 1)
+        rc, rr = (normalized_precision(f, 1e-3 * float(np.trace(f)) / f.shape[0]) for f in factors)
+        oracle = float(np.sum(np.log(np.linalg.eigvalsh(np.kron(rc, rr)))))
         assert stats.logdet == pytest.approx(oracle, abs=1e-9)
 
     def test_rejects_indefinite(self):

@@ -1,10 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from advlab.data import Dataset, synth_blobs
-from advlab.decorr import Unsupported
-from advlab.linalg import det_lower_bound, frobenius_sq, random_correlation, spectral_norm
+from advlab.decorr import Unsupported, hessian_kron_factors, normalized_precision
+from advlab.linalg import (
+    det_lower_bound,
+    frobenius_sq,
+    normalize_to_correlation,
+    random_correlation,
+    spectral_norm,
+)
 from advlab.network import Layer, Network, backward, cross_entropy_grad, forward
 from advlab.weight_stats import (
     CorrelationStudy,
@@ -23,6 +31,7 @@ from advlab.weight_stats import (
     sample_weight_perturbations,
     simulate_correlation_study,
     _dataset_loss,
+    _layer_stats,
 )
 
 
@@ -33,6 +42,12 @@ def small_trained_net(ds, seed=1, steps=300, lr=0.5):
         grads = backward(net, tape, cross_entropy_grad(tape.logits, ds.labels))
         net = net.with_weights([w - lr * g for w, g in zip(net.weights, grads)])
     return net
+
+
+def laplace_correlations(net, ds, damping):
+    """The Laplace estimator's column and row correlations, formed from the same factors."""
+    factors = hessian_kron_factors(forward(net, ds.inputs), ds.labels, len(net.layers))
+    return [normalized_precision(f, damping * float(np.trace(f)) / f.shape[0]) for f in factors]
 
 
 class TestSampling:
@@ -108,8 +123,13 @@ class TestCorrFromSamples:
         h, samples = 8, 4000
         deltas = [[rng.standard_normal((h, h))] for _ in range(samples)]
         stats = corr_from_samples(deltas, 1)
-        off_c = stats.rc - np.eye(h)
-        off_r = stats.rr - np.eye(h)
+        # the estimator's correlations, from the same delta Gram sums
+        rc = normalize_to_correlation(sum(d[0].T @ d[0] for d in deltas) / samples)
+        rr = normalize_to_correlation(sum(d[0] @ d[0].T for d in deltas) / samples)
+        assert stats.lamc_max == np.sqrt(np.linalg.eigvalsh(rc)[-1])
+        assert stats.lamr_max == np.sqrt(np.linalg.eigvalsh(rr)[-1])
+        off_c = rc - np.eye(h)
+        off_r = rr - np.eye(h)
         tol = 5.0 / np.sqrt(samples * h)
         assert np.abs(off_c).max() < tol
         assert np.abs(off_r).max() < tol
@@ -156,8 +176,9 @@ class TestCorrFromSamples:
 class TestLaplace:
     def test_identity_factors_give_identity_correlations(self):
         stats = laplace_stats_from_factors(np.eye(5), np.eye(3), 1e-3, layer=1, sample_count=1)
-        assert np.array_equal(stats.rc, np.eye(5))
-        assert np.array_equal(stats.rr, np.eye(3))
+        # a unit-diagonal PSD matrix is the identity exactly when its top eigenvalue is 1
+        assert stats.lam_max == stats.lam_min == 1.0
+        assert stats.frob_sq == 15.0
         assert stats.det_lb == 1.0
         assert stats.logdet == 0.0
         assert stats.lamc_max == 1.0 and stats.lamr_max == 1.0
@@ -166,7 +187,9 @@ class TestLaplace:
         ds = synth_blobs(3, 20, 6, 0.1, seed=13)
         net = small_trained_net(ds)
         stats = corr_from_laplace(net, ds, 2, damping=1e6)
-        assert np.abs(stats.rc - np.eye(stats.rc.shape[0])).max() < 1e-3
+        rc = laplace_correlations(net, ds, 1e6)[0]
+        assert stats.lamc_max == pytest.approx(np.sqrt(np.linalg.eigvalsh(rc)[-1]), rel=1e-12)
+        assert np.abs(rc - np.eye(rc.shape[0])).max() < 1e-3
 
     def test_real_net_invariants(self):
         ds = synth_blobs(3, 20, 6, 0.1, seed=14)
@@ -182,7 +205,7 @@ class TestLaplace:
         ds = synth_blobs(3, 20, 4, 0.1, seed=17)
         net = small_trained_net(ds)
         stats = corr_from_laplace(net, ds, 2, damping=1e-3)
-        r = np.kron(stats.rc, stats.rr)
+        r = np.kron(*laplace_correlations(net, ds, 1e-3))
         eig = np.linalg.eigvalsh(r)
         sign, logdet = np.linalg.slogdet(r)
         assert stats.dim == r.shape[0] == 21
@@ -202,8 +225,9 @@ class TestLaplace:
         net = small_trained_net(ds)
         a = corr_from_laplace(net, ds, 2, damping=1e-3, chunk=7)
         b = corr_from_laplace(net, ds, 2, damping=1e-3, chunk=1000)
-        assert np.allclose(a.rc, b.rc, atol=1e-12)
+        # lamc_max and lamr_max are the fields the correlations rc and rr each determine alone
         assert a.lamc_max == pytest.approx(b.lamc_max, abs=1e-12)
+        assert a.lamr_max == pytest.approx(b.lamr_max, abs=1e-12)
 
 
 def flat_feature_case(k_flat, seed, d=6, classes=3, n=120):
@@ -354,16 +378,21 @@ class TestPerturbationBound:
 
 class TestStatsCsv:
     def test_round_trip_summary_fields(self, tmp_path):
+        # the record is the CSV row
+        assert tuple(f.name for f in dataclasses.fields(LayerCorrStats)) == LayerCorrStats.CSV_FIELDS
         rng = np.random.default_rng(20)
         deltas = [[rng.standard_normal((3, 4))] for _ in range(40)]
         stats = corr_from_samples(deltas, 1)
+        rank_deficient = corr_from_samples([[rng.standard_normal((3, 4))] for _ in range(5)], 1)
+        assert rank_deficient.lam_min == 0.0 and rank_deficient.logdet == -np.inf
+        ds = synth_blobs(3, 20, 4, 0.1, seed=21)
+        laplace = corr_from_laplace(small_trained_net(ds), ds, 2)
         path = tmp_path / "stats.csv"
-        stats.write_csv(path)
-        back = LayerCorrStats.read_csv(path)
-        for name in ("layer", "dim", "source", "data", "sample_count"):
-            assert getattr(back, name) == getattr(stats, name)
-        for name in ("lam_max", "lam_min", "lamc_max", "lamr_max", "det_lb", "frob_sq"):
-            assert getattr(back, name) == getattr(stats, name)
+        for record in (laplace, rank_deficient, stats):
+            record.write_csv(path)
+            back = LayerCorrStats.read_csv(path)
+            for name in LayerCorrStats.CSV_FIELDS:
+                assert getattr(back, name) == getattr(record, name), name
 
         # files write_csv could not have written are rejected, naming the fault
         header, row = path.read_text().splitlines()
@@ -376,8 +405,85 @@ class TestStatsCsv:
             ([header, row.replace(",clean,", ",noisy,")], "data 'noisy'"),
             ([header, row, row], "exactly one stats row"),
             ([header, row.replace(",40,", ",forty,")], "forty"),
+            ([header, row.replace("1,12,", "0,12,", 1)], "layer 0 outside"),
         ]
         for lines, message in malformed:
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(StatsFormatError, match=message):
                 LayerCorrStats.read_csv(path)
+
+
+class TestLayerStats:
+    """The one summary builder and the invariants `validate()` checks on every record."""
+
+    @pytest.mark.parametrize("estimator", ["laplace", "sampling"])
+    def test_one_eigvalsh_per_factor(self, monkeypatch, estimator):
+        rng = np.random.default_rng(30)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        if estimator == "laplace":
+            laplace_stats_from_factors(random_correlation(5, rng), random_correlation(3, rng), 1e-3, 1, 1)
+        else:
+            corr_from_samples([[rng.standard_normal((3, 5))] for _ in range(20)], 1)
+        assert sorted(calls) == [(3, 3), (5, 5)]
+
+    @pytest.mark.parametrize("rc, message", [
+        ([[1.0, 0.5], [0.4, 1.0]], "rc is not symmetric"),
+        ([[1.1, 0.0], [0.0, 1.0]], "rc does not have a unit diagonal"),
+        ([[1.0, 1.5], [1.5, 1.0]], "rc is not PSD"),
+        ([[1.0, 1.0 + 1e-11], [1.0 + 1e-11, 1.0]], "rc has off-diagonal magnitude above 1"),
+    ], ids=["asymmetric", "diagonal", "indefinite", "entry-above-one"])
+    def test_factor_that_is_no_correlation_rejected(self, rc, message):
+        rc, rr = np.array(rc), np.eye(3)
+        with pytest.raises(ValueError, match=message):
+            _layer_stats(1, rc, rr, np.linalg.eigvalsh(rc), np.linalg.eigvalsh(rr), np.ones(6),
+                         "laplace", 1)
+
+    RECORD = LayerCorrStats(
+        layer=1, dim=6, source="laplace", data="clean", sample_count=1, lam_max=1.5, lam_min=0.5,
+        lamc_max=1.2, lamr_max=1.1, det_lb=0.1, logdet=-0.5, frob_sq=7.0,
+    )
+
+    @pytest.mark.parametrize("change", [
+        {},
+        {"lam_max": 1.0, "lam_min": 1.0, "lamc_max": 1.0, "lamr_max": 1.0, "frob_sq": 6.0,
+         "logdet": 0.0, "det_lb": 1.0},
+        {"lam_min": 0.0, "logdet": -np.inf, "det_lb": 0.0},
+        {"lam_max": 6.0, "lamc_max": 6.0 ** 0.5, "frob_sq": 36.0, "lam_min": 0.0, "logdet": -np.inf,
+         "det_lb": 0.0},
+        {"lam_max": 1 - 5e-9, "lamr_max": 1 - 5e-9, "frob_sq": 6 * (1 - 5e-9), "logdet": 6 * 5e-9},
+    ], ids=["inside", "identity", "singular", "rank-one", "rounding"])
+    def test_validate_accepts_every_record_an_estimate_can_make(self, change):
+        dataclasses.replace(self.RECORD, **change).validate()
+
+    BROKEN = [
+        ({"source": "mcmc"}, "unknown source 'mcmc'"),
+        ({"data": "noisy"}, "data 'noisy'"),
+        ({"layer": 0}, "layer 0 outside"),
+        ({"dim": 0}, "dim 0 outside"),
+        ({"sample_count": 0}, "sample_count 0 outside"),
+        ({"lam_min": -1e-300}, "lam_min -1e-300 outside"),
+        ({"lam_min": 1.1}, "lam_min 1.1 outside"),
+        ({"lam_min": np.nan}, "lam_min nan outside"),
+        ({"lam_max": 0.95}, "lam_max 0.95 outside"),
+        ({"lam_max": 6.1}, "lam_max 6.1 outside"),
+        ({"lamc_max": np.nan}, "lamc_max nan outside"),
+        ({"lamc_max": 0.5}, "lamc_max 0.5 outside"),
+        ({"lamr_max": 2.5}, "lamr_max 2.5 outside"),
+        ({"frob_sq": 5.9}, "frob_sq 5.9 outside"),
+        ({"frob_sq": np.inf}, "frob_sq inf outside"),
+        ({"logdet": 50.0}, "logdet 50.0 outside"),
+        ({"logdet": np.nan}, "logdet nan outside"),
+        ({"logdet": -5.0}, "logdet -5.0 outside"),  # below 6 log(lam_min) = -4.16
+        ({"det_lb": -1.0}, "det_lb -1.0 outside"),
+        ({"det_lb": 0.7}, "det_lb 0.7 outside"),
+        ({"logdet": -np.inf, "det_lb": 0.0}, "logdet -inf outside"),
+        ({"lam_min": 0.0}, "lam_min 0.0 is 0 iff logdet -0.5 is -inf"),
+    ]
+
+    @pytest.mark.parametrize("change, message", BROKEN, ids=[
+        ",".join(f"{k}={v}" for k, v in change.items()) for change, _ in BROKEN])
+    def test_validate_names_the_broken_invariant(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(self.RECORD, **change).validate()
