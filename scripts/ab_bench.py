@@ -1,0 +1,185 @@
+"""Compare two git revisions on the benchmark, in alternating pairs of runs.
+
+    python3 scripts/ab_bench.py PARENT CHANGE --workloads attack train --pairs 10 --seed 501
+
+Each revision is exported with `git archive` into a temporary directory, and
+the command in `BENCHMARK.json` (`perfbench/run.py`) runs from each export:
+for every workload, `--pairs` pairs of one parent run and one change run on
+the same seed (`--seed` plus the pair index), the side that goes first
+alternating from pair to pair. Runs are sequential, and each lasts the
+`run_seconds` of `BENCHMARK.json`.
+
+For each workload and each end-to-end metric of `BENCHMARK.json` it prints
+both medians, the relative change of the medians, the parent's quartile
+spread (IQR) as a share of its median, and how many pairs the change won
+(ties count for neither side). It also says in how many pairs the `digests`
+lines, the hashes of every deterministic artifact, were equal.
+
+A run is malformed when it exits non-zero, or its last stdout line is not a
+JSON result with `failed` 0 and every end-to-end metric present with a finite
+value. The script exits 1 when any run was malformed, after printing the rest.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Malformed(ValueError):
+    """A benchmark run did not end with a well-formed, failure-free result."""
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def strict_json(line: str):
+    """`json.loads` that rejects the NaN, Infinity and -Infinity it accepts by default."""
+    return json.loads(line, parse_constant=_reject_constant)
+
+
+def parse_run(stdout: str, metric_names) -> tuple[dict, dict | None]:
+    """The end-to-end metric values and the digests of one run's standard output.
+
+    Raises `Malformed` unless the last line is a JSON result object with
+    `failed` 0 and every name of `metric_names` in its `metrics` with a
+    finite numeric value.
+    """
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise Malformed("no output")
+    try:
+        result = strict_json(lines[-1])
+    except ValueError as exc:
+        raise Malformed(f"last line is not a JSON result: {exc}: {lines[-1][:120]!r}") from exc
+    if not isinstance(result, dict) or not isinstance(result.get("metrics"), dict):
+        raise Malformed(f"last line is not a result object: {lines[-1][:120]!r}")
+    if result.get("failed") != 0:
+        raise Malformed(f"failed is {result.get('failed')!r}, not 0")
+    values = {}
+    for name in metric_names:
+        entry = result["metrics"].get(name)
+        value = entry.get("value") if isinstance(entry, dict) else None
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise Malformed(f"metric {name} is missing or not finite: {entry!r}")
+        values[name] = float(value)
+    digests = None
+    for line in lines[:-1]:
+        try:
+            doc = strict_json(line)
+        except ValueError:
+            continue
+        if isinstance(doc, dict) and "digests" in doc:
+            digests = doc["digests"]
+    return values, digests
+
+
+def export(rev: str, dest: Path) -> Path:
+    """Extract the tree of git revision `rev` into `dest`."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                         check=True, capture_output=True).stdout
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest
+
+
+def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: float,
+             metric_names) -> tuple[dict, dict | None]:
+    proc = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds)], cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = proc.stderr.strip().splitlines()[-1:] or [""]
+        raise Malformed(f"exit code {proc.returncode}: {tail[0][:200]}")
+    return parse_run(proc.stdout, metric_names)
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def report(workload: str, metrics: list[dict], pairs: list[dict], digests_moved: list[set]) -> list[str]:
+    """The table of one workload over the pairs in which both runs were well formed."""
+    out = [f"== {workload}: {len(pairs)} pairs"]
+    if not pairs:
+        return out
+    out.append(f"{'metric':24} {'parent':>12} {'change':>12} {'change%':>8} {'IQR%':>6} wins")
+    for metric in metrics:
+        name = metric["name"]
+        before = [p["parent"][name] for p in pairs]
+        after = [p["change"][name] for p in pairs]
+        mb, ma = statistics.median(before), statistics.median(after)
+        q1, q3 = quartiles(before)
+        sign = -1.0 if metric["better"] == "lower" else 1.0
+        wins = sum(sign * (a - b) > 0 for a, b in zip(after, before))
+        out.append(f"{name:24} {mb:12.6g} {ma:12.6g} {100 * (ma - mb) / mb:+7.1f}% "
+                   f"{100 * (q3 - q1) / abs(mb):5.1f}% {wins}/{len(pairs)}")
+    moved = sorted(set().union(*digests_moved))
+    out.append(f"digests equal in {sum(not m for m in digests_moved)}/{len(pairs)} pairs"
+               + (f"; differing: {', '.join(moved)}" if moved else ""))
+    return out
+
+
+def moved_digests(parent: dict | None, change: dict | None) -> set:
+    """Names of the artifacts whose digests differ, or {'<no digests line>'} when one is missing."""
+    if parent is None or change is None:
+        return {"<no digests line>"}
+    return {k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="git revision of the baseline")
+    parser.add_argument("change", help="git revision of the change")
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
+    args = parser.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = bench["end_to_end"]
+    names = [m["name"] for m in metrics]
+    malformed = 0
+    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
+        trees = {side: export(rev, Path(tmp) / side)
+                 for side, rev in (("parent", args.parent), ("change", args.change))}
+        for workload in args.workloads:
+            pairs, digests_moved = [], []
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                values, digests = {}, {}
+                for side in order:
+                    try:
+                        values[side], digests[side] = run_once(
+                            trees[side], bench["command"], workload, seed, bench["run_seconds"], names)
+                    except Malformed as exc:
+                        malformed += 1
+                        print(f"MALFORMED {workload} {side} seed {seed}: {exc}", flush=True)
+                        continue
+                    print(f"{workload} {side} seed {seed}: {json.dumps(values[side])}", flush=True)
+                if len(values) == 2:
+                    pairs.append(values)
+                    digests_moved.append(moved_digests(digests["parent"], digests["change"]))
+            print("\n".join(report(workload, metrics, pairs, digests_moved)), flush=True)
+    if malformed:
+        print(f"{malformed} malformed runs", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,7 +20,8 @@ import dataclasses
 import numpy as np
 
 from .linalg import InvalidShape, as_matrix
-from .network import LOSS_KINDS, Network, forward, input_gradient
+from .network import (LOSS_KINDS, Network, _as_input, _augmented_buffer, _forward, _input_gradient,
+                      forward)
 
 NORMS = ("linf", "l2")
 
@@ -54,43 +55,48 @@ class AttackSpec:
         return dataclasses.replace(self, **kw)
 
 
-def _project(x: np.ndarray, origin: np.ndarray, spec: AttackSpec) -> np.ndarray:
-    """Project `x` in place onto the epsilon ball around origin, then the [0,1] box.
+def _project_l2(x: np.ndarray, origin: np.ndarray, epsilon: float) -> np.ndarray:
+    """Project `x` in place onto the l2 epsilon ball around origin, then the [0,1] box.
 
     Box clipping moves coordinates toward the (in-box) origin, so it never
-    re-violates the ball constraint. For l-inf both intervals hold the
-    origin, so ball-then-box is one clip to their intersection; clipping
-    does not round, so the result is exactly that of the two clips.
+    re-violates the ball constraint.
     """
-    if spec.norm == "linf":
-        lo = np.subtract(origin, spec.epsilon)
-        np.maximum(lo, 0.0, out=lo)
-        hi = np.add(origin, spec.epsilon)
-        np.minimum(hi, 1.0, out=hi)
-        return np.clip(x, lo, hi, out=x)
     delta = x - origin
     norms = np.linalg.norm(delta, axis=1, keepdims=True)
-    delta *= np.where(norms > spec.epsilon, spec.epsilon / np.maximum(norms, 1e-300), 1.0)
+    delta *= np.where(norms > epsilon, epsilon / np.maximum(norms, 1e-300), 1.0)
     np.add(origin, delta, out=x)
     return np.clip(x, 0.0, 1.0, out=x)
 
 
-def _random_start(origin: np.ndarray, spec: AttackSpec) -> np.ndarray:
-    """Uniform draws from the epsilon ball around each row, projected into the box.
+def _linf_bounds(origin: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The l-inf ball around origin intersected with the [0,1] box, as (lo, hi).
+
+    Both intervals hold the origin, so projecting onto the ball and then the
+    box is one clip to (lo, hi); clipping does not round, so the result is
+    exactly that of the two clips.
+    """
+    lo = np.subtract(origin, epsilon)
+    np.maximum(lo, 0.0, out=lo)
+    hi = np.add(origin, epsilon)
+    np.minimum(hi, 1.0, out=hi)
+    return lo, hi
+
+
+def _random_offset(shape: tuple[int, int], spec: AttackSpec) -> np.ndarray:
+    """Uniform draws from the epsilon ball around 0, one per row; `pgd` adds them
+    to the batch and projects the sum into the box.
 
     The batch is drawn at once from sub-streams of `spec.seed` that are read
     row after row (see the module docstring), so row i depends only on
     (seed, i, dim).
     """
-    rows, dim = origin.shape
+    rows, dim = shape
     if spec.norm == "linf":
-        x = np.random.default_rng([spec.seed, 0]).uniform(-spec.epsilon, spec.epsilon, (rows, dim))
-    else:
-        x = np.random.default_rng([spec.seed, 0]).standard_normal((rows, dim))
-        radii = np.random.default_rng([spec.seed, 1]).uniform(size=(rows, 1)) ** (1.0 / dim)
-        x *= spec.epsilon * radii / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-300)
-    x += origin
-    return _project(x, origin, spec)
+        return np.random.default_rng([spec.seed, 0]).uniform(-spec.epsilon, spec.epsilon, (rows, dim))
+    offset = np.random.default_rng([spec.seed, 0]).standard_normal((rows, dim))
+    radii = np.random.default_rng([spec.seed, 1]).uniform(size=(rows, 1)) ** (1.0 / dim)
+    offset *= spec.epsilon * radii / np.maximum(np.linalg.norm(offset, axis=1, keepdims=True), 1e-300)
+    return offset
 
 
 def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=None) -> np.ndarray:
@@ -99,22 +105,46 @@ def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=No
     FGSM is the one-step case `AttackSpec(eps, eps, steps=1)`; logit-margin
     PGD is `loss="cw_margin"`. For the KL loss, `ref_logits` are the reference (clean) logits held
     fixed across steps; they default to the network's output on `batch`.
+
+    The buffers a step writes are made once per call: the iterate, held in
+    a bias-augmented buffer that the forward pass reads as it is, the input
+    gradient, its sign, and the l-inf bounds. The result is a view of the
+    iterate's buffer without its bias column.
     """
     if spec is None:
         raise InvalidShape("an AttackSpec is required")
-    origin = as_matrix(batch, "batch")
+    origin = _as_input(net, batch)
     if spec.loss == "kl" and ref_logits is None:
         ref_logits = forward(net, origin).logits
-    x = _random_start(origin, spec) if spec.random_start else origin.copy()
-    for _ in range(spec.steps):
-        step = input_gradient(net, x, spec.loss, labels, ref_logits)
+    xa = _augmented_buffer(*origin.shape)
+    x = xa[:, :-1]
+    if spec.norm == "linf":
+        lo, hi = _linf_bounds(origin, spec.epsilon)
+    if not spec.random_start:
+        x[...] = origin
+    else:
+        np.add(_random_offset(origin.shape, spec), origin, out=x)
         if spec.norm == "linf":
-            np.sign(step, out=step)
-            step *= spec.step_size
+            np.clip(x, lo, hi, out=x)
+        else:
+            _project_l2(x, origin, spec.epsilon)
+    step = np.empty(origin.shape)
+    if spec.norm == "linf":
+        # never in place: on numpy 2.4 np.sign(a, out=a) on float64 is about
+        # 4.5x slower than into another buffer ((1000, 784): 7.6 vs 1.7 ms)
+        sign = np.empty(origin.shape)
+    for _ in range(spec.steps):
+        as_matrix(x, "batch")  # the iterate must stay finite
+        _input_gradient(_forward(net, xa), spec.loss, labels, ref_logits, out=step)
+        if spec.norm == "linf":
+            np.sign(step, out=sign)
+            sign *= spec.step_size
+            x += sign
+            np.clip(x, lo, hi, out=x)
         else:
             norms = np.linalg.norm(step, axis=1, keepdims=True)
             step *= spec.step_size
             step /= np.maximum(norms, 1e-300)
-        x += step
-        _project(x, origin, spec)
+            x += step
+            _project_l2(x, origin, spec.epsilon)
     return x

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import inverse_psd, normalize_to_correlation
-from .network import ForwardTape, Network, StaleTape, _augment, softmax
+from .network import ForwardTape, Network, StaleTape, softmax
 
 LAYER_POLICIES = ("last", "all")
 
@@ -161,7 +161,7 @@ def hessian_kron_factors(tape: ForwardTape, labels, layer: int) -> tuple[np.ndar
     """
     if layer != len(tape.net.layers):
         raise Unsupported("Hessian factorization is available for the output layer only")
-    a = _augment(tape.activations[layer - 1])
+    a = tape.augmented[layer - 1]
     a_hat = _second_moment(a)
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (a.shape[0],):

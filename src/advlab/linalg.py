@@ -9,6 +9,8 @@ floating-point accumulation noise cannot trip strict symmetry checks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg.lapack
 
@@ -131,19 +133,16 @@ def det_lower_bound(lam_min: float, lam_max: float, dim: int) -> float:
     all spectra confined to [lam_min, lam_max] with that trace, the product
     of eigenvalues is minimized by splitting them between the extremes:
     k = dim*(lam_max - 1)/(lam_max - lam_min) eigenvalues at lam_min and
-    the rest at lam_max. k is generally non-integer; real exponentiation
-    keeps the trace-constrained reading. At large dim the value underflows
-    float64; use logdet_lower_bound where the logarithm is what matters.
+    the rest at lam_max. k is generally non-integer, which keeps the
+    trace-constrained reading. The value is exp(logdet_lower_bound),
+    so no intermediate power leaves float range: at large dim it underflows
+    to 0.0; use logdet_lower_bound where the logarithm is what matters.
     """
-    lam_min, lam_max = _check_eigen_bracket(lam_min, lam_max, dim)
-    if lam_max == lam_min:
-        return float(lam_min**dim)  # only possible at lam = 1
-    k = dim * (lam_max - 1.0) / (lam_max - lam_min)
-    return float(lam_min**k * lam_max ** (dim - k))
+    return math.exp(logdet_lower_bound(lam_min, lam_max, dim))
 
 
 def logdet_lower_bound(lam_min: float, lam_max: float, dim: int) -> float:
-    """log of det_lower_bound, computed without underflow."""
+    """log of det_lower_bound: k log(lam_min) + (dim - k) log(lam_max)."""
     lam_min, lam_max = _check_eigen_bracket(lam_min, lam_max, dim)
     if lam_max == lam_min:
         return float(dim * np.log(lam_min))

@@ -117,10 +117,14 @@ class ForwardTape:
     activations[0] is the raw input batch; activations[l] is the
     post-activation output of layer l; pre_activations[l-1] is layer l's
     affine output before the nonlinearity. Logits are the last
-    pre-activation (the final layer is identity).
+    pre-activation (the final layer is identity). augmented[l] is layer
+    l+1's input with the constant-1 bias column appended, the matrix its
+    GEMMs read; activations[l] for l < number of layers is its view
+    without that column.
     """
 
     net: Network
+    augmented: list[np.ndarray] = field(default_factory=list)
     activations: list[np.ndarray] = field(default_factory=list)
     pre_activations: list[np.ndarray] = field(default_factory=list)
 
@@ -133,25 +137,53 @@ class ForwardTape:
         return self.activations[0].shape[0]
 
 
-def _augment(a: np.ndarray) -> np.ndarray:
-    return np.hstack([a, np.ones((a.shape[0], 1))])
+def _augmented_buffer(rows: int, dim: int) -> np.ndarray:
+    """An uninitialised (rows, dim + 1) matrix whose last column is 1."""
+    buf = np.empty((rows, dim + 1))
+    buf[:, -1] = 1.0
+    return buf
 
 
-def forward(net: Network, batch) -> ForwardTape:
-    """Run the network on a batch (rows = samples), recording a tape."""
+def _as_input(net: Network, batch) -> np.ndarray:
+    """`batch` as a finite float64 matrix with the network's input width."""
     x = as_matrix(batch, "batch")
     if x.shape[1] != net.input_dim:
         raise InvalidShape(
             f"batch has {x.shape[1]} features, network expects {net.input_dim}"
         )
-    tape = ForwardTape(net=net, activations=[x])
-    a = x
-    for layer in net.layers:
-        z = _augment(a) @ layer.weight.T
+    return x
+
+
+def forward(net: Network, batch) -> ForwardTape:
+    """Run the network on a batch (rows = samples), recording a tape."""
+    x = _as_input(net, batch)
+    xa = _augmented_buffer(*x.shape)
+    xa[:, :-1] = x
+    return _forward(net, xa)
+
+
+def _forward(net: Network, xa: np.ndarray) -> ForwardTape:
+    """`forward` on a validated input held in an augmented buffer.
+
+    Each hidden layer writes its output straight into the next layer's
+    augmented buffer, so no input is copied to append the bias column.
+    """
+    tape = ForwardTape(net=net, augmented=[xa], activations=[xa[:, :-1]])
+    for layer in net.layers[:-1]:
+        z = tape.augmented[-1] @ layer.weight.T
+        buf = _augmented_buffer(*z.shape)
+        a = buf[:, :-1]
+        if layer.activation == "relu":
+            np.maximum(z, 0.0, out=a)
+        else:
+            a[...] = z
         tape.pre_activations.append(z)
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        tape.augmented.append(buf)
         tape.activations.append(a)
-    if not np.all(np.isfinite(tape.logits)):
+    logits = tape.augmented[-1] @ net.layers[-1].weight.T  # the final layer is identity
+    tape.pre_activations.append(logits)
+    tape.activations.append(logits)
+    if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits")
     return tape
 
@@ -170,30 +202,29 @@ def backward(net: Network, tape: ForwardTape, dlogits: np.ndarray, dacts=None) -
     further loss terms w.r.t. activations[l]; it joins the one reverse
     pass where the pass crosses that activation. With zero `dlogits` the
     blocks of the layers above every such activation are exactly zero.
+    The pass stops at layer 1's weight gradient: the input gradient is
+    `input_gradient`'s job.
     """
     _check_tape(net, tape)
     dacts = dacts or {}
     for idx, dact in dacts.items():
         if not 1 <= idx < len(net.layers) or np.shape(dact) != tape.activations[idx].shape:
             raise InvalidShape(f"activation gradient {idx} does not match an inner activation")
-    return _backprop(net, tape, dlogits, dacts)[0]
-
-
-def _backprop(net, tape, dlogits, dacts):
-    """Reverse pass from the logits down to the input: weight and input gradients."""
     dz = np.asarray(dlogits, dtype=np.float64)
     grads: list[np.ndarray] = []
     for idx in range(len(net.layers) - 1, -1, -1):
-        grads.append(dz.T @ _augment(tape.activations[idx]))
+        grads.append(dz.T @ tape.augmented[idx])
+        if idx == 0:
+            break
         da = (dz @ net.layers[idx].weight)[:, :-1]
         if idx in dacts:
             da = da + dacts[idx]
-        if idx > 0 and net.layers[idx - 1].activation == "relu":
+        if net.layers[idx - 1].activation == "relu":
             dz = da * (tape.pre_activations[idx - 1] > 0.0)
         else:
             dz = da
     grads.reverse()
-    return grads, da
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +351,20 @@ def input_gradient(net: Network, batch, kind: str, labels=None, ref_logits=None)
 
     An input-only reverse pass: each layer multiplies by its weight without
     the bias column and forms no weight gradient. Its result is bit-identical
-    to the input gradient of `backward`'s full pass.
+    to the input gradient of a full reverse pass, `(dz @ weight)[:, :-1]`.
     """
-    tape = forward(net, batch)
+    return _input_gradient(forward(net, batch), kind, labels, ref_logits)
+
+
+def _input_gradient(tape: ForwardTape, kind: str, labels, ref_logits, out=None) -> np.ndarray:
+    """`input_gradient` on a recorded tape; the last GEMM writes into `out` when given."""
+    layers = tape.net.layers
     dz = loss_logit_grad(kind, tape.logits, labels, ref_logits)
-    for idx in range(len(net.layers) - 1, 0, -1):
-        dz = dz @ net.layers[idx].weight[:, :-1]
-        if net.layers[idx - 1].activation == "relu":
+    for idx in range(len(layers) - 1, 0, -1):
+        dz = dz @ layers[idx].weight[:, :-1]
+        if layers[idx - 1].activation == "relu":
             dz *= tape.pre_activations[idx - 1] > 0.0
-    return dz @ net.layers[0].weight[:, :-1]
+    return np.matmul(dz, layers[0].weight[:, :-1], out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,22 @@ def fd_input_gradient(loss_fn, batch, step=1e-5):
     return g
 
 
+def full_reverse_input_gradient(net, tape, dlogits):
+    """Input gradient of the full reverse pass, the reference for the input-only one.
+
+    Every layer multiplies by its whole weight and drops the bias column
+    afterwards, the way a pass that also forms weight gradients would.
+    """
+    dz = dlogits
+    for idx in range(len(net.layers) - 1, -1, -1):
+        da = (dz @ net.layers[idx].weight)[:, :-1]
+        if idx > 0 and net.layers[idx - 1].activation == "relu":
+            dz = da * (tape.pre_activations[idx - 1] > 0.0)
+        else:
+            dz = da
+    return dz
+
+
 def max_rel_error(analytic, oracle):
     """Worst per-coordinate relative disagreement between two gradient stacks."""
     worst = 0.0

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from advlab.attacks import AttackSpec, _random_start, pgd
+from conftest import full_reverse_input_gradient
+
+from advlab.attacks import AttackSpec, _random_offset, pgd
+from advlab.linalg import InvalidShape
 from advlab.network import (
     Layer,
     Network,
-    _backprop,
     cross_entropy,
     cw_margin,
     forward,
@@ -124,7 +128,8 @@ def reference_pgd(net, x, labels, spec, ref_logits=None):
     adv = x.copy()
     for _ in range(spec.steps):
         tape = forward(net, adv)
-        grad = _backprop(net, tape, loss_logit_grad(spec.loss, tape.logits, labels, ref_logits), {})[1]
+        dlogits = loss_logit_grad(spec.loss, tape.logits, labels, ref_logits)
+        grad = full_reverse_input_gradient(net, tape, dlogits)
         if spec.norm == "linf":
             adv = adv + spec.step_size * np.sign(grad)
             adv = np.clip(adv, x - spec.epsilon, x + spec.epsilon)
@@ -157,14 +162,68 @@ class TestPgdMatchesReferenceLoop:
         assert got.tobytes() == reference_pgd(net, x, labels, spec).tobytes()
 
 
+class TestPgdBuffers:
+    @pytest.mark.parametrize("steps", [1, 20])
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    @pytest.mark.parametrize("random_start", [False, True])
+    def test_peak_memory_is_a_few_batches(self, norm, steps, random_start):
+        rng = np.random.default_rng(32)
+        net = random_net(seed=33, dims=(784, 64, 10))
+        x = rng.uniform(0, 1, (200, 784))
+        labels = rng.integers(0, 10, size=200)
+        eps = 0.3 if norm == "linf" else 2.0
+        spec = AttackSpec(eps, eps / 4, steps, norm=norm, random_start=random_start, seed=3)
+        tracemalloc.start()
+        try:
+            adv = pgd(net, x, labels, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the iterate, the gradient, its sign and the two l-inf bounds are
+        # made once per call; a step allocates no further (200, 784) array
+        assert peak <= 6 * x.nbytes, f"peak {peak / x.nbytes:.2f} batches"
+        assert adv.shape == x.shape
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_sign_never_writes_over_its_input(self, monkeypatch, norm):
+        original, calls = np.sign, []
+
+        def checked(a, *args, **kw):
+            out = kw.get("out", args[0] if args else None)
+            for o in out if isinstance(out, tuple) else (out,):
+                assert o is None or not np.shares_memory(o, a), "np.sign wrote over its input"
+            calls.append(a.shape)
+            return original(a, *args, **kw)
+
+        monkeypatch.setattr(np, "sign", checked)
+        rng = np.random.default_rng(34)
+        net = random_net(seed=35)
+        x = rng.uniform(0, 1, (8, 6))
+        pgd(net, x, rng.integers(0, 4, size=8), AttackSpec(0.2, 0.05, 3, norm=norm))
+        assert len(calls) == (3 if norm == "linf" else 0)
+
+    def test_non_finite_iterate_is_rejected(self):
+        # an l2 step along an infinite gradient leaves the iterate nan
+        net = Network([Layer(np.array([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]]), "identity")])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidShape, match="non-finite"):
+            pgd(net, np.array([[0.5, 0.5]]), [1], AttackSpec(0.1, 0.05, 3, norm="l2"))
+
+
+def pgd_start(origin, spec):
+    """pgd's projected random start: one step on a network whose input gradient is 0 adds 0 to it."""
+    net = Network([Layer(np.zeros((2, origin.shape[1] + 1)), "identity")])
+    return pgd(net, origin, np.zeros(len(origin), dtype=int), spec)
+
+
 class TestRandomStart:
     @pytest.mark.parametrize("norm, epsilon", [("linf", 0.15), ("l2", 0.75)])
     def test_rows_are_a_prefix_stream(self, norm, epsilon):
         origin = np.random.default_rng(40).uniform(0, 1, (64, 32))
         spec = AttackSpec(epsilon, epsilon, norm=norm, random_start=True, seed=41)
-        full = _random_start(origin, spec)
+        full = pgd_start(origin, spec)
         for k in (1, 7, 63):
-            assert np.array_equal(_random_start(origin[:k], spec), full[:k])
+            assert np.array_equal(_random_offset((k, 32), spec), _random_offset((64, 32), spec)[:k])
+            assert np.array_equal(pgd_start(origin[:k], spec), full[:k])
 
     @pytest.mark.parametrize("norm, epsilon", [("linf", 0.15), ("l2", 0.75)])
     def test_inside_the_ball_and_the_box(self, norm, epsilon):
@@ -172,7 +231,7 @@ class TestRandomStart:
         for seed in range(20):
             origin = rng.uniform(0, 1, (50, 32))
             origin[:, :2] = [0.0, 1.0]
-            start = _random_start(origin, AttackSpec(epsilon, epsilon, norm=norm, random_start=True, seed=seed))
+            start = pgd_start(origin, AttackSpec(epsilon, epsilon, norm=norm, random_start=True, seed=seed))
             assert np.all(start >= 0.0) and np.all(start <= 1.0)
             delta = start - origin
             if norm == "linf":
@@ -183,7 +242,7 @@ class TestRandomStart:
     @pytest.mark.parametrize("norm, epsilon", [("linf", 0.15), ("l2", 0.75)])
     def test_another_seed_changes_the_start(self, norm, epsilon):
         origin = np.full((10, 32), 0.5)
-        a, b = (_random_start(origin, AttackSpec(epsilon, epsilon, norm=norm, random_start=True, seed=s))
+        a, b = (pgd_start(origin, AttackSpec(epsilon, epsilon, norm=norm, random_start=True, seed=s))
                 for s in (1, 2))
         assert np.all((a != b).any(axis=1))
 

@@ -257,6 +257,11 @@ class TestDetLowerBound:
         log_bound = linalg.logdet_lower_bound(0.01, 3.0, 1000)
         assert np.isfinite(log_bound) and log_bound < -700
 
+    def test_no_overflow_where_the_bound_underflows(self):
+        # lam_max ** (dim - k) alone is about 1e400; the bound itself is about 1e-10800
+        assert det_lower_bound(1e-3, 10.0, 4000) == 0.0
+        assert linalg.logdet_lower_bound(1e-3, 10.0, 4000) < -700
+
     def test_convex_combinations_never_violate(self):
         rng = np.random.default_rng(23)
         dim = 6

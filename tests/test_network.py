@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import away_from_relu_kinks, fd_input_gradient, fd_weight_gradients, max_rel_error
+from conftest import (
+    away_from_relu_kinks,
+    fd_input_gradient,
+    fd_weight_gradients,
+    full_reverse_input_gradient,
+    max_rel_error,
+)
 
 from advlab import network
+from advlab.attacks import NORMS, AttackSpec, pgd
 from advlab.linalg import InvalidShape
 from advlab.network import (
     LOSS_KINDS,
@@ -295,28 +302,34 @@ class TestInputGradient:
         y = rng.integers(0, dims[-1], size=100)
         ref = rng.standard_normal((100, dims[-1]))
         tape = forward(net, x)
-        full = network._backprop(net, tape, loss_logit_grad(kind, tape.logits, y, ref), {})[1]
+        full = full_reverse_input_gradient(net, tape, loss_logit_grad(kind, tape.logits, y, ref))
         got = input_gradient(net, x, kind, y, ref)
         assert got.tobytes() == full.tobytes()
 
     def test_reverse_side_forms_no_weight_gradient(self, monkeypatch):
-        calls = {"_backprop": 0, "_augment": 0}
+        calls = {"hstack": 0, "backward": 0}
 
-        def counted(name):
-            original = getattr(network, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kw):
                 calls[name] += 1
                 return original(*args, **kw)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(network, name, counted(name))
+        counted(np, "hstack")
         net = Network.he_init([8, 6, 5, 3], seed=17)
         x = np.random.default_rng(18).uniform(0, 1, (4, 8))
-        input_gradient(net, x, "cross_entropy", [0, 1, 2, 0])
-        # forward augments once per layer; the reverse side adds nothing
-        assert calls == {"_backprop": 0, "_augment": len(net.layers)}
+        y = [0, 1, 2, 0]
+        tape = forward(net, x)
+        backward(net, tape, cross_entropy_grad(tape.logits, y), {1: np.ones((4, 6))})
+        counted(network, "backward")
+        input_gradient(net, x, "cross_entropy", y)
+        for norm in NORMS:
+            pgd(net, x, y, AttackSpec(0.1, 0.05, steps=2, norm=norm, random_start=True))
+        # tapes hold the bias-augmented layer inputs, so no pass appends the
+        # column again; the input gradient's reverse pass is not `backward`
+        assert calls == {"hstack": 0, "backward": 0}
 
 
 class TestHomogeneity:

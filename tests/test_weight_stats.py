@@ -201,6 +201,19 @@ class TestLaplace:
         assert np.isfinite(stats.logdet)
         assert stats.det_lb <= np.exp(stats.logdet) * (1 + 1e-9)
 
+    @pytest.mark.parametrize("damping", [1e-5, 1e-3])
+    def test_wide_low_rank_input_factor_keeps_det_lb_in_range(self, damping):
+        # a 200-wide rank-20 input factor with 10 outputs: the determinant
+        # bound underflows while lam_max ** (dim - k) would overflow
+        rng = np.random.default_rng(40)
+        g = rng.standard_normal((20, 200))
+        m = rng.standard_normal((10, 30))
+        stats = laplace_stats_from_factors(g.T @ g / 20, m @ m.T / 30, damping, layer=1, sample_count=20)
+        stats.validate()
+        assert stats.dim == 2000
+        assert stats.det_lb == 0.0
+        assert -np.inf < stats.logdet < -700
+
     def test_summary_matches_kronecker_product(self):
         ds = synth_blobs(3, 20, 4, 0.1, seed=17)
         net = small_trained_net(ds)
