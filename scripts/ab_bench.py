@@ -1,6 +1,7 @@
 """Compare two git revisions on the benchmark, in alternating pairs of runs.
 
-    python3 scripts/ab_bench.py PARENT CHANGE --workloads attack train --pairs 10 --seed 501
+    python3 scripts/ab_bench.py PARENT CHANGE --workloads attack train --pairs 10 --seed 501 \
+        [--json BENCH_<n>.json]
 
 Each revision is exported with `git archive` into a temporary directory, and
 the command in `BENCHMARK.json` (`perfbench/run.py`) runs from each export:
@@ -18,6 +19,12 @@ lines, the hashes of every deterministic artifact, were equal.
 A run is malformed when it exits non-zero, or its last stdout line is not a
 JSON result with `failed` 0 and every end-to-end metric present with a finite
 value. The script exits 1 when any run was malformed, after printing the rest.
+
+`--json PATH` also writes the report as JSON: both revisions (as given and
+as commits), per workload and metric the medians, the change, the parent's
+IQR and the win count, the number of pairs whose digests were equal and the
+names that differed, the count of malformed runs, and the `env` line of the
+first well-formed run.
 """
 
 from __future__ import annotations
@@ -49,12 +56,12 @@ def strict_json(line: str):
     return json.loads(line, parse_constant=_reject_constant)
 
 
-def parse_run(stdout: str, metric_names) -> tuple[dict, dict | None]:
-    """The end-to-end metric values and the digests of one run's standard output.
+def parse_run(stdout: str, metric_names) -> tuple[dict, dict | None, dict | None]:
+    """The end-to-end metric values, the digests and the env of one run's standard output.
 
     Raises `Malformed` unless the last line is a JSON result object with
     `failed` 0 and every name of `metric_names` in its `metrics` with a
-    finite numeric value.
+    finite numeric value. A missing digests or env line gives None.
     """
     lines = stdout.strip().splitlines()
     if not lines:
@@ -74,15 +81,15 @@ def parse_run(stdout: str, metric_names) -> tuple[dict, dict | None]:
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
             raise Malformed(f"metric {name} is missing or not finite: {entry!r}")
         values[name] = float(value)
-    digests = None
+    found = {"digests": None, "env": None}
     for line in lines[:-1]:
         try:
             doc = strict_json(line)
         except ValueError:
             continue
-        if isinstance(doc, dict) and "digests" in doc:
-            digests = doc["digests"]
-    return values, digests
+        if isinstance(doc, dict):
+            found.update({key: doc[key] for key in found if key in doc})
+    return values, found["digests"], found["env"]
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -96,7 +103,7 @@ def export(rev: str, dest: Path) -> Path:
 
 
 def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: float,
-             metric_names) -> tuple[dict, dict | None]:
+             metric_names) -> tuple[dict, dict | None, dict | None]:
     proc = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds)], cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -112,24 +119,38 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def report(workload: str, metrics: list[dict], pairs: list[dict], digests_moved: list[set]) -> list[str]:
-    """The table of one workload over the pairs in which both runs were well formed."""
-    out = [f"== {workload}: {len(pairs)} pairs"]
-    if not pairs:
-        return out
-    out.append(f"{'metric':24} {'parent':>12} {'change':>12} {'change%':>8} {'IQR%':>6} wins")
-    for metric in metrics:
+def summarize(metrics: list[dict], pairs: list[dict], digests_moved: list[set]) -> dict:
+    """One workload's comparison over the pairs in which both runs were well formed."""
+    table = {}
+    for metric in metrics if pairs else ():
         name = metric["name"]
         before = [p["parent"][name] for p in pairs]
         after = [p["change"][name] for p in pairs]
         mb, ma = statistics.median(before), statistics.median(after)
         q1, q3 = quartiles(before)
         sign = -1.0 if metric["better"] == "lower" else 1.0
-        wins = sum(sign * (a - b) > 0 for a, b in zip(after, before))
-        out.append(f"{name:24} {mb:12.6g} {ma:12.6g} {100 * (ma - mb) / mb:+7.1f}% "
-                   f"{100 * (q3 - q1) / abs(mb):5.1f}% {wins}/{len(pairs)}")
-    moved = sorted(set().union(*digests_moved))
-    out.append(f"digests equal in {sum(not m for m in digests_moved)}/{len(pairs)} pairs"
+        table[name] = {
+            "parent_median": mb, "change_median": ma, "change_pct": 100 * (ma - mb) / mb,
+            "parent_iqr_pct": 100 * (q3 - q1) / abs(mb),
+            "wins": sum(sign * (a - b) > 0 for a, b in zip(after, before)),  # ties count for neither
+        }
+    return {"pairs": len(pairs), "metrics": table,
+            "digests_equal_pairs": sum(not m for m in digests_moved),
+            "digests_differing": sorted(set().union(*digests_moved))}
+
+
+def report(workload: str, summary: dict) -> list[str]:
+    """The printed table of one workload's `summarize` record."""
+    n = summary["pairs"]
+    out = [f"== {workload}: {n} pairs"]
+    if not n:
+        return out
+    out.append(f"{'metric':24} {'parent':>12} {'change':>12} {'change%':>8} {'IQR%':>6} wins")
+    for name, m in summary["metrics"].items():
+        out.append(f"{name:24} {m['parent_median']:12.6g} {m['change_median']:12.6g} "
+                   f"{m['change_pct']:+7.1f}% {m['parent_iqr_pct']:5.1f}% {m['wins']}/{n}")
+    moved = summary["digests_differing"]
+    out.append(f"digests equal in {summary['digests_equal_pairs']}/{n} pairs"
                + (f"; differing: {', '.join(moved)}" if moved else ""))
     return out
 
@@ -141,6 +162,11 @@ def moved_digests(parent: dict | None, change: dict | None) -> set:
     return {k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k)}
 
 
+def resolve(rev: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="git revision of the baseline")
@@ -148,11 +174,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
+    parser.add_argument("--json", type=Path, help="also write the report to this JSON file")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = bench["end_to_end"]
     names = [m["name"] for m in metrics]
-    malformed = 0
+    doc = {"parent": {"rev": args.parent, "commit": resolve(args.parent)},
+           "change": {"rev": args.change, "commit": resolve(args.change)},
+           "seed": args.seed, "run_seconds": bench["run_seconds"], "env": None,
+           "malformed": 0, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         trees = {side: export(rev, Path(tmp) / side)
                  for side, rev in (("parent", args.parent), ("change", args.change))}
@@ -164,19 +194,23 @@ def main(argv=None) -> int:
                 values, digests = {}, {}
                 for side in order:
                     try:
-                        values[side], digests[side] = run_once(
+                        values[side], digests[side], env = run_once(
                             trees[side], bench["command"], workload, seed, bench["run_seconds"], names)
                     except Malformed as exc:
-                        malformed += 1
+                        doc["malformed"] += 1
                         print(f"MALFORMED {workload} {side} seed {seed}: {exc}", flush=True)
                         continue
+                    doc["env"] = doc["env"] or env
                     print(f"{workload} {side} seed {seed}: {json.dumps(values[side])}", flush=True)
                 if len(values) == 2:
                     pairs.append(values)
                     digests_moved.append(moved_digests(digests["parent"], digests["change"]))
-            print("\n".join(report(workload, metrics, pairs, digests_moved)), flush=True)
-    if malformed:
-        print(f"{malformed} malformed runs", file=sys.stderr)
+            doc["workloads"][workload] = summarize(metrics, pairs, digests_moved)
+            print("\n".join(report(workload, doc["workloads"][workload])), flush=True)
+    if args.json:
+        args.json.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    if doc["malformed"]:
+        print(f"{doc['malformed']} malformed runs", file=sys.stderr)
         return 1
     return 0
 

@@ -105,6 +105,9 @@ def _cmd_stats(doc, out: Path, seed: int | None) -> int:
         raise ConfigError(f"stats layer {layer!r} outside 1..{depth}")
     if not all(1 <= l <= depth for l in config.sampling.layers or ()):
         raise ConfigError(f"stats sampling.layers {list(config.sampling.layers)} outside 1..{depth}")
+    if config.method == "sampling" and layer not in (config.sampling.layers or range(1, depth + 1)):
+        raise ConfigError(f"stats layer {layer} is not in sampling.layers "
+                          f"{list(config.sampling.layers)}: its weights would never be perturbed")
     variants = [("clean", ds)]
     if config.attack is not None:
         adv = pgd(net, ds.inputs, ds.labels, config.attack.replace(seed=config.seed))

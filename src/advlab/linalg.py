@@ -141,13 +141,36 @@ def det_lower_bound(lam_min: float, lam_max: float, dim: int) -> float:
     return math.exp(logdet_lower_bound(lam_min, lam_max, dim))
 
 
-def logdet_lower_bound(lam_min: float, lam_max: float, dim: int) -> float:
-    """log of det_lower_bound: k log(lam_min) + (dim - k) log(lam_max)."""
+def logdet_lower_bound(lam_min, lam_max, dim: int):
+    """log of det_lower_bound: k log(lam_min) + (dim - k) log(lam_max).
+
+    Given ndarrays, one call returns the array of the floats that per-pair
+    calls give, bit for bit, after the same checks with the same messages.
+    Scalars keep a path of their own: numpy on 0-d arrays costs several
+    times as much per call.
+    """
+    if isinstance(lam_min, np.ndarray) or isinstance(lam_max, np.ndarray):
+        return _logdet_lower_bound_array(lam_min, lam_max, dim)
     lam_min, lam_max = _check_eigen_bracket(lam_min, lam_max, dim)
     if lam_max == lam_min:
         return float(dim * np.log(lam_min))
     k = dim * (lam_max - 1.0) / (lam_max - lam_min)
     return float(k * np.log(lam_min) + (dim - k) * np.log(lam_max))
+
+
+def _logdet_lower_bound_array(lam_min, lam_max, dim: int) -> np.ndarray:
+    lam_min, lam_max = np.broadcast_arrays(np.asarray(lam_min, dtype=np.float64),
+                                           np.asarray(lam_max, dtype=np.float64))
+    ok = ((0.0 < lam_min) & (lam_min <= 1.0 + TOL_PSD) & (1.0 - TOL_PSD <= lam_max)
+          & (lam_min <= lam_max))
+    if dim < 1 or not ok.all():  # a NaN is not ok; the scalar check raises on the first bad pair
+        i = np.argmin(ok)
+        _check_eigen_bracket(float(lam_min.flat[i]), float(lam_max.flat[i]), dim)
+    lam_min, lam_max = np.minimum(lam_min, 1.0), np.maximum(lam_max, 1.0)
+    with np.errstate(invalid="ignore"):  # k is 0/0 where lam_max == lam_min, i.e. both 1
+        k = dim * (lam_max - 1.0) / (lam_max - lam_min)
+        return np.where(lam_max == lam_min, dim * np.log(lam_min),
+                        k * np.log(lam_min) + (dim - k) * np.log(lam_max))
 
 
 def equicorrelation(dim: int, r: float) -> np.ndarray:

@@ -18,6 +18,7 @@ perturbation matrices.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ import scipy.stats
 from .data import Dataset, batches, epoch_seed_from
 from .decorr import Unsupported, hessian_kron_factors, normalized_precision
 from .io import write_csv
-from .linalg import TOL_PSD, det_lower_bound, normalize_to_correlation
-from .network import Network, backward, cross_entropy, cross_entropy_grad, forward
+from .linalg import TOL_PSD, det_lower_bound, logdet_lower_bound, normalize_to_correlation
+from .network import Layer, Network, backward, cross_entropy, cross_entropy_grad, forward
 
 STUDY_BLOCK = 1024  # matrices per batch of the random study: a few MB of working set
 
@@ -167,7 +168,7 @@ class SamplingConfig:
     refined by plain SGD (refine_epochs at refine_lr) and re-checked.
     noise_sigma = None scales the noise per layer to 0.01 * RMS(weights).
     `layers` restricts both the perturbation and the refinement to a
-    subset of layers (1-based); None perturbs the whole network.
+    non-empty subset of layers (1-based); None perturbs the whole network.
     """
 
     num_samples: int = 100
@@ -184,10 +185,8 @@ class SamplingConfig:
             raise ValueError("num_samples must be >= 2")
         if self.refine_epochs < 0 or min(self.loss_tolerance, self.refine_lr, self.refine_batch_size) <= 0:
             raise ValueError("need refine_epochs >= 0; loss_tolerance, refine_lr, refine_batch_size > 0")
-
-
-def _dataset_loss(net: Network, ds: Dataset) -> float:
-    return cross_entropy(forward(net, ds.inputs).logits, ds.labels)
+        if self.layers == ():
+            raise ValueError("layers must name at least one layer; omit it to perturb every layer")
 
 
 def _active_mask(net: Network, cfg: SamplingConfig) -> list[bool]:
@@ -216,34 +215,54 @@ def _refine(net: Network, ds: Dataset, cfg: SamplingConfig, active: list[bool], 
     return net
 
 
+def _read_only_zeros(w: np.ndarray) -> np.ndarray:
+    zeros = np.zeros_like(w)
+    zeros.flags.writeable = False
+    return zeros
+
+
 def sample_weight_perturbations(
     net: Network, ds: Dataset, cfg: SamplingConfig
 ) -> list[list[np.ndarray]]:
     """Accepted weight deltas u (one list of per-layer arrays per sample).
 
-    Raises SamplingStalled when 100 * num_samples draws are exhausted
-    before num_samples acceptances.
+    The layers below the first perturbed one never change, so their output
+    on `ds` comes from one forward pass of `net`; each draw forwards only
+    the head from there. A layer that is not perturbed gets one read-only
+    zero delta, shared by every sample. Raises SamplingStalled when
+    100 * num_samples draws are exhausted before num_samples acceptances.
     """
-    base_loss = _dataset_loss(net, ds)
     sigmas = _layer_sigmas(net, cfg)
     active = _active_mask(net, cfg)
+    first = active.index(True)
+    base = forward(net, ds.inputs)
+    base_loss = cross_entropy(base.logits, ds.labels)
+    head_input = base.activations[first]  # the only part of the base tape kept alive
+    del base
+    zeros = [None if on else _read_only_zeros(w) for w, on in zip(net.weights, active)]
+
+    def within_tolerance(layers: list[Layer]) -> bool:
+        """Whether a net equal to `net` below layer `first` keeps the loss within tolerance."""
+        loss = cross_entropy(forward(Network(layers[first:]), head_input).logits, ds.labels)
+        return abs(loss - base_loss) <= cfg.loss_tolerance
+
     accepted: list[list[np.ndarray]] = []
     max_draws = 100 * cfg.num_samples
     for draw in range(max_draws):
         if len(accepted) == cfg.num_samples:
             break
         rng = np.random.default_rng([cfg.seed, draw])
-        noise = [
-            sigma * rng.standard_normal(w.shape) if on else np.zeros_like(w)
-            for w, sigma, on in zip(net.weights, sigmas, active)
-        ]
-        candidate = net.with_weights([w + u for w, u in zip(net.weights, noise)])
-        if abs(_dataset_loss(candidate, ds) - base_loss) <= cfg.loss_tolerance:
+        noise = [sigma * rng.standard_normal(w.shape) if on else zero
+                 for w, sigma, on, zero in zip(net.weights, sigmas, active, zeros)]
+        layers = [Layer(layer.weight + u, layer.activation) if on else layer
+                  for layer, u, on in zip(net.layers, noise, active)]
+        if within_tolerance(layers):
             accepted.append(noise)
             continue
-        refined = _refine(candidate, ds, cfg, active, draw)
-        if abs(_dataset_loss(refined, ds) - base_loss) <= cfg.loss_tolerance:
-            accepted.append([rw - w for rw, w in zip(refined.weights, net.weights)])
+        refined = _refine(Network(layers), ds, cfg, active, draw)
+        if within_tolerance(refined.layers):
+            accepted.append([rw - w if on else zero for rw, w, on, zero
+                             in zip(refined.weights, net.weights, active, zeros)])
     if len(accepted) < cfg.num_samples:
         raise SamplingStalled(
             f"accepted {len(accepted)}/{cfg.num_samples} after {max_draws} draws"
@@ -380,10 +399,9 @@ def _random_study_rows(g: np.ndarray) -> np.ndarray:
     corr[:, np.arange(dim), np.arange(dim)] = 1.0
     eig = np.linalg.eigvalsh(corr)
     lam_max = eig[:, -1]
-    det_lb = [
-        det_lower_bound(min(lo, 1.0), max(hi, 1.0), dim)
-        for lo, hi in zip(np.maximum(eig[:, 0], 1e-12).tolist(), lam_max.tolist())
-    ]
+    logdet_lb = logdet_lower_bound(np.minimum(np.maximum(eig[:, 0], 1e-12), 1.0),
+                                   np.maximum(lam_max, 1.0), dim)
+    det_lb = [math.exp(v) for v in logdet_lb.tolist()]  # det_lower_bound's exp, not np.exp's bits
     frob = (corr * corr).reshape(k, -1).sum(axis=1)
     return np.column_stack([frob, np.sqrt(dim * lam_max), det_lb])
 

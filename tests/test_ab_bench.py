@@ -11,12 +11,13 @@ spec.loader.exec_module(ab_bench)
 
 NAMES = ["setup_s", "attack_row_steps_per_s"]
 DIGESTS = {"digests": {"evaluate.csv": ["ab12"]}}
+ENV = {"env": {"numpy": "2.4"}}
 
 
 def run_output(result, digests=DIGESTS):
     """Standard output shaped like perfbench's: env, digests, then the result line."""
     last = result if isinstance(result, str) else json.dumps(result)
-    return "\n".join([json.dumps({"env": {}}), json.dumps(digests), last]) + "\n"
+    return "\n".join([json.dumps(ENV), json.dumps(digests), last]) + "\n"
 
 
 def result(failed=0, **metrics):
@@ -27,9 +28,10 @@ def result(failed=0, **metrics):
 
 class TestParseRun:
     def test_good_line(self):
-        values, digests = ab_bench.parse_run(run_output(result()), NAMES)
+        values, digests, env = ab_bench.parse_run(run_output(result()), NAMES)
         assert values == {"setup_s": 1.25, "attack_row_steps_per_s": 5.0e4}
         assert digests == DIGESTS["digests"]
+        assert env == {"numpy": "2.4"}
 
     @pytest.mark.parametrize("last", [
         "", "Traceback (most recent call last):", '{"detail": {"rounds": 3}}',
@@ -61,7 +63,7 @@ class TestParseRun:
             ab_bench.parse_run("", NAMES)
 
     def test_missing_digests_line_is_reported(self):
-        values, digests = ab_bench.parse_run(run_output(result(), {"env": {}}), NAMES)
+        values, digests, env = ab_bench.parse_run(run_output(result(), {"other": {}}), NAMES)
         assert digests is None
         assert ab_bench.moved_digests(None, {"a": 1}) == {"<no digests line>"}
 
@@ -73,8 +75,46 @@ class TestReport:
         pairs = [{"parent": {"attack_row_steps_per_s": p, "setup_s": 1.0},
                   "change": {"attack_row_steps_per_s": c, "setup_s": 1.0}}
                  for p, c in ((100.0, 130.0), (110.0, 125.0), (120.0, 115.0), (100.0, 120.0))]
-        lines = ab_bench.report("attack", metrics, pairs, [set(), {"x.csv"}, set(), set()])
+        summary = ab_bench.summarize(metrics, pairs, [set(), {"x.csv"}, set(), set()])
+        lines = ab_bench.report("attack", summary)
         rows = {line.split()[0]: line.split() for line in lines[2:-1]}
         assert rows["attack_row_steps_per_s"][1:] == ["105", "122.5", "+16.7%", "11.9%", "3/4"]  # IQR 112.5 - 100
         assert rows["setup_s"][-1] == "0/4"  # ties count for neither side
         assert lines[-1] == "digests equal in 3/4 pairs; differing: x.csv"
+
+
+class TestJsonReport:
+    def test_main_writes_the_printed_report(self, tmp_path, monkeypatch, capsys):
+        runs = []
+
+        def fake_run(tree, command, workload, seed, seconds, names):
+            runs.append((tree.name, workload, seed))
+            if (tree.name, seed) == ("parent", 3):
+                raise ab_bench.Malformed("exit code 1: boom")
+            rate = {"parent": 100.0, "change": 120.0}[tree.name] + seed
+            digests = {"a.csv": [tree.name]} if seed == 2 else {"a.csv": ["same"]}
+            env = {"side": tree.name, "seed": seed}
+            return {n: rate if n == "attack_row_steps_per_s" else 1.0 for n in names}, digests, env
+
+        monkeypatch.setattr(ab_bench, "export", lambda rev, dest: dest)
+        monkeypatch.setattr(ab_bench, "resolve", lambda rev: f"sha-{rev}")
+        monkeypatch.setattr(ab_bench, "run_once", fake_run)
+        path = tmp_path / "BENCH.json"
+        code = ab_bench.main(["p", "c", "--workloads", "attack", "--pairs", "4", "--seed", "1",
+                              "--json", str(path)])
+        assert code == 1  # one malformed run
+        assert [r[0] for r in runs] == ["parent", "change", "change", "parent"] * 2  # alternating
+        doc = json.loads(path.read_text())
+        assert doc["parent"] == {"rev": "p", "commit": "sha-p"}
+        assert doc["change"] == {"rev": "c", "commit": "sha-c"}
+        assert doc["env"] == {"side": "parent", "seed": 1}
+        assert doc["malformed"] == 1
+        attack = doc["workloads"]["attack"]
+        assert attack["pairs"] == 3  # the pair with a malformed run is left out
+        assert attack["digests_equal_pairs"] == 2 and attack["digests_differing"] == ["a.csv"]
+        rate = attack["metrics"]["attack_row_steps_per_s"]
+        assert (rate["parent_median"], rate["change_median"], rate["wins"]) == (102.0, 122.0, 3)
+        assert attack["metrics"]["setup_s"]["wins"] == 0
+        printed = capsys.readouterr().out.splitlines()
+        table = printed[printed.index("== attack: 3 pairs"):]
+        assert table == ab_bench.report("attack", attack)

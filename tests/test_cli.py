@@ -288,7 +288,9 @@ class TestBoundCommand:
         ("evaluate", {"dataset": DATASET | {"num_classes": 2}},
          "dataset has 2 classes, checkpoint expects 3"),
         ("stats", {"method": "sampling", "layer": 2, "sampling": {"num_samples": 2, "layers": [1]}},
-         "all-zero weight samples"),
+         "stats layer 2 is not in sampling.layers [1]"),
+        ("stats", {"method": "sampling", "layer": 2, "sampling": {"num_samples": 2, "layers": []}},
+         "stats sampling: layers must name at least one layer"),
         ("stats", {"method": "sampling", "sampling": {"num_samples": 2, "noise_sigma": 0}},
          "all-zero weight samples"),
         ("stats", {"method": "laplace", "damping": 0}, "stats damping 0 is not"),
@@ -299,9 +301,9 @@ class TestBoundCommand:
     ],
     ids=["laplace-hidden-layer", "evaluate-input-dim", "stats-input-dim", "sampling-stalled",
          "sampling-layer-above-depth", "sampling-layer-zero", "evaluate-class-count",
-         "sampling-layer-never-perturbed", "sampling-zero-noise", "laplace-damping-zero",
-         "laplace-damping-negative", "laplace-damping-overflow", "laplace-damping-string",
-         "laplace-damping-tiny"],
+         "sampling-layer-never-perturbed", "sampling-layers-empty", "sampling-zero-noise",
+         "laplace-damping-zero", "laplace-damping-negative", "laplace-damping-overflow",
+         "laplace-damping-string", "laplace-damping-tiny"],
 )
 def test_unmeetable_request_exits_2_with_one_line(tmp_path, trained, capsys, command, extra, message):
     doc = {"checkpoint": str(trained / "checkpoint.json"), "dataset": DATASET} | extra

@@ -262,6 +262,24 @@ class TestDetLowerBound:
         assert det_lower_bound(1e-3, 10.0, 4000) == 0.0
         assert linalg.logdet_lower_bound(1e-3, 10.0, 4000) < -700
 
+    def test_log_form_on_arrays_matches_per_pair_calls(self):
+        rng = np.random.default_rng(31)
+        lo = np.append(rng.uniform(1e-12, 1.0, 5000), [1.0, 1.0, 1e-12])
+        hi = np.append(1.0 + rng.exponential(2.0, 5000), [1.0, 3.0, 1.0])
+        for dim in (9, 1000):
+            got = linalg.logdet_lower_bound(lo, hi, dim)
+            expected = [linalg.logdet_lower_bound(a, b, dim) for a, b in zip(lo.tolist(), hi.tolist())]
+            assert got.shape == lo.shape
+            assert got.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [(1.2, 2.0), (0.0, 2.0), (0.5, 0.9), (float("nan"), 2.0)])
+    def test_array_bracket_error_names_the_first_bad_pair(self, lo, hi):
+        with pytest.raises(InvalidEigenRange) as scalar:
+            linalg.logdet_lower_bound(lo, hi, 4)
+        with pytest.raises(InvalidEigenRange) as array:
+            linalg.logdet_lower_bound(np.array([0.5, lo, 0.0]), np.array([2.0, hi, 2.0]), 4)
+        assert str(array.value) == str(scalar.value)
+
     def test_convex_combinations_never_violate(self):
         rng = np.random.default_rng(23)
         dim = 6

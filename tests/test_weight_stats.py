@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from advlab import weight_stats
 from advlab.data import Dataset, synth_blobs
 from advlab.decorr import Unsupported, hessian_kron_factors, normalized_precision
 from advlab.linalg import (
@@ -13,7 +14,7 @@ from advlab.linalg import (
     random_correlation,
     spectral_norm,
 )
-from advlab.network import Layer, Network, backward, cross_entropy_grad, forward
+from advlab.network import Layer, Network, backward, cross_entropy, cross_entropy_grad, forward
 from advlab.weight_stats import (
     CorrelationStudy,
     DegenerateVariance,
@@ -30,13 +31,48 @@ from advlab.weight_stats import (
     laplace_stats_from_factors,
     sample_weight_perturbations,
     simulate_correlation_study,
-    _dataset_loss,
     _layer_stats,
 )
 
 
 def small_trained_net(ds, seed=1, steps=300, lr=0.5):
     net = Network.he_init([ds.dim, 6, ds.num_classes], seed=seed)
+    for _ in range(steps):
+        tape = forward(net, ds.inputs)
+        grads = backward(net, tape, cross_entropy_grad(tape.logits, ds.labels))
+        net = net.with_weights([w - lr * g for w, g in zip(net.weights, grads)])
+    return net
+
+
+def dataset_loss(net, ds):
+    return cross_entropy(forward(net, ds.inputs).logits, ds.labels)
+
+
+def reference_sampler(net, ds, cfg):
+    """The sampler with a full-network candidate per draw; also how many refined draws it kept."""
+    base_loss = dataset_loss(net, ds)
+    sigmas = weight_stats._layer_sigmas(net, cfg)
+    active = weight_stats._active_mask(net, cfg)
+    accepted, refined_kept = [], 0
+    for draw in range(100 * cfg.num_samples):
+        if len(accepted) == cfg.num_samples:
+            break
+        rng = np.random.default_rng([cfg.seed, draw])
+        noise = [sigma * rng.standard_normal(w.shape) if on else np.zeros_like(w)
+                 for w, sigma, on in zip(net.weights, sigmas, active)]
+        candidate = net.with_weights([w + u for w, u in zip(net.weights, noise)])
+        if abs(dataset_loss(candidate, ds) - base_loss) <= cfg.loss_tolerance:
+            accepted.append(noise)
+            continue
+        refined = weight_stats._refine(candidate, ds, cfg, active, draw)
+        if abs(dataset_loss(refined, ds) - base_loss) <= cfg.loss_tolerance:
+            accepted.append([rw - w for rw, w in zip(refined.weights, net.weights)])
+            refined_kept += 1
+    return accepted, refined_kept
+
+
+def deep_trained_net(ds, seed=11, steps=200, lr=0.3):
+    net = Network.he_init([ds.dim, 7, 6, ds.num_classes], seed=seed)
     for _ in range(steps):
         tape = forward(net, ds.inputs)
         grads = backward(net, tape, cross_entropy_grad(tape.logits, ds.labels))
@@ -79,10 +115,10 @@ class TestSampling:
             num_samples=6, loss_tolerance=0.05, refine_epochs=30, refine_lr=0.05,
             refine_batch_size=len(ds), noise_sigma=0.1, seed=5,
         )
-        base = _dataset_loss(net, ds)
+        base = dataset_loss(net, ds)
         for delta in sample_weight_perturbations(net, ds, cfg):
             shifted = net.with_weights([w + u for w, u in zip(net.weights, delta)])
-            assert abs(_dataset_loss(shifted, ds) - base) <= cfg.loss_tolerance
+            assert abs(dataset_loss(shifted, ds) - base) <= cfg.loss_tolerance
 
     def test_stalls_when_constraint_unreachable(self):
         ds = synth_blobs(2, 6, 3, 0.1, seed=6)
@@ -99,9 +135,63 @@ class TestSampling:
         cfg = SamplingConfig(
             num_samples=3, loss_tolerance=np.inf, noise_sigma=0.2, layers=(2,), seed=9
         )
-        for delta in sample_weight_perturbations(net, ds, cfg):
+        deltas = sample_weight_perturbations(net, ds, cfg)
+        for delta in deltas:
             assert np.array_equal(delta[0], np.zeros_like(delta[0]))
             assert np.any(delta[1] != 0.0)
+        # the unperturbed layer's zero delta is one read-only array shared by every sample
+        assert all(delta[0] is deltas[0][0] for delta in deltas)
+        assert not deltas[0][0].flags.writeable
+
+    def test_empty_layers_rejected(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            SamplingConfig(layers=())
+
+
+class TestSamplerHeadForward:
+    """The sampler forwards the frozen layers once and each draw only the head, bit for bit."""
+
+    @pytest.mark.parametrize("layers", [(3,), (2,), (1, 3), None])
+    def test_bit_identical_to_full_network_candidates(self, layers):
+        ds = synth_blobs(3, 12, 5, 0.1, seed=10)
+        net = deep_trained_net(ds)
+        cfg = SamplingConfig(num_samples=8, noise_sigma=0.05, layers=layers, seed=4)
+        expected, _ = reference_sampler(net, ds, cfg)
+        self.assert_same_deltas(sample_weight_perturbations(net, ds, cfg), expected)
+
+    def test_bit_identical_with_rejections_and_refinement(self):
+        ds = synth_blobs(3, 12, 5, 0.1, seed=10)
+        net = deep_trained_net(ds)
+        for layers in ((2, 3), None):
+            cfg = SamplingConfig(num_samples=6, loss_tolerance=0.02, refine_epochs=2, refine_lr=0.02,
+                                 refine_batch_size=8, noise_sigma=0.3, layers=layers, seed=3)
+            expected, refined_kept = reference_sampler(net, ds, cfg)
+            assert refined_kept > 0
+            self.assert_same_deltas(sample_weight_perturbations(net, ds, cfg), expected)
+
+    @pytest.mark.parametrize("layers, first", [((3,), 3), ((2, 3), 2), ((1,), 1), (None, 1)])
+    def test_each_draw_forwards_only_the_head(self, monkeypatch, layers, first):
+        ds = synth_blobs(3, 12, 5, 0.1, seed=10)
+        net = deep_trained_net(ds)
+        depth = len(net.layers)
+        depths = []
+
+        def counting_forward(model, batch):
+            depths.append(len(model.layers))
+            return forward(model, batch)
+
+        monkeypatch.setattr(weight_stats, "forward", counting_forward)
+        cfg = SamplingConfig(num_samples=5, loss_tolerance=np.inf, noise_sigma=0.1, layers=layers,
+                             seed=2)
+        sample_weight_perturbations(net, ds, cfg)
+        assert depths == [depth] + [depth - first + 1] * cfg.num_samples  # one base pass, then heads
+
+    @staticmethod
+    def assert_same_deltas(got, expected):
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert [u.shape for u in g] == [u.shape for u in e]
+            assert [u.tobytes() for u in g] == [u.tobytes() for u in e]
 
 
 class TestCorrFromSamples:
@@ -346,6 +436,15 @@ class TestCorrelationStudy:
         rho_det = scipy.stats.spearmanr(rows[:, 0], rows[:, 2]).statistic
         assert study.rho_frob_lam == pytest.approx(rho_lam, abs=1e-12)
         assert study.rho_frob_det == pytest.approx(rho_det, abs=1e-12)
+
+    def test_batched_det_lb_is_det_lower_bound_per_matrix(self, monkeypatch):
+        spectra, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(eigvalsh(a)) or spectra[-1])
+        rows = weight_stats._random_study_rows(np.random.default_rng(5).standard_normal((3000, 9, 18)))
+        (eig,) = spectra
+        expected = [det_lower_bound(min(max(lo, 1e-12), 1.0), max(hi, 1.0), 9)
+                    for lo, hi in zip(eig[:, 0].tolist(), eig[:, -1].tolist())]
+        assert rows[:, 2].tobytes() == np.array(expected).tobytes()
 
     def test_csv_output(self, tmp_path):
         study = simulate_correlation_study(5, 10, "random", seed=2)
