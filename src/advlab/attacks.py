@@ -5,7 +5,7 @@ epsilon ball and the box. sign(0) = 0, so coordinates with zero gradient are
 left untouched by sign-based steps.
 
 The optional random start is drawn for the whole batch at once from
-sub-streams of the spec's seed, each read row after row in C order:
+sub-streams of the caller's `seed`, each read row after row in C order:
 l-inf takes a (rows, dim) uniform draw from `default_rng([seed, 0])`; l2
 takes its (rows, dim) normal directions from `default_rng([seed, 0])` and
 its (rows, 1) radius quantiles from `default_rng([seed, 1])`. So row i's
@@ -33,7 +33,6 @@ class AttackSpec:
     steps: int = 1
     norm: str = "linf"
     random_start: bool = False
-    seed: int = 0
     loss: str = "cross_entropy"
 
     def __post_init__(self):
@@ -50,9 +49,6 @@ class AttackSpec:
         # epsilon = 0 is the degenerate no-op attack (projection pins the input)
         if self.epsilon > 0 and self.step_size > 2 * self.epsilon:
             raise ValueError("step_size must not exceed 2*epsilon")
-
-    def replace(self, **kw) -> "AttackSpec":
-        return dataclasses.replace(self, **kw)
 
 
 def _project_l2(x: np.ndarray, origin: np.ndarray, epsilon: float) -> np.ndarray:
@@ -82,29 +78,31 @@ def _linf_bounds(origin: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.nda
     return lo, hi
 
 
-def _random_offset(shape: tuple[int, int], spec: AttackSpec) -> np.ndarray:
+def _random_offset(shape: tuple[int, int], spec: AttackSpec, seed: int) -> np.ndarray:
     """Uniform draws from the epsilon ball around 0, one per row; `pgd` adds them
     to the batch and projects the sum into the box.
 
-    The batch is drawn at once from sub-streams of `spec.seed` that are read
+    The batch is drawn at once from sub-streams of `seed` that are read
     row after row (see the module docstring), so row i depends only on
     (seed, i, dim).
     """
     rows, dim = shape
     if spec.norm == "linf":
-        return np.random.default_rng([spec.seed, 0]).uniform(-spec.epsilon, spec.epsilon, (rows, dim))
-    offset = np.random.default_rng([spec.seed, 0]).standard_normal((rows, dim))
-    radii = np.random.default_rng([spec.seed, 1]).uniform(size=(rows, 1)) ** (1.0 / dim)
+        return np.random.default_rng([seed, 0]).uniform(-spec.epsilon, spec.epsilon, (rows, dim))
+    offset = np.random.default_rng([seed, 0]).standard_normal((rows, dim))
+    radii = np.random.default_rng([seed, 1]).uniform(size=(rows, 1)) ** (1.0 / dim)
     offset *= spec.epsilon * radii / np.maximum(np.linalg.norm(offset, axis=1, keepdims=True), 1e-300)
     return offset
 
 
-def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=None) -> np.ndarray:
+def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=None,
+        seed: int = 0) -> np.ndarray:
     """Projected gradient ascent on the configured loss within the ball.
 
     FGSM is the one-step case `AttackSpec(eps, eps, steps=1)`; logit-margin
     PGD is `loss="cw_margin"`. For the KL loss, `ref_logits` are the reference (clean) logits held
     fixed across steps; they default to the network's output on `batch`.
+    `seed` names the random start's stream; it is read only with `spec.random_start`.
 
     The buffers a step writes are made once per call: the iterate, held in
     a bias-augmented buffer that the forward pass reads as it is, the input
@@ -123,7 +121,7 @@ def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=No
     if not spec.random_start:
         x[...] = origin
     else:
-        np.add(_random_offset(origin.shape, spec), origin, out=x)
+        np.add(_random_offset(origin.shape, spec, seed), origin, out=x)
         if spec.norm == "linf":
             np.clip(x, lo, hi, out=x)
         else:

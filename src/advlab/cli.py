@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Subcommands: train, evaluate, stats, bound, simulate. Each takes
---config <json> and --out <dir>; --seed overrides the config's seed.
+--config <json> and --out <dir>; --seed overrides the config's seed
+(`bound` draws no random numbers and rejects it).
 Exit codes: 0 success, 2 configuration error, 3 diverged training,
 4 I/O or file-format error.
 """
@@ -97,6 +98,8 @@ def _cmd_evaluate(doc, out: Path, seed: int | None) -> int:
 
 def _cmd_stats(doc, out: Path, seed: int | None) -> int:
     config = build_config(StatsConfig, doc, "stats", seed=seed)
+    if "seed" in doc.get("sampling", {}):  # the dataclass keeps the field for in-process callers
+        raise ConfigError("stats sampling.seed is not accepted: the sampler draws from the run 'seed'")
     net = load_checkpoint(config.checkpoint)
     ds = _checked_dataset(net, config.dataset, config.split)
     depth = len(net.layers)
@@ -110,7 +113,7 @@ def _cmd_stats(doc, out: Path, seed: int | None) -> int:
                           f"{list(config.sampling.layers)}: its weights would never be perturbed")
     variants = [("clean", ds)]
     if config.attack is not None:
-        adv = pgd(net, ds.inputs, ds.labels, config.attack.replace(seed=config.seed))
+        adv = pgd(net, ds.inputs, ds.labels, config.attack, seed=config.seed)
         variants.append(("adversarial", Dataset(adv, ds.labels, ds.num_classes, f"{ds.name}-adv")))
     for tag, data in variants:
         if config.method == "laplace":
@@ -131,7 +134,8 @@ def _cmd_stats(doc, out: Path, seed: int | None) -> int:
 
 
 def _cmd_bound(doc, out: Path, seed: int | None) -> int:
-    del seed  # bound evaluation is deterministic in its inputs
+    if seed is not None:
+        raise ConfigError("bound takes no --seed: its evaluation draws no random numbers")
     config = build_config(BoundConfig, doc, "bound")
     net = load_checkpoint(config.checkpoint)
     paths = config.stats if config.kind in ("corr", "corr_mixed") else ()  # the spectral kinds read none

@@ -287,9 +287,9 @@ def _step_gradients(net, xb, yb, config: RunConfig, attack_seed: int):
         return loss, backward(net, tape, cross_entropy_grad(tape.logits, yb))
 
     penalty = config.penalty if method.endswith("_decorr") and config.penalty.alpha > 0 else None
-    spec = config.attack_train.replace(seed=attack_seed)
+    spec = config.attack_train
     if method.startswith("at"):
-        x_adv = pgd(net, xb, yb, spec)
+        x_adv = pgd(net, xb, yb, spec, seed=attack_seed)
         tape_adv = forward(net, x_adv)
         loss = cross_entropy(tape_adv.logits, yb)
         d_adv = cross_entropy_grad(tape_adv.logits, yb)
@@ -301,8 +301,8 @@ def _step_gradients(net, xb, yb, config: RunConfig, attack_seed: int):
 
     # trades family: clean CE plus KL to the attacked input, both sides live
     tape_clean = forward(net, xb)
-    kl_spec = spec.replace(loss="kl", random_start=True)  # KL gradient vanishes at x
-    x_adv = pgd(net, xb, None, kl_spec, ref_logits=tape_clean.logits)
+    kl_spec = dataclasses.replace(spec, loss="kl", random_start=True)  # KL gradient vanishes at x
+    x_adv = pgd(net, xb, None, kl_spec, ref_logits=tape_clean.logits, seed=attack_seed)
     tape_adv = forward(net, x_adv)
     return trades_gradients(net, tape_clean, tape_adv, yb, config.trades_lambda, penalty)
 
@@ -353,7 +353,7 @@ def _epoch_metrics(net, train, test, idx_train, idx_test, config: RunConfig, mas
         tapes[tag] = forward(net, x)
         rows[f"clean_{tag}"] = accuracy(tapes[tag].logits, y)
         if config.attack_eval is not None:
-            adv = pgd(net, x, y, config.attack_eval.replace(seed=eval_seed))
+            adv = pgd(net, x, y, config.attack_eval, seed=eval_seed)
             rows[f"pgd_{tag}"] = accuracy(forward(net, adv).logits, y)
         else:
             rows[f"pgd_{tag}"] = rows[f"clean_{tag}"]
@@ -452,14 +452,17 @@ def train(config: RunConfig, out_dir) -> RunRecord:
 
 
 def evaluate(net: Network, ds: Dataset, attacks: list[AttackSpec], seed: int = 0) -> list[dict]:
-    """Clean accuracy plus robust accuracy under each attack spec."""
+    """Clean accuracy plus robust accuracy under each attack spec.
+
+    Attack i starts from the eval sub-stream (seed, _EVAL, i), so random-start
+    attacks listed more than once are independent restarts.
+    """
     rows = [{
         "attack": "clean", "norm": "", "epsilon": 0.0, "steps": 0, "step_size": 0.0,
         "loss": "", "accuracy": accuracy(forward(net, ds.inputs).logits, ds.labels),
     }]
-    for spec in attacks:
-        eval_spec = spec.replace(seed=epoch_seed_from(seed, _EVAL))
-        adv = pgd(net, ds.inputs, ds.labels, eval_spec)
+    for i, spec in enumerate(attacks):
+        adv = pgd(net, ds.inputs, ds.labels, spec, seed=epoch_seed_from(seed, _EVAL, i))
         rows.append({
             "attack": "pgd" if spec.loss == "cross_entropy" else spec.loss,
             "norm": spec.norm, "epsilon": spec.epsilon, "steps": spec.steps,

@@ -368,8 +368,6 @@ class CorrelationStudy:
     rows: np.ndarray  # (n, 3)
     rho_frob_lam: float
     rho_frob_det: float
-    seed: int | None = None
-    r_values: np.ndarray | None = None
 
     HEADER = ("frob_sq", "lam_proxy", "det_lb")
 
@@ -377,16 +375,17 @@ class CorrelationStudy:
         write_csv(path, self.HEADER, self.rows)
 
 
-def equicorrelation_row(dim: int, r: float) -> tuple[float, float, float]:
-    """Closed-form (frob_sq, lam_proxy, det_lb) for the equicorrelation family."""
+def _equicorrelation_study_rows(dim: int, r: np.ndarray) -> np.ndarray:
+    """Closed-form study rows of the equicorrelation matrices of the values `r`.
+
+    The spectrum is 1 + (dim-1)r once and 1 - r with multiplicity dim-1.
+    """
     frob = dim + dim * (dim - 1) * r * r
-    if r >= 0:
-        lam_max, lam_min = 1.0 + (dim - 1) * r, 1.0 - r
-    else:
-        lam_max, lam_min = 1.0 - r, 1.0 + (dim - 1) * r
-    proxy = float(np.sqrt(dim * lam_max))
-    det_lb = det_lower_bound(min(lam_min, 1.0), max(lam_max, 1.0), dim)
-    return float(frob), proxy, det_lb
+    top, rest = 1.0 + (dim - 1) * r, 1.0 - r
+    lam_max, lam_min = np.maximum(top, rest), np.minimum(top, rest)
+    logdet_lb = logdet_lower_bound(np.minimum(lam_min, 1.0), np.maximum(lam_max, 1.0), dim)
+    det_lb = [math.exp(v) for v in logdet_lb.tolist()]  # det_lower_bound's exp, not np.exp's bits
+    return np.column_stack([frob, np.sqrt(dim * lam_max), det_lb])
 
 
 def _random_study_rows(g: np.ndarray) -> np.ndarray:
@@ -426,9 +425,8 @@ def simulate_correlation_study(
         raise ValueError("n_samples must be >= 2: a rank correlation needs two rows")
     if family not in STUDY_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    rows = np.empty((n_samples, 3))
-    r_values = None
     if family == "random":
+        rows = np.empty((n_samples, 3))
         rng = np.random.default_rng(seed)
         for start in range(0, n_samples, STUDY_BLOCK):
             g = rng.standard_normal((min(STUDY_BLOCK, n_samples - start), dim, 2 * dim))
@@ -437,9 +435,7 @@ def simulate_correlation_study(
         lo, hi = r_range
         if not (-1.0 / (dim - 1) < lo < hi < 1.0):
             raise ValueError(f"r_range {r_range} needs lo < hi inside the PSD range")
-        r_values = np.linspace(lo, hi, n_samples)
-        for i, r in enumerate(r_values):
-            rows[i] = equicorrelation_row(dim, float(r))
+        rows = _equicorrelation_study_rows(dim, np.linspace(lo, hi, n_samples))
     rho_lam = scipy.stats.spearmanr(rows[:, 0], rows[:, 1]).statistic
     rho_det = scipy.stats.spearmanr(rows[:, 0], rows[:, 2]).statistic
     return CorrelationStudy(
@@ -448,8 +444,6 @@ def simulate_correlation_study(
         rows=rows,
         rho_frob_lam=float(rho_lam),
         rho_frob_det=float(rho_det),
-        seed=seed,
-        r_values=r_values,
     )
 
 

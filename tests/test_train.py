@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,21 @@ class TestEvaluate:
             accs.append([row["accuracy"] for row in rows])
         med = np.median(np.asarray(accs), axis=0)
         assert med[0] >= med[1] >= med[2]  # clean >= single-step >= pgd-20
+
+    def test_random_starts_in_one_list_are_restarts(self, monkeypatch):
+        batches = []
+        recorded = lambda *a, **kw: batches.append(pgd(*a, **kw)) or batches[-1]  # noqa: E731
+        monkeypatch.setattr(sys.modules["advlab.train"], "pgd", recorded)
+        ds = synth_blobs(3, 10, 5, 0.1, seed=9)
+        net = Network.he_init([5, 8, 3], seed=10)
+        start = AttackSpec(epsilon=0.1, step_size=0.02, steps=2, random_start=True)
+        plain = AttackSpec(epsilon=0.1, step_size=0.02, steps=2)
+        evaluate(net, ds, [start, start, plain, plain], seed=4)
+        assert not np.array_equal(batches[0], batches[1])
+        for i in (0, 1):  # attack i draws from the eval sub-stream (seed, 3, i)
+            expected = pgd(net, ds.inputs, ds.labels, start, seed=epoch_seed_from(4, 3, i))
+            assert batches[i].tobytes() == expected.tobytes()
+        assert batches[2].tobytes() == batches[3].tobytes() == pgd(net, ds.inputs, ds.labels, plain).tobytes()
 
     def test_chance_level_for_untrained_net(self):
         ds = synth_blobs(10, 60, 8, 0.05, seed=11)

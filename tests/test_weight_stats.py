@@ -9,6 +9,7 @@ from advlab.data import Dataset, synth_blobs
 from advlab.decorr import Unsupported, hessian_kron_factors, normalized_precision
 from advlab.linalg import (
     det_lower_bound,
+    equicorrelation,
     frobenius_sq,
     normalize_to_correlation,
     random_correlation,
@@ -27,7 +28,6 @@ from advlab.weight_stats import (
     check_perturbation_bound,
     corr_from_laplace,
     corr_from_samples,
-    equicorrelation_row,
     laplace_stats_from_factors,
     sample_weight_perturbations,
     simulate_correlation_study,
@@ -388,11 +388,11 @@ class TestCrossEstimatorConsistency:
 
 class TestCorrelationStudy:
     def test_equicorrelation_closed_forms(self):
-        frob, proxy, det_lb = equicorrelation_row(9, 0.0)
+        (frob, proxy, det_lb), row = weight_stats._equicorrelation_study_rows(9, np.array([0.0, 0.3]))
         assert frob == 9.0
         assert proxy == pytest.approx(3.0, abs=1e-12)
         assert det_lb == 1.0
-        frob, proxy, det_lb = equicorrelation_row(9, 0.3)
+        frob, proxy, det_lb = row
         assert frob == pytest.approx(9 + 72 * 0.09, abs=1e-12)
         assert proxy == pytest.approx(np.sqrt(9 * (1 + 8 * 0.3)), abs=1e-12)
         assert det_lb == pytest.approx((0.7**8) * (1 + 8 * 0.3), rel=1e-10)
@@ -411,6 +411,21 @@ class TestCorrelationStudy:
         assert np.all(diffs[:, 0] > 0)
         assert np.all(diffs[:, 1] > 0)
         assert np.all(diffs[:, 2] < 0)
+
+    def test_equicorrelation_family_matches_per_matrix_spectrum(self):
+        dim, n = 9, 200
+        study = simulate_correlation_study(dim, n, "equicorrelation", r_range=(-0.12, 0.95))
+        rows = np.empty((n, 3))
+        for i, r in enumerate(np.linspace(-0.12, 0.95, n)):
+            corr = equicorrelation(dim, float(r))
+            eig = np.linalg.eigvalsh(corr)
+            lam_min, lam_max = float(eig[0]), float(eig[-1])
+            rows[i] = (
+                frobenius_sq(corr),
+                np.sqrt(dim * lam_max),
+                det_lower_bound(min(lam_min, 1.0), max(lam_max, 1.0), dim),
+            )
+        np.testing.assert_allclose(study.rows, rows, rtol=1e-12, atol=0)
 
     def test_random_family_correlation_signs(self):
         study = simulate_correlation_study(9, 2000, "random", seed=1)
