@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -154,6 +155,10 @@ def _cmd_bound(doc, out: Path, seed: int | None) -> int:
     return EXIT_OK
 
 
+def _rho_text(rho: float | None) -> str:
+    return "undefined" if rho is None else f"{rho:+.4f}"
+
+
 def _cmd_simulate(doc, out: Path, seed: int | None) -> int:
     config = build_config(SimulateConfig, doc, "simulate", seed=seed)
     try:
@@ -167,10 +172,12 @@ def _cmd_simulate(doc, out: Path, seed: int | None) -> int:
             study = simulate_correlation_study(config.dim, config.n_samples, config.family,
                                                seed=config.seed, r_range=config.r_range)
             study.write_csv(out / "simulate.csv")
+            rho_lam, rho_det = (None if math.isnan(r) else r  # undefined: JSON null, not NaN
+                                for r in (study.rho_frob_lam, study.rho_frob_det))
             summary = {"family": study.family, "dim": study.dim, "n_samples": int(study.rows.shape[0]),
-                       "rho_frob_lam": study.rho_frob_lam, "rho_frob_det": study.rho_frob_det}
-            print(f"{config.family}: rho(frob, lam_proxy)={study.rho_frob_lam:+.4f} "
-                  f"rho(frob, det_lb)={study.rho_frob_det:+.4f}")
+                       "rho_frob_lam": rho_lam, "rho_frob_det": rho_det}
+            print(f"{config.family}: rho(frob, lam_proxy)={_rho_text(rho_lam)} "
+                  f"rho(frob, det_lb)={_rho_text(rho_det)}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     write_json(out / "simulate_summary.json", summary)

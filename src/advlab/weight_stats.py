@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .data import Dataset, batches, epoch_seed_from
 from .decorr import Unsupported, hessian_kron_factors, normalized_precision
@@ -366,13 +365,36 @@ class CorrelationStudy:
     family: str
     dim: int
     rows: np.ndarray  # (n, 3)
-    rho_frob_lam: float
+    rho_frob_lam: float  # NaN when undefined: a constant column
     rho_frob_det: float
 
     HEADER = ("frob_sq", "lam_proxy", "det_lb")
 
     def write_csv(self, path):
         write_csv(path, self.HEADER, self.rows)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, ties given the mean of their ordinal ranks (scipy's rankdata)."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)  # exact halves
+    return ranks
+
+
+def spearman_rho(a: np.ndarray, b: np.ndarray) -> float:
+    """Spearman's rank correlation, bit-identical to scipy.stats.spearmanr's statistic.
+
+    NaN (undefined) for fewer than two rows, or when either input is
+    constant or holds a NaN.
+    """
+    if len(a) < 2 or any((x[0] == x).all() or np.isnan(x).any() for x in (a, b)):
+        return math.nan
+    ranked = np.column_stack((_average_ranks(a), _average_ranks(b)))
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])  # spearmanr's arithmetic after ranking
 
 
 def _equicorrelation_study_rows(dim: int, r: np.ndarray) -> np.ndarray:
@@ -436,14 +458,12 @@ def simulate_correlation_study(
         if not (-1.0 / (dim - 1) < lo < hi < 1.0):
             raise ValueError(f"r_range {r_range} needs lo < hi inside the PSD range")
         rows = _equicorrelation_study_rows(dim, np.linspace(lo, hi, n_samples))
-    rho_lam = scipy.stats.spearmanr(rows[:, 0], rows[:, 1]).statistic
-    rho_det = scipy.stats.spearmanr(rows[:, 0], rows[:, 2]).statistic
     return CorrelationStudy(
         family=family,
         dim=dim,
         rows=rows,
-        rho_frob_lam=float(rho_lam),
-        rho_frob_det=float(rho_det),
+        rho_frob_lam=spearman_rho(rows[:, 0], rows[:, 1]),
+        rho_frob_det=spearman_rho(rows[:, 0], rows[:, 2]),
     )
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import advlab
 from advlab.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from advlab.data import write_idx_images, write_idx_labels
 
@@ -34,6 +39,24 @@ def write_config(tmp_path, doc, name="config.json"):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+SRC = Path(advlab.__file__).resolve().parents[1]
+REPO = SRC.parent
+
+
+def fresh_python(*args):
+    """Run a new interpreter that imports advlab from this source tree."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env=os.environ | {"PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+
+
+def strict_json(path):
+    """A JSON document parsed without Python's NaN/Infinity extension."""
+    def reject(token):
+        raise ValueError(f"{path} holds {token}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 @pytest.fixture()
@@ -324,7 +347,7 @@ class TestSimulateCommand:
         lines = (out / "simulate.csv").read_text().strip().splitlines()
         assert lines[0] == "frob_sq,lam_proxy,det_lb"
         assert len(lines) == 201
-        summary = json.loads((out / "simulate_summary.json").read_text())
+        summary = strict_json(out / "simulate_summary.json")
         assert summary["rho_frob_det"] < 0
 
     def test_equicorrelation_family(self, tmp_path):
@@ -373,6 +396,20 @@ class TestSimulateCommand:
         assert message in err
         assert not (out / "simulate.csv").exists()
 
+    def test_undefined_rank_correlation_is_json_null(self, tmp_path, capsys):
+        # det_lb underflows to 0 on every row at this size, so rho(frob, det_lb) is undefined
+        doc = {"family": "equicorrelation", "dim": 5000, "n_samples": 50, "r_range": [0.5, 0.9]}
+        config = write_config(tmp_path, doc, "sim-undef.json")
+        out = tmp_path / "sim-undef-out"
+        capsys.readouterr()
+        assert run(["simulate", "--config", config, "--out", out]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "rho(frob, det_lb)=undefined" in captured.out
+        summary = strict_json(out / "simulate_summary.json")
+        assert summary["rho_frob_det"] is None
+        assert summary["rho_frob_lam"] > 0.99
+
     def test_rerun_identical(self, tmp_path):
         doc = {"family": "random", "dim": 5, "n_samples": 50, "seed": 7}
         config = write_config(tmp_path, doc, "sim-det.json")
@@ -381,3 +418,21 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", config, "--out", out2]) == EXIT_OK
         assert (out1 / "simulate.csv").read_bytes() == (out2 / "simulate.csv").read_bytes()
         assert (out1 / "simulate_summary.json").read_bytes() == (out2 / "simulate_summary.json").read_bytes()
+
+
+def test_python_dash_m_runs_a_demo_command(tmp_path):
+    config = REPO / "configs" / "simulate_random.json"
+    via_module, in_process = tmp_path / "module", tmp_path / "in-process"
+    result = fresh_python("-m", "advlab", "simulate", "--config", str(config), "--out", str(via_module))
+    assert result.stdout.startswith("random: rho(frob, lam_proxy)=")
+    assert run(["simulate", "--config", config, "--out", in_process]) == EXIT_OK
+    for name in ("simulate.csv", "simulate_summary.json"):
+        assert (via_module / name).read_bytes() == (in_process / name).read_bytes()
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats costs most of a cold start; the rank correlation is numpy's own.
+    # Importing advlab.__main__ (as a tool that imports every submodule does) must not run the CLI.
+    probe = ("import sys, advlab, advlab.cli, advlab.__main__; "
+             "print('scipy.stats' in sys.modules, 'scipy.linalg.lapack' in sys.modules)")
+    assert fresh_python("-c", probe).stdout.split() == ["False", "True"]

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from advlab.weight_stats import (
     laplace_stats_from_factors,
     sample_weight_perturbations,
     simulate_correlation_study,
+    spearman_rho,
     _layer_stats,
 )
 
@@ -447,10 +449,18 @@ class TestCorrelationStudy:
                 det_lower_bound(min(lam_min, 1.0), max(lam_max, 1.0), dim),
             )
         np.testing.assert_allclose(study.rows, rows, rtol=1e-12, atol=0)
-        rho_lam = scipy.stats.spearmanr(rows[:, 0], rows[:, 1]).statistic
-        rho_det = scipy.stats.spearmanr(rows[:, 0], rows[:, 2]).statistic
-        assert study.rho_frob_lam == pytest.approx(rho_lam, abs=1e-12)
-        assert study.rho_frob_det == pytest.approx(rho_det, abs=1e-12)
+        # scipy is the reference rank correlation; the study's own must equal it bit for bit
+        rho_lam = scipy.stats.spearmanr(study.rows[:, 0], study.rows[:, 1]).statistic
+        rho_det = scipy.stats.spearmanr(study.rows[:, 0], study.rows[:, 2]).statistic
+        assert study.rho_frob_lam == rho_lam
+        assert study.rho_frob_det == rho_det
+
+    @pytest.mark.parametrize("family, dim", [("random", 2), ("random", 40),
+                                             ("equicorrelation", 3), ("equicorrelation", 40)])
+    def test_study_rho_is_spearmanr(self, family, dim):
+        study = simulate_correlation_study(dim, 300, family, seed=dim, r_range=(-0.4 / (dim - 1), 0.9))
+        for col, rho in ((1, study.rho_frob_lam), (2, study.rho_frob_det)):
+            assert rho == scipy.stats.spearmanr(study.rows[:, 0], study.rows[:, col]).statistic
 
     def test_batched_det_lb_is_det_lower_bound_per_matrix(self, monkeypatch):
         spectra, eigvalsh = [], np.linalg.eigvalsh
@@ -614,3 +624,47 @@ class TestLayerStats:
     def test_validate_names_the_broken_invariant(self, change, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(self.RECORD, **change).validate()
+
+
+def spearmanr_statistic(a, b):
+    """scipy's statistic, its warning for constant input silenced: the reference for spearman_rho."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.stats.ConstantInputWarning)
+        return float(scipy.stats.spearmanr(a, b).statistic)
+
+
+class TestSpearmanRho:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tie_heavy_integers_match_spearmanr_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        a = rng.integers(0, 1 + seed % 6, n).astype(float)
+        b = rng.integers(0, 2 + seed % 4, n).astype(float)
+        expected = spearmanr_statistic(a, b)
+        got = spearman_rho(a, b)
+        assert got == expected or (np.isnan(got) and np.isnan(expected))
+
+    @pytest.mark.parametrize(
+        "a, b, defined",
+        [
+            ([1.0, 2.0, 2.0, 3.0, 5.0], [4.0, 1.0, 1.0, 0.0, 2.0], True),
+            ([1.0, 2.0, 3.0], [3.0, 2.0, 1.0], True),
+            ([0.5, 0.5, 0.5, 0.5], [1.0, 2.0, 3.0, 4.0], False),
+            ([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0], False),
+            ([1.0, np.nan, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], False),
+            ([1.0], [2.0], False),
+        ],
+        ids=["ties", "reversed", "constant-a", "constant-b", "nan", "one-row"],
+    )
+    def test_cases_match_spearmanr(self, a, b, defined):
+        a, b = np.array(a), np.array(b)
+        got, expected = spearman_rho(a, b), spearmanr_statistic(a, b)
+        if defined:
+            assert got == expected
+        else:  # undefined, as scipy has it
+            assert np.isnan(got) and np.isnan(expected)
+
+    def test_average_ranks_are_rankdata(self):
+        x = np.random.default_rng(9).integers(0, 7, 500).astype(float)
+        ranks = weight_stats._average_ranks(x)
+        assert ranks.tobytes() == scipy.stats.rankdata(x).tobytes()
