@@ -78,7 +78,7 @@ def _cmd_train(doc, out: Path, seed: int | None) -> int:
 
 def _checked_dataset(net: Network, spec: dict, split: str) -> Dataset:
     """The dataset split, checked against the checkpoint's input width and class count."""
-    ds = dataset_from_spec(spec, split)
+    (ds,) = dataset_from_spec(spec, split)
     if ds.dim != net.input_dim:
         raise ConfigError(f"dataset has {ds.dim} features, checkpoint expects {net.input_dim}")
     if ds.num_classes != net.output_dim:

@@ -13,6 +13,7 @@ keeps gradients of dead units exactly zero.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 
@@ -23,7 +24,8 @@ from .linalg import InvalidShape, as_matrix
 
 ACTIVATIONS = ("relu", "identity")
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_KEYS = ("schema_version", "layer_dims", "activations", "weights")
 
 
 class InvalidLabel(ValueError):
@@ -372,12 +374,19 @@ def _input_gradient(tape: ForwardTape, kind: str, labels, ref_logits, out=None) 
 
 
 def checkpoint_text(net: Network) -> str:
-    """Serialize a network as a JSON document with a fixed key order."""
+    """Serialize a network as a JSON document with a fixed key order.
+
+    Each layer's (out, in + 1) weight is one base64 string of its
+    little-endian float64 bytes in C order, so weights round-trip bit for bit.
+    """
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "layer_dims": [[layer.out_dim, layer.in_dim + 1] for layer in net.layers],
         "activations": [layer.activation for layer in net.layers],
-        "weights": [layer.weight.reshape(-1).tolist() for layer in net.layers],
+        "weights": [
+            base64.b64encode(np.ascontiguousarray(layer.weight, dtype="<f8").tobytes()).decode("ascii")
+            for layer in net.layers
+        ],
     }
     return json_text(doc)
 
@@ -388,18 +397,30 @@ def save_checkpoint(net: Network, path):
 
 
 def load_checkpoint(path) -> Network:
+    """Read a schema-2 checkpoint; any other content raises CheckpointError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
+        if not isinstance(doc, dict) or set(doc) != set(CHECKPOINT_KEYS):
+            raise CheckpointError(f"checkpoint {path} must hold exactly the keys "
+                                  f"{', '.join(CHECKPOINT_KEYS)}")
         if doc["schema_version"] != CHECKPOINT_SCHEMA_VERSION:
-            raise CheckpointError(f"unsupported schema {doc['schema_version']}")
+            raise CheckpointError(f"checkpoint {path} has unsupported schema {doc['schema_version']} "
+                                  f"(expected {CHECKPOINT_SCHEMA_VERSION}); re-run train to regenerate it")
+        dims, acts, blobs = doc["layer_dims"], doc["activations"], doc["weights"]
+        lists = all(isinstance(v, list) for v in (dims, acts, blobs))
+        if not lists or not len(dims) == len(acts) == len(blobs):
+            raise CheckpointError(f"checkpoint {path}: layer_dims, activations and weights "
+                                  "must be lists of one length")
         layers = []
-        for dims, act, flat in zip(doc["layer_dims"], doc["activations"], doc["weights"]):
-            rows, cols = dims
-            w = np.asarray(flat, dtype=np.float64).reshape(rows, cols)
+        for (rows, cols), act, blob in zip(dims, acts, blobs):
+            flat = np.frombuffer(base64.b64decode(blob, validate=True), dtype="<f8")
+            w = flat.astype(np.float64).reshape(rows, cols)  # frombuffer is read-only; astype copies
+            if w.shape != (rows, cols):
+                raise CheckpointError(f"checkpoint {path}: weight shape {w.shape} is not {rows}x{cols}")
             layers.append(Layer(w, act))
         return Network(layers)
     except CheckpointError:

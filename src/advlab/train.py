@@ -138,31 +138,41 @@ class IdxSpec:
     test_images: str | None = None
 
 
-def dataset_from_spec(spec: dict, split: str) -> Dataset:
-    """The train or test split of a "synthetic" (SyntheticSpec) or "idx" (IdxSpec) dataset spec.
+def dataset_from_spec(spec: dict, *splits: str) -> tuple[Dataset, ...]:
+    """The named "train"/"test" splits of a "synthetic" (SyntheticSpec) or "idx" (IdxSpec) dataset spec.
 
-    Blob splits share their class centers. An IDX split's num_classes comes
-    from both label files, so a split lacking the top class agrees.
+    Blob splits share their class centers and come from one generation. An
+    IDX split's num_classes comes from both label files, so a split lacking
+    the top class agrees; each file is read once.
     """
     kind = spec.get("kind")
     if kind not in ("synthetic", "idx"):
         raise ConfigError(f"unknown dataset kind {kind!r}")
-    if split not in ("train", "test"):
-        raise ConfigError(f"dataset split {split!r} is not 'train' or 'test'")
+    for split in splits:
+        if split not in ("train", "test"):
+            raise ConfigError(f"dataset split {split!r} is not 'train' or 'test'")
     if kind == "synthetic":
         s = build_config(SyntheticSpec, spec, "dataset")
         test_per_class = s.per_class if s.test_per_class is None else s.test_per_class
         try:
-            splits = split_blobs(s.num_classes, s.per_class, test_per_class, s.dim, s.spread, s.seed)
+            train_ds, test_ds = split_blobs(
+                s.num_classes, s.per_class, test_per_class, s.dim, s.spread, s.seed)
         except ValueError as exc:
             raise ConfigError(f"synthetic dataset spec: {exc}") from exc
-        return splits[split == "test"]
+        return tuple(test_ds if split == "test" else train_ds for split in splits)
     s = build_config(IdxSpec, spec, "dataset")
-    if getattr(s, f"{split}_images") is None:
-        raise ConfigError(f"dataset config lacks '{split}_images'")
-    ds = load_idx(getattr(s, f"{split}_images"), getattr(s, f"{split}_labels"))
-    ds.num_classes = idx_num_classes(s.train_labels, s.test_labels)
-    return ds
+    loaded = {}
+    for split in splits:
+        if getattr(s, f"{split}_images") is None:
+            raise ConfigError(f"dataset config lacks '{split}_images'")
+        loaded[split] = load_idx(getattr(s, f"{split}_images"), getattr(s, f"{split}_labels"))
+    classes = [ds.num_classes for ds in loaded.values()]
+    unread = [getattr(s, f"{split}_labels") for split in ("train", "test") if split not in loaded]
+    if unread:
+        classes.append(idx_num_classes(*unread))
+    for ds in loaded.values():
+        ds.num_classes = max(classes)
+    return tuple(loaded[split] for split in splits)
 
 
 @dataclass(frozen=True)
@@ -376,8 +386,7 @@ def train(config: RunConfig, out_dir) -> RunRecord:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     master = config.seed
-    train_ds = dataset_from_spec(config.dataset, "train")
-    test_ds = dataset_from_spec(config.dataset, "test")
+    train_ds, test_ds = dataset_from_spec(config.dataset, "train", "test")
     dims = [train_ds.dim, *config.hidden, train_ds.num_classes]
     net = Network.he_init(dims, seed=epoch_seed_from(master, _INIT))
     velocity = [np.zeros_like(w) for w in net.weights]

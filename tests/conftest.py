@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 
 from advlab.network import forward
@@ -71,3 +73,35 @@ def away_from_relu_kinks(net, batch, margin=1e-3):
         if layer.activation == "relu" and np.abs(z).min() < margin:
             return False
     return True
+
+
+def b64_weight(values) -> str:
+    """A checkpoint weight string: base64 of little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _payload_of_first_weight(doc, fill, size_change=0):
+    rows, cols = doc["layer_dims"][0]
+    values = np.zeros(rows * cols + size_change)
+    values[0] = fill
+    doc["weights"][0] = b64_weight(values)
+
+
+def _schema_1(doc):
+    doc["schema_version"] = 1
+    doc["weights"] = [np.frombuffer(base64.b64decode(w), "<f8").tolist() for w in doc["weights"]]
+
+
+# name -> in-place edit of a parsed checkpoint document that must make it unloadable
+CHECKPOINT_CORRUPTIONS = {
+    "bad base64 character": lambda doc: doc["weights"].__setitem__(0, "*" + doc["weights"][0][1:]),
+    "short payload": lambda doc: _payload_of_first_weight(doc, 0.5, -1),
+    "long payload": lambda doc: _payload_of_first_weight(doc, 0.5, +1),
+    "nan payload": lambda doc: _payload_of_first_weight(doc, np.nan),
+    "inf payload": lambda doc: _payload_of_first_weight(doc, -np.inf),
+    "inferred rows": lambda doc: doc["layer_dims"][0].__setitem__(0, -1),
+    "schema 1": _schema_1,
+    "extra layer": lambda doc: (doc["layer_dims"].append([2, 4]), doc["activations"].append("identity")),
+    "extra weights": lambda doc: doc["weights"].append(doc["weights"][-1]),
+    "unknown key": lambda doc: doc.update(note="x"),
+}

@@ -352,7 +352,7 @@ def test_criterion_7_training_directions(tmp_path):
     and costs at most 1.6x wall-clock per epoch."""
     t0 = time.time()
     metric_cfg = DecorrConfig(alpha=1.0, damping=1e-3)
-    train_ds = dataset_from_spec(ACCEPT_DATASET, "train")
+    (train_ds,) = dataset_from_spec(ACCEPT_DATASET, "train")
 
     def shared_penalty(out_dir):
         net = load_checkpoint(out_dir / "checkpoint.json")

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import CHECKPOINT_CORRUPTIONS
+
 import advlab
 from advlab.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from advlab.data import write_idx_images, write_idx_labels
@@ -137,6 +139,18 @@ class TestEvaluateCommand:
         doc = {"checkpoint": str(tmp_path / "nope.json"), "dataset": DATASET, "attacks": []}
         config = write_config(tmp_path, doc, "eval-bad.json")
         assert run(["evaluate", "--config", config, "--out", tmp_path / "x"]) == EXIT_IO
+
+    @pytest.mark.parametrize("case", ["bad base64 character", "short payload", "nan payload",
+                                      "schema 1", "extra weights"])
+    def test_corrupt_checkpoint_exits_4_with_one_line(self, tmp_path, trained, capsys, case):
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        CHECKPOINT_CORRUPTIONS[case](doc)
+        (trained / "checkpoint.json").write_text(json.dumps(doc))
+        config = self.config(tmp_path, trained)
+        capsys.readouterr()
+        assert run(["evaluate", "--config", config, "--out", tmp_path / "x"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
 
     def test_idx_test_split_without_top_class_is_accepted(self, tmp_path, trained):
         # the checkpoint has 3 classes; only the train labels reach class 2

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import (
+    CHECKPOINT_CORRUPTIONS,
     away_from_relu_kinks,
+    b64_weight,
     fd_input_gradient,
     fd_weight_gradients,
     full_reverse_input_gradient,
@@ -357,19 +361,43 @@ class TestCheckpoint:
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_weights_survive_exactly(self, tmp_path):
+    def test_weights_survive_bit_for_bit(self, tmp_path):
         net = Network.he_init([3, 4, 2], seed=52)
+        extremes = Layer(np.array([[-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1.0]]),
+                         "identity")
+        for original in (net, Network([extremes])):
+            path = tmp_path / "ck.json"
+            save_checkpoint(original, path)
+            loaded = load_checkpoint(path)
+            assert [w.tobytes() for w in loaded.weights] == [w.tobytes() for w in original.weights]
+            assert [l.activation for l in loaded.layers] == [l.activation for l in original.layers]
+
+    def test_loaded_weights_are_writable_c_contiguous_float64(self, tmp_path):
         path = tmp_path / "ck.json"
-        save_checkpoint(net, path)
-        loaded = load_checkpoint(path)
-        for a, b in zip(net.weights, loaded.weights):
-            assert np.array_equal(a, b)
-        assert [l.activation for l in loaded.layers] == [l.activation for l in net.layers]
+        save_checkpoint(Network.he_init([3, 4, 2], seed=53), path)
+        for w in load_checkpoint(path).weights:
+            assert w.dtype == np.float64 and w.flags.c_contiguous and w.flags.writeable
+
+    def test_weights_are_base64_little_endian_float64(self):
+        net = Network.he_init([3, 4, 2], seed=54)
+        doc = json.loads(checkpoint_text(net))
+        assert doc["schema_version"] == 2
+        assert doc["layer_dims"] == [[4, 4], [2, 5]]
+        assert doc["weights"] == [b64_weight(w) for w in net.weights]
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
+    def test_corrupt_checkpoint_raises(self, tmp_path, case):
+        doc = json.loads(checkpoint_text(Network.he_init([4, 5, 3], seed=55)))
+        CHECKPOINT_CORRUPTIONS[case](doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="unsupported schema 1" if case == "schema 1" else None):
             load_checkpoint(path)
 
     def test_fixed_key_order(self):

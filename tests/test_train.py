@@ -5,6 +5,7 @@ import pytest
 
 from conftest import away_from_relu_kinks, fd_weight_gradients, max_rel_error
 
+from advlab import data
 from advlab.attacks import AttackSpec, pgd
 from advlab.data import epoch_seed_from, synth_blobs, write_idx_images, write_idx_labels
 from advlab.decorr import DecorrConfig, decorr_penalty
@@ -46,6 +47,17 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+def idx_spec(tmp_path, train_labels, test_labels) -> dict:
+    """An "idx" dataset spec over files written to tmp_path, two zero pixels per image."""
+    spec = {"kind": "idx"}
+    for split, labels in (("train", train_labels), ("test", test_labels)):
+        spec[f"{split}_images"] = str(tmp_path / f"{split}-images.idx")
+        spec[f"{split}_labels"] = str(tmp_path / f"{split}-labels.idx")
+        write_idx_images(spec[f"{split}_images"], np.zeros((len(labels), 1, 2)))
+        write_idx_labels(spec[f"{split}_labels"], labels)
+    return spec
 
 
 class TestConfig:
@@ -91,14 +103,25 @@ class TestConfig:
 
     @pytest.mark.parametrize("train_labels, test_labels", [([0, 1, 2, 1], [1, 0]), ([1], [0, 2])])
     def test_idx_class_count_comes_from_both_label_files(self, tmp_path, train_labels, test_labels):
-        spec = {"kind": "idx"}
-        for split, labels in (("train", train_labels), ("test", test_labels)):
-            spec[f"{split}_images"] = str(tmp_path / f"{split}-images.idx")
-            spec[f"{split}_labels"] = str(tmp_path / f"{split}-labels.idx")
-            write_idx_images(spec[f"{split}_images"], np.zeros((len(labels), 1, 2)))
-            write_idx_labels(spec[f"{split}_labels"], labels)
-        assert dataset_from_spec(spec, "train").num_classes == 3
-        assert dataset_from_spec(spec, "test").num_classes == 3
+        spec = idx_spec(tmp_path, train_labels, test_labels)
+        for splits in (("train",), ("test",), ("train", "test")):
+            assert [ds.num_classes for ds in dataset_from_spec(spec, *splits)] == [3] * len(splits)
+
+    @pytest.mark.parametrize("splits", [("train", "test"), ("test",)])
+    def test_idx_label_files_are_read_once(self, tmp_path, monkeypatch, splits):
+        spec = idx_spec(tmp_path, [0, 1, 2, 1], [1, 0])
+        reads = []
+        read_labels = data._read_idx_labels
+        monkeypatch.setattr(data, "_read_idx_labels", lambda path: reads.append(path) or read_labels(path))
+        dataset_from_spec(spec, *splits)
+        assert sorted(reads) == sorted([spec["train_labels"], spec["test_labels"]])
+
+    def test_joint_splits_equal_single_splits(self):
+        train_ds, test_ds = dataset_from_spec(DATASET, "train", "test")
+        for split, ds in (("train", train_ds), ("test", test_ds)):
+            (alone,) = dataset_from_spec(DATASET, split)
+            assert alone.inputs.tobytes() == ds.inputs.tobytes()
+            assert np.array_equal(alone.labels, ds.labels) and alone.name == ds.name
 
     def test_lr_schedule_drops(self):
         config = tiny_config(epochs=20, lr=0.1)
@@ -109,13 +132,21 @@ class TestConfig:
 
 
 class TestTraining:
+    def test_synthetic_train_generates_blobs_once(self, tmp_path, monkeypatch):
+        train_module = sys.modules["advlab.train"]  # the package's `train` is the function
+        calls = []
+        split_blobs = train_module.split_blobs
+        monkeypatch.setattr(train_module, "split_blobs", lambda *a: calls.append(a) or split_blobs(*a))
+        train(tiny_config(method="standard", attack_train=None, epochs=1), tmp_path)
+        assert len(calls) == 1
+
     def test_zero_epochs_keeps_initialization(self, tmp_path):
         config = tiny_config(method="standard", attack_train=None, epochs=0)
         record = train(config, tmp_path)
         assert len(record.metrics) == 1
         assert record.metrics[0]["epoch"] == 0
         loaded = load_checkpoint(tmp_path / "checkpoint.json")
-        ds = dataset_from_spec(DATASET, "train")
+        (ds,) = dataset_from_spec(DATASET, "train")
         init = Network.he_init([ds.dim, 8, 3], seed=epoch_seed_from(config.seed, 0))
         for a, b in zip(loaded.weights, init.weights):
             assert np.array_equal(a, b)
@@ -238,7 +269,7 @@ class TestEvaluate:
         config = tiny_config(method="at", epochs=6, lr=0.1)
         train(config, tmp_path)
         net = load_checkpoint(tmp_path / "checkpoint.json")
-        ds = dataset_from_spec(DATASET, "test")
+        (ds,) = dataset_from_spec(DATASET, "test")
         eps = 0.08
         accs = []
         for seed in range(5):
