@@ -12,9 +12,12 @@ alternating from pair to pair. Runs are sequential, and each lasts the
 
 For each workload and each end-to-end metric of `BENCHMARK.json` it prints
 both medians, the relative change of the medians, the parent's quartile
-spread (IQR) as a share of its median, and how many pairs the change won
-(ties count for neither side). It also says in how many pairs the `digests`
-lines, the hashes of every deterministic artifact, were equal.
+spread (IQR) as a share of its median, how many pairs the change won
+(ties count for neither side) and the exact two-sided sign-test p-value of
+those wins against the losses, tied pairs dropped: the chance of a split at
+least that uneven if either side were equally likely to win a pair. It also
+says in how many pairs the `digests` lines, the hashes of every deterministic
+artifact, were equal.
 
 A run is malformed when it exits non-zero, or its last stdout line is not a
 JSON result with `failed` 0 and every end-to-end metric present with a finite
@@ -22,9 +25,9 @@ value. The script exits 1 when any run was malformed, after printing the rest.
 
 `--json PATH` also writes the report as JSON: both revisions (as given and
 as commits), per workload and metric the medians, the change, the parent's
-IQR and the win count, the number of pairs whose digests were equal and the
-names that differed, the count of malformed runs, and the `env` line of the
-first well-formed run.
+IQR, the win count and the sign-test p-value, the number of pairs whose
+digests were equal and the names that differed, the count of malformed runs,
+and the `env` line of the first well-formed run.
 """
 
 from __future__ import annotations
@@ -119,6 +122,13 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of `wins` against `losses`; 1 when both are 0."""
+    n = wins + losses
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1)) / 2**n
+    return min(1.0, 2 * tail)
+
+
 def summarize(metrics: list[dict], pairs: list[dict], digests_moved: list[set]) -> dict:
     """One workload's comparison over the pairs in which both runs were well formed."""
     table = {}
@@ -129,10 +139,12 @@ def summarize(metrics: list[dict], pairs: list[dict], digests_moved: list[set]) 
         mb, ma = statistics.median(before), statistics.median(after)
         q1, q3 = quartiles(before)
         sign = -1.0 if metric["better"] == "lower" else 1.0
+        gains = [sign * (a - b) for a, b in zip(after, before)]
+        wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)  # ties count for neither
         table[name] = {
             "parent_median": mb, "change_median": ma, "change_pct": 100 * (ma - mb) / mb,
             "parent_iqr_pct": 100 * (q3 - q1) / abs(mb),
-            "wins": sum(sign * (a - b) > 0 for a, b in zip(after, before)),  # ties count for neither
+            "wins": wins, "sign_p": sign_test_p(wins, losses),
         }
     return {"pairs": len(pairs), "metrics": table,
             "digests_equal_pairs": sum(not m for m in digests_moved),
@@ -145,10 +157,11 @@ def report(workload: str, summary: dict) -> list[str]:
     out = [f"== {workload}: {n} pairs"]
     if not n:
         return out
-    out.append(f"{'metric':24} {'parent':>12} {'change':>12} {'change%':>8} {'IQR%':>6} wins")
+    out.append(f"{'metric':24} {'parent':>12} {'change':>12} {'change%':>8} {'IQR%':>6} wins  sign-p")
     for name, m in summary["metrics"].items():
         out.append(f"{name:24} {m['parent_median']:12.6g} {m['change_median']:12.6g} "
-                   f"{m['change_pct']:+7.1f}% {m['parent_iqr_pct']:5.1f}% {m['wins']}/{n}")
+                   f"{m['change_pct']:+7.1f}% {m['parent_iqr_pct']:5.1f}% {m['wins']}/{n} "
+                   f"p={m['sign_p']:.3g}")
     moved = summary["digests_differing"]
     out.append(f"digests equal in {summary['digests_equal_pairs']}/{n} pairs"
                + (f"; differing: {', '.join(moved)}" if moved else ""))

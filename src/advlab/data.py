@@ -97,9 +97,27 @@ def idx_num_classes(*labels_paths) -> int:
     return 1 + max(int(_read_idx_labels(path).max(initial=0)) for path in labels_paths)
 
 
+def _idx_bytes(values, what: str) -> np.ndarray:
+    """`values` as a C-ordered uint8 array; ValueError for any value not an integer in 0..255.
+
+    A cast alone would wrap 256 to 0 and -1 to 255 and truncate 1.7 to 1.
+    Integer-valued floats are accepted.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind not in "uif":
+        raise ValueError(f"{what} must be integers in 0..255, got dtype {a.dtype}")
+    if a.size and not (a.min() >= 0 and a.max() <= 255):  # NaN fails both
+        bad = a[~((a >= 0) & (a <= 255))]
+        raise ValueError(f"{what} must be integers in 0..255, got {bad[0]}")
+    out = np.ascontiguousarray(a, dtype=np.uint8)
+    if a.dtype.kind == "f" and not np.array_equal(out, a):
+        raise ValueError(f"{what} must be integers in 0..255, got {a[out != a][0]}")
+    return out
+
+
 def write_idx_images(path, images: np.ndarray):
-    """Write a (count, rows, cols) uint8 array in IDX image format."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
+    """Write a (count, rows, cols) array of integers in 0..255 in IDX image format."""
+    images = _idx_bytes(images, "images")
     if images.ndim != 3:
         raise ValueError("images must have shape (count, rows, cols)")
     with open(path, "wb") as f:
@@ -108,7 +126,8 @@ def write_idx_images(path, images: np.ndarray):
 
 
 def write_idx_labels(path, labels):
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    """Write a 1-D sequence of integers in 0..255 in IDX label format."""
+    labels = _idx_bytes(labels, "labels")
     with open(path, "wb") as f:
         f.write(struct.pack(">ii", IDX_LABEL_MAGIC, labels.shape[0]))
         f.write(labels.tobytes())

@@ -500,8 +500,10 @@ def check_perturbation_bound(
     if h < 1 or not 0 < sigma < np.inf:
         raise ValueError(f"need h >= 1 and a finite sigma > 0, got h={h}, sigma={sigma}")
     scale = 2.0 * np.sqrt(h) * sigma
-    u = np.stack([sigma * np.random.default_rng([seed, t]).standard_normal((h, h))
-                  for t in range(trials)])
+    u = np.empty((trials, h, h))
+    for t in range(trials):
+        np.random.default_rng([seed, t]).standard_normal(out=u[t])
+    u *= sigma
     ratios = np.linalg.norm(u, 2, axis=(1, 2)) / scale  # the LAPACK SVD of spectral_norm
     return PerturbationReport(
         h=h,

@@ -78,9 +78,31 @@ class TestReport:
         summary = ab_bench.summarize(metrics, pairs, [set(), {"x.csv"}, set(), set()])
         lines = ab_bench.report("attack", summary)
         rows = {line.split()[0]: line.split() for line in lines[2:-1]}
-        assert rows["attack_row_steps_per_s"][1:] == ["105", "122.5", "+16.7%", "11.9%", "3/4"]  # IQR 112.5 - 100
-        assert rows["setup_s"][-1] == "0/4"  # ties count for neither side
+        assert rows["attack_row_steps_per_s"][1:] == ["105", "122.5", "+16.7%", "11.9%", "3/4",
+                                                      "p=0.625"]  # IQR 112.5 - 100; 2*(1+4)/16
+        assert rows["setup_s"][-2:] == ["0/4", "p=1"]  # ties count for neither side
         assert lines[-1] == "digests equal in 3/4 pairs; differing: x.csv"
+
+
+class TestSignTest:
+    @pytest.mark.parametrize("wins, losses, p", [
+        (7, 3, 2 * (1 + 10 + 45 + 120) / 1024),  # 7/10 wins reads p = 0.34
+        (3, 7, 2 * (1 + 10 + 45 + 120) / 1024),  # two-sided: symmetric
+        (9, 1, 2 * 11 / 1024),
+        (10, 0, 2 / 1024),
+        (5, 5, 1.0),  # capped at 1
+        (0, 0, 1.0),  # every pair tied
+        (1, 0, 1.0),
+    ])
+    def test_exact_binomial_tails(self, wins, losses, p):
+        assert ab_bench.sign_test_p(wins, losses) == pytest.approx(p, rel=1e-15)
+
+    def test_tied_pairs_are_dropped(self):
+        metrics = [{"name": "setup_s", "better": "lower"}]
+        pairs = [{"parent": {"setup_s": 1.0}, "change": {"setup_s": c}}
+                 for c in (0.5, 0.5, 0.5, 1.0, 1.0, 1.0)]  # three wins, three ties
+        m = ab_bench.summarize(metrics, pairs, [set()] * 6)["metrics"]["setup_s"]
+        assert (m["wins"], m["sign_p"]) == (3, 0.25)  # 2 / 2**3, not the 6-pair tail
 
 
 class TestJsonReport:
@@ -114,7 +136,8 @@ class TestJsonReport:
         assert attack["digests_equal_pairs"] == 2 and attack["digests_differing"] == ["a.csv"]
         rate = attack["metrics"]["attack_row_steps_per_s"]
         assert (rate["parent_median"], rate["change_median"], rate["wins"]) == (102.0, 122.0, 3)
-        assert attack["metrics"]["setup_s"]["wins"] == 0
+        assert rate["sign_p"] == 0.25  # three wins, no losses
+        assert (attack["metrics"]["setup_s"]["wins"], attack["metrics"]["setup_s"]["sign_p"]) == (0, 1.0)
         printed = capsys.readouterr().out.splitlines()
         table = printed[printed.index("== attack: 3 pairs"):]
         assert table == ab_bench.report("attack", attack)

@@ -70,6 +70,34 @@ class TestIdx:
         assert ip2.read_bytes() == ip.read_bytes()
         assert lp2.read_bytes() == lp.read_bytes()
 
+    @pytest.mark.parametrize("labels", [[300], [-1], [256], [0.5], [float("nan")], ["a"]],
+                             ids=["300", "neg", "256", "fraction", "nan", "str"])
+    def test_out_of_range_labels_rejected(self, tmp_path, labels):
+        path = tmp_path / "lbls.idx"
+        with pytest.raises(ValueError, match="labels must be integers in 0..255"):
+            write_idx_labels(path, [0, *labels])
+        assert not path.exists()  # nothing written
+
+    @pytest.mark.parametrize("pixel", [1.7, 256, -3, 255.5, float("inf"), float("nan")],
+                             ids=["fraction", "256", "neg", "above-255", "inf", "nan"])
+    def test_out_of_range_pixels_rejected(self, tmp_path, pixel):
+        images = np.zeros((2, 2, 2))
+        images[1, 0, 1] = pixel
+        with pytest.raises(ValueError, match=f"images must be integers in 0..255, got {pixel}"):
+            write_idx_images(tmp_path / "imgs.idx", images)
+
+    def test_integer_valued_floats_and_wide_ints_accepted(self, tmp_path):
+        pixels = np.array([[[0.0, 255.0], [-0.0, 128.0]]])
+        ip, lp = self.write_pair(tmp_path, pixels, np.array([255], dtype=np.int64))
+        ds = load_idx(ip, lp)
+        assert np.array_equal(ds.inputs, [[0.0, 1.0, 0.0, 128 / 255]])
+        assert np.array_equal(ds.labels, [255])
+
+    def test_empty_labels_accepted(self, tmp_path):
+        path = tmp_path / "lbls.idx"
+        write_idx_labels(path, [])
+        assert path.read_bytes() == struct.pack(">ii", 0x00000801, 0)
+
     def test_magic_values_are_big_endian(self, tmp_path):
         ip, lp = self.write_pair(tmp_path, np.zeros((1, 1, 1), np.uint8), [0])
         assert ip.read_bytes()[:4] == struct.pack(">i", 0x00000803)

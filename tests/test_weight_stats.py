@@ -504,6 +504,17 @@ class TestPerturbationBound:
             u = 0.3 * np.random.default_rng([8, t]).standard_normal((12, 12))
             assert ratio == pytest.approx(spectral_norm(u) / scale, rel=1e-14)
 
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("sigma", [1.0, 0.37, 3.0])
+    def test_ratios_bit_equal_to_stacked_draws(self, sigma, seed):
+        """The one-buffer draws give the bits of one scaled array per trial, stacked."""
+        h, trials = 16, 40
+        u = np.stack([sigma * np.random.default_rng([seed, t]).standard_normal((h, h))
+                      for t in range(trials)])
+        expect = np.linalg.norm(u, 2, axis=(1, 2)) / (2.0 * np.sqrt(h) * sigma)
+        report = check_perturbation_bound(h, sigma=sigma, trials=trials, seed=seed)
+        assert report.ratios.tobytes() == expect.tobytes()
+
     def test_csv_rows(self, tmp_path):
         report = check_perturbation_bound(4, sigma=1.0, trials=30, seed=7)
         path = tmp_path / "ratios.csv"
