@@ -1,4 +1,4 @@
-"""Print a sha256 manifest of the artifacts the seven demo configs write.
+"""Print a sha256 manifest of the artifacts the eight demo configs write.
 
 Runs the README demo (the `configs/*.json` commands) through
 `advlab.cli.main` in a temporary directory, with the advlab of this
@@ -35,6 +35,7 @@ DEMO = (
     ("bound", "bound_xiao.json", "demo-bound"),
     ("simulate", "simulate_random.json", "demo-sim"),
     ("simulate", "simulate_perturbation.json", "demo-sim-perturbation"),
+    ("simulate", "simulate_equicorrelation.json", "demo-sim-equicorrelation"),
 )
 SKIPPED = {"timing.csv"}
 

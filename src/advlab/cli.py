@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Subcommands: train, evaluate, stats, bound, simulate. Each takes
---config <json> and --out <dir>; --seed overrides the config's seed
-(`bound` draws no random numbers and rejects it).
+--config <json> and --out <dir>; --seed overrides the config's seed,
+and a config with no seed (`bound`, an `equicorrelation` study) draws
+no random numbers and rejects it.
 Exit codes: 0 success, 2 configuration error, 3 diverged training,
 4 I/O or file-format error.
 """
@@ -29,9 +30,10 @@ from .train import (
     DivergedTraining,
     EvaluateConfig,
     RunConfig,
-    SimulateConfig,
-    StatsConfig,
+    SIMULATE_CONFIGS,
+    STATS_CONFIGS,
     build_config,
+    build_variant,
     dataset_from_spec,
     evaluate,
     train,
@@ -98,7 +100,7 @@ def _cmd_evaluate(doc, out: Path, seed: int | None) -> int:
 
 
 def _cmd_stats(doc, out: Path, seed: int | None) -> int:
-    config = build_config(StatsConfig, doc, "stats", seed=seed)
+    config = build_variant(STATS_CONFIGS, "method", doc, "stats", seed)
     if "seed" in doc.get("sampling", {}):  # the dataclass keeps the field for in-process callers
         raise ConfigError("stats sampling.seed is not accepted: the sampler draws from the run 'seed'")
     net = load_checkpoint(config.checkpoint)
@@ -107,7 +109,7 @@ def _cmd_stats(doc, out: Path, seed: int | None) -> int:
     layer = depth if config.layer is None else config.layer
     if not 1 <= layer <= depth:
         raise ConfigError(f"stats layer {layer!r} outside 1..{depth}")
-    if not all(1 <= l <= depth for l in config.sampling.layers or ()):
+    if config.method == "sampling" and not all(1 <= l <= depth for l in config.sampling.layers or ()):
         raise ConfigError(f"stats sampling.layers {list(config.sampling.layers)} outside 1..{depth}")
     if config.method == "sampling" and layer not in (config.sampling.layers or range(1, depth + 1)):
         raise ConfigError(f"stats layer {layer} is not in sampling.layers "
@@ -135,9 +137,7 @@ def _cmd_stats(doc, out: Path, seed: int | None) -> int:
 
 
 def _cmd_bound(doc, out: Path, seed: int | None) -> int:
-    if seed is not None:
-        raise ConfigError("bound takes no --seed: its evaluation draws no random numbers")
-    config = build_config(BoundConfig, doc, "bound")
+    config = build_config(BoundConfig, doc, "bound", seed=seed)
     net = load_checkpoint(config.checkpoint)
     paths = config.stats if config.kind in ("corr", "corr_mixed") else ()  # the spectral kinds read none
     stats = [LayerCorrStats.read_csv(p) for p in paths] or None
@@ -160,17 +160,16 @@ def _rho_text(rho: float | None) -> str:
 
 
 def _cmd_simulate(doc, out: Path, seed: int | None) -> int:
-    config = build_config(SimulateConfig, doc, "simulate", seed=seed)
+    config = build_variant(SIMULATE_CONFIGS, "family", doc, "simulate", seed)
     try:
-        if config.family == "perturbation":
-            report = check_perturbation_bound(config.h, config.sigma, config.trials, seed=config.seed)
+        if config.family == "perturbation":  # the ratios are scale-free: any sigma gives them
+            report = check_perturbation_bound(config.h, 1.0, config.trials, seed=config.seed)
             report.write_csv(out / "simulate.csv")
-            summary = {"h": report.h, "sigma": report.sigma, "trials": report.trials,
+            summary = {"h": report.h, "trials": report.trials,
                        "median": report.median, "p95": report.p95}
             print(f"perturbation h={report.h}: median={report.median:.4f} p95={report.p95:.4f}")
         else:
-            study = simulate_correlation_study(config.dim, config.n_samples, config.family,
-                                               seed=config.seed, r_range=config.r_range)
+            study = simulate_correlation_study(**dataclasses.asdict(config))  # fields named as its parameters
             study.write_csv(out / "simulate.csv")
             rho_lam, rho_det = (None if math.isnan(r) else r  # undefined: JSON null, not NaN
                                 for r in (study.rho_frob_lam, study.rho_frob_det))

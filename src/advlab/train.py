@@ -42,7 +42,7 @@ from .network import (
     kl_softmax_grad_q,
     save_checkpoint,
 )
-from .weight_stats import SOURCES, SamplingConfig
+from .weight_stats import SamplingConfig
 
 TRAIN_METHODS = ("standard", "at", "trades", "at_decorr", "trades_decorr")
 
@@ -66,14 +66,16 @@ def build_config(cls, doc, what: str, path: str = "", seed: int | None = None):
     Values are checked against the field annotations, never coerced: a bool is no number, a
     number is finite, an int in a float field stays an int, `tuple[...]` takes a JSON list, a
     nested dataclass is built by a recursive call, a `dict` is taken as it is, and a `seed` is
-    a non-negative int. A given `seed` (the CLI's --seed) replaces the document's. Messages
-    name the command `what` and the field's dotted path (`doc` sits at `path`).
+    a non-negative int. A given `seed` (the CLI's --seed) replaces the document's, or is refused
+    if `cls` has none. Messages name the command `what` and the field's dotted path (at `path`).
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} {path or 'config'} {doc!r} is not an object")
+    fields, hints = dataclasses.fields(cls), typing.get_type_hints(cls)
+    if seed is not None and "seed" not in hints:
+        raise ConfigError(f"{what} takes no --seed: this config draws no random numbers")
     doc = doc if seed is None else doc | {"seed": seed}
     where = f"{path}." if path else ""
-    fields, hints = dataclasses.fields(cls), typing.get_type_hints(cls)
     unknown = sorted(doc.keys() - {f.name for f in fields})
     if unknown:
         raise ConfigError(f"{what} config has unknown field '{where}{unknown[0]}'")
@@ -88,6 +90,17 @@ def build_config(cls, doc, what: str, path: str = "", seed: int | None = None):
         raise
     except ValueError as exc:  # a range check of the dataclass itself
         raise ConfigError(f"{what} {path}: {exc}" if path else f"{what}: {exc}") from exc
+
+
+def build_variant(configs: dict, key: str, doc, what: str, seed: int | None = None):
+    """build_config of the class `configs[doc[key]]`: a field of another variant is unknown."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} config {doc!r} is not an object")
+    if key not in doc:
+        raise ConfigError(f"{what} config lacks '{key}'")
+    if type(doc[key]) is not str or doc[key] not in configs:  # the type first: a list is unhashable
+        raise ConfigError(f"unknown {what} {key} {doc[key]!r}")
+    return build_config(configs[doc[key]], doc, what, seed=seed)
 
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean", dict: "an object"}
@@ -145,14 +158,11 @@ def dataset_from_spec(spec: dict, *splits: str) -> tuple[Dataset, ...]:
     IDX split's num_classes comes from both label files, so a split lacking
     the top class agrees; each file is read once.
     """
-    kind = spec.get("kind")
-    if kind not in ("synthetic", "idx"):
-        raise ConfigError(f"unknown dataset kind {kind!r}")
+    s = build_variant({"synthetic": SyntheticSpec, "idx": IdxSpec}, "kind", spec, "dataset")
     for split in splits:
         if split not in ("train", "test"):
             raise ConfigError(f"dataset split {split!r} is not 'train' or 'test'")
-    if kind == "synthetic":
-        s = build_config(SyntheticSpec, spec, "dataset")
+    if s.kind == "synthetic":
         test_per_class = s.per_class if s.test_per_class is None else s.test_per_class
         try:
             train_ds, test_ds = split_blobs(
@@ -160,7 +170,6 @@ def dataset_from_spec(spec: dict, *splits: str) -> tuple[Dataset, ...]:
         except ValueError as exc:
             raise ConfigError(f"synthetic dataset spec: {exc}") from exc
         return tuple(test_ds if split == "test" else train_ds for split in splits)
-    s = build_config(IdxSpec, spec, "dataset")
     loaded = {}
     for split in splits:
         if getattr(s, f"{split}_images") is None:
@@ -227,22 +236,31 @@ class EvaluateConfig:
 
 
 @dataclass(frozen=True)
-class StatsConfig:
+class StatsConfig:  # the fields of every method; STATS_CONFIGS adds each method's own
     checkpoint: str
     method: str
     dataset: dict
     split: str = "train"
     layer: int | None = None  # the output layer
-    damping: float = 1e-3
     attack: AttackSpec | None = None
-    sampling: SamplingConfig = field(default_factory=SamplingConfig)  # its seed is the run's
     seed: int = 0
 
+
+@dataclass(frozen=True)
+class LaplaceStatsConfig(StatsConfig):
+    damping: float = 1e-3
+
     def __post_init__(self):
-        if self.method not in SOURCES:
-            raise ConfigError(f"unknown stats method {self.method!r}")
         if self.damping <= 0:
             raise ConfigError(f"stats damping {self.damping!r} is not a finite number > 0")
+
+
+@dataclass(frozen=True)
+class SamplingStatsConfig(StatsConfig):
+    sampling: SamplingConfig = field(default_factory=SamplingConfig)  # its seed is the run's
+
+
+STATS_CONFIGS = {"laplace": LaplaceStatsConfig, "sampling": SamplingStatsConfig}
 
 
 @dataclass(frozen=True)
@@ -254,15 +272,31 @@ class BoundConfig:
 
 
 @dataclass(frozen=True)
-class SimulateConfig:
-    family: str = "random"
-    h: int = 64
-    sigma: float = 1.0
-    trials: int = 200
+class RandomStudyConfig:
+    family: str
+    dim: int = 9
+    n_samples: int = 10_000
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class EquicorrelationStudyConfig:  # the closed forms draw nothing: no seed
+    family: str
     dim: int = 9
     n_samples: int = 10_000
     r_range: tuple[float, float] = (0.0, 0.9)
+
+
+@dataclass(frozen=True)
+class PerturbationConfig:  # no sigma: the reported ratios are scale-free
+    family: str
+    h: int = 64
+    trials: int = 200
     seed: int = 0
+
+
+SIMULATE_CONFIGS = {"random": RandomStudyConfig, "equicorrelation": EquicorrelationStudyConfig,
+                    "perturbation": PerturbationConfig}
 
 
 @dataclass

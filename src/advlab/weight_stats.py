@@ -186,6 +186,8 @@ class SamplingConfig:
             raise ValueError("need refine_epochs >= 0; loss_tolerance, refine_lr, refine_batch_size > 0")
         if self.layers == ():
             raise ValueError("layers must name at least one layer; omit it to perturb every layer")
+        if self.noise_sigma is not None and self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma {self.noise_sigma!r} is below 0")
 
 
 def _active_mask(net: Network, cfg: SamplingConfig) -> list[bool]:
@@ -482,7 +484,6 @@ class PerturbationReport:
     """
 
     h: int
-    sigma: float
     trials: int
     ratios: np.ndarray
     median: float
@@ -507,7 +508,6 @@ def check_perturbation_bound(
     ratios = np.linalg.norm(u, 2, axis=(1, 2)) / scale  # the LAPACK SVD of spectral_norm
     return PerturbationReport(
         h=h,
-        sigma=sigma,
         trials=trials,
         ratios=ratios,
         median=float(np.median(ratios)),

@@ -5,11 +5,12 @@ Each command runs through `advlab.cli.main` with one field of a tiny base
 config replaced. For a misfit value the run must exit 0, 2, 3 or 4, a failure
 must print exactly one stderr line, and no exception may escape `main`. A
 second valid value must change what the run computes, unless the field is on
-INERT_BY_DESIGN. Each base config names every field of its command's config
-dataclass, nested ones included, so a field added later is probed without
-editing this file, and the bases are sized so that every field can act: the
-sampler refines some draws, eval_subset is below both split sizes, and the
-checkpoint is trained far enough for an attack to move its accuracy.
+INERT_BY_DESIGN. Each base config names every field of its config dataclass
+(for stats and simulate, the class its `method` or `family` chooses), nested
+ones included, so a field added later is probed without editing this file,
+and the bases are sized so that every field can act: the sampler refines some
+draws, eval_subset is below both split sizes, and the checkpoint is trained
+far enough for an attack to move its accuracy.
 """
 
 import copy
@@ -25,12 +26,12 @@ import pytest
 from advlab.cli import EXIT_CONFIG, EXIT_OK, main
 from advlab.data import split_blobs, write_idx_images, write_idx_labels
 from advlab.train import (
+    SIMULATE_CONFIGS,
+    STATS_CONFIGS,
     BoundConfig,
     EvaluateConfig,
     IdxSpec,
     RunConfig,
-    SimulateConfig,
-    StatsConfig,
     SyntheticSpec,
 )
 from advlab.weight_stats import SamplingConfig
@@ -59,11 +60,15 @@ SAMPLING = {
 }
 INPUTS = {"gamma": 0.5, "delta": 0.05, "m": 100, "input_bound": 2.0, "epsilon": 0.08,
           "constant": 1.0}
-SIMULATE = {"h": 4, "sigma": 1.0, "trials": 30, "dim": 4, "n_samples": 20,
-            "r_range": [0.0, 0.9], "seed": 0}
+SIMULATE = {
+    "random": {"dim": 4, "n_samples": 20, "seed": 0},
+    "equicorrelation": {"dim": 4, "n_samples": 20, "r_range": [0.0, 0.9]},
+    "perturbation": {"h": 4, "trials": 30, "seed": 0},
+}
 CONFIG_CLASSES = {
-    "train": RunConfig, "evaluate": EvaluateConfig, "stats": StatsConfig,
-    "bound": BoundConfig, "simulate": SimulateConfig,
+    "train": RunConfig, "evaluate": EvaluateConfig, "evaluate-idx": EvaluateConfig,
+    **{f"stats-{method}": cls for method, cls in STATS_CONFIGS.items()},
+    "bound": BoundConfig, **{f"simulate-{family}": cls for family, cls in SIMULATE_CONFIGS.items()},
 }
 DATASET_SPECS = {"synthetic": SyntheticSpec, "idx": IdxSpec}
 NOT_IN_CONFIGS = {SamplingConfig: {"seed"}}  # in process only: the stats command seeds the sampler
@@ -77,22 +82,22 @@ def bases(tmp_path_factory):
     idx = {"kind": "idx"}
     write_idx_blobs(root, idx, DATASET["seed"])
     stats = {"checkpoint": checkpoint, "dataset": DATASET, "split": "train", "layer": 3,
-             "damping": 0.001, "attack": ATTACK, "sampling": SAMPLING, "seed": 3}
+             "attack": ATTACK, "seed": 3}
+    laplace = stats | {"method": "laplace", "damping": 0.001}
     stats_out = root / "stats"
-    assert run(root, "stats", stats | {"method": "laplace"}, stats_out) == EXIT_OK
+    assert run(root, "stats", laplace, stats_out) == EXIT_OK
     evaluate = {"checkpoint": checkpoint, "dataset": DATASET, "split": "test",
                 "attacks": [ATTACK], "seed": 1}
     return {
         "train": ("train", TRAIN),
         "evaluate": ("evaluate", evaluate),
         "evaluate-idx": ("evaluate", evaluate | {"dataset": idx}),
-        "stats-laplace": ("stats", stats | {"method": "laplace"}),
-        "stats-sampling": ("stats", stats | {"method": "sampling"}),
+        "stats-laplace": ("stats", laplace),
+        "stats-sampling": ("stats", stats | {"method": "sampling", "sampling": SAMPLING}),
         "bound": ("bound", {"checkpoint": checkpoint, "kind": "xiao", "inputs": INPUTS,
                             "stats": [str(stats_out / "stats_3_laplace_clean.csv")]}),
-        "simulate-random": ("simulate", SIMULATE | {"family": "random"}),
-        "simulate-equicorrelation": ("simulate", SIMULATE | {"family": "equicorrelation"}),
-        "simulate-perturbation": ("simulate", SIMULATE | {"family": "perturbation"}),
+        **{f"simulate-{family}": ("simulate", {"family": family} | doc)
+           for family, doc in SIMULATE.items()},
     }
 
 
@@ -174,7 +179,7 @@ BASE_NAMES = ("train", "evaluate", "evaluate-idx", "stats-laplace", "stats-sampl
 @pytest.mark.parametrize("name", BASE_NAMES)
 def test_no_probe_value_escapes_main(tmp_path, capsys, bases, name):
     command, base = bases[name]
-    assert_names_every_field(CONFIG_CLASSES[command], base)
+    assert_names_every_field(CONFIG_CLASSES[name], base)
     failures = []
     for path in field_paths(base):
         for value in PROBES:
@@ -243,6 +248,14 @@ def _is_open(fd: int) -> bool:
         ("simulate-equicorrelation", ("r_range",), ["a", "b"],
          "simulate r_range[0] 'a' is not a number"),
         ("simulate-equicorrelation", ("r_range",), [0.1], "simulate r_range [0.1] is not a list of 2"),
+        ("simulate-perturbation", ("sigma",), 1.0, "simulate config has unknown field 'sigma'"),
+        ("simulate-random", ("r_range",), [0.0, 0.9], "simulate config has unknown field 'r_range'"),
+        ("simulate-random", ("h",), 4, "simulate config has unknown field 'h'"),
+        ("simulate-equicorrelation", ("seed",), 0, "simulate config has unknown field 'seed'"),
+        ("stats-sampling", ("damping",), 0.001, "stats config has unknown field 'damping'"),
+        ("stats-laplace", ("sampling",), SAMPLING, "stats config has unknown field 'sampling'"),
+        ("simulate-random", ("family",), [1], "unknown simulate family [1]"),
+        ("stats-laplace", ("method",), {}, "unknown stats method {}"),
         ("stats-sampling", ("sampling", "layers"), [5], "stats sampling.layers [5] outside 1..3"),
         ("evaluate", ("split",), "validation", "dataset split 'validation' is not"),
         ("evaluate", ("dataset", "per_class"), "x", "dataset per_class 'x' is not an integer"),
@@ -254,7 +267,9 @@ def _is_open(fd: int) -> bool:
     ids=["random-start-string", "hidden-fraction", "epochs-bool", "lr-bool", "trades-lambda-string",
          "train-seed-string", "evaluate-seed-negative", "sampling-seed", "attack-seed-bool",
          "attack-train-seed", "attack-eval-seed", "stats-attack-seed", "r-range-strings",
-         "r-range-short", "sampling-layers-above-depth",
+         "r-range-short", "perturbation-sigma", "random-r-range", "random-h", "equicorrelation-seed",
+         "sampling-damping", "laplace-sampling", "family-list", "method-object",
+         "sampling-layers-above-depth",
          "unknown-split", "dataset-size-string", "attack-epsilon-null", "bound-m-fraction",
          "unknown-bound-kind", "unknown-nested-field"],
 )
@@ -267,31 +282,49 @@ def test_misfit_value_exits_2_naming_the_field(tmp_path, capsys, bases, name, pa
     assert message in err
 
 
-def test_missing_field_exits_2_naming_its_path(tmp_path, capsys, bases):
-    command, base = bases["train"]
+@pytest.mark.parametrize(
+    "name, path, message",
+    [
+        ("train", ("attack_train", "epsilon"), "train config lacks 'attack_train.epsilon'"),
+        ("simulate-random", ("family",), "simulate config lacks 'family'"),
+        ("stats-sampling", ("method",), "stats config lacks 'method'"),
+        ("evaluate", ("dataset", "kind"), "dataset config lacks 'kind'"),
+    ],
+    ids=["nested-field", "simulate-family", "stats-method", "dataset-kind"],
+)
+def test_missing_field_exits_2_naming_its_path(tmp_path, capsys, bases, name, path, message):
+    command, base = bases[name]
     doc = copy.deepcopy(base)
-    del doc["attack_train"]["epsilon"]
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
     capsys.readouterr()
     assert run(tmp_path, command, doc, tmp_path / "out") == EXIT_CONFIG
-    assert "train config lacks 'attack_train.epsilon'" in capsys.readouterr().err
-
-
-def test_bound_rejects_the_seed_flag(tmp_path, capsys, bases):
-    command, base = bases["bound"]
-    path = tmp_path / "bound.json"
-    path.write_text(json.dumps(base))
-    capsys.readouterr()
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "bound takes no --seed" in err
+    assert err.count("\n") == 1 and message in err
+
+
+def run_seeded(tmp_path, command, doc, seed: str) -> int:
+    """`run` with the --seed flag."""
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(doc))
+    return main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--seed", seed])
+
+
+@pytest.mark.parametrize("name", ["bound", "simulate-equicorrelation"])
+def test_seedless_config_rejects_the_seed_flag(tmp_path, capsys, bases, name):
+    command, base = bases[name]
+    capsys.readouterr()
+    assert run_seeded(tmp_path, command, base, "1") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{command} takes no --seed" in err
 
 
 def test_seed_flag_obeys_the_seed_rule(tmp_path, capsys, bases):
     command, base = bases["simulate-random"]
-    path = tmp_path / "sim.json"
-    path.write_text(json.dumps(base))
     capsys.readouterr()
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert run_seeded(tmp_path, command, base, "-1") == EXIT_CONFIG
     assert "simulate seed -1 is not a non-negative integer" in capsys.readouterr().err
 
 
@@ -337,7 +370,7 @@ SECOND = {
                             "input_bound": (2.0, 3.0), "epsilon": (0.08, 0.1), "constant": (1.0, 2.0)}),
     },
     "simulate": {
-        "family": ("random", "equicorrelation"), "h": (4, 5), "sigma": (1.0, 2.0), "trials": (30, 31),
+        "family": ("random", "equicorrelation"), "h": (4, 5), "trials": (30, 31),
         "dim": (4, 5), "n_samples": (20, 21), "r_range.0": (0.0, 0.1), "r_range.1": (0.9, 0.8),
         "seed": (0, 1),
     },
@@ -354,24 +387,16 @@ REJECTED = {
                                               "checkpoint fixes",
     ("stats-laplace", "layer"): "the Laplace estimator covers the output layer only",
     ("stats-sampling", "sampling.layers.1"): "the stats layer must be a perturbed one",
+    ("stats", "method"): "each method's config takes its own fields, which the other rejects",
+    ("simulate", "family"): "each family's config takes its own fields, which the others reject",
 }
 
 # A field that leaves every computed artifact as it is, by design, keyed as REJECTED is.
 INERT_BY_DESIGN = {
     ("train", "trades_lambda"): "weighs the KL term of the trades methods alone",
     ("evaluate-idx", "dataset.train_images"): "the test split never reads the train images",
-    ("stats-laplace", "sampling"): "the Laplace estimator draws no weight samples",
-    ("stats-sampling", "damping"): "the ridge of the Laplace factors, which the sampler never forms",
-    ("simulate-perturbation", "sigma"): "the ratio ||U||_2 / (2 sqrt(h) sigma) is scale-free",
     ("bound", "stats"): "the spectral kinds read no correlation statistics",
     ("bound", "inputs.constant"): "the spectral kinds have no universal constant",
-    ("simulate-equicorrelation", "seed"): "the closed forms draw no random numbers",
-    **{(f"simulate-{family}", name): f"a field of the {owner} family"
-       for family, names, owner in (
-           ("random", ("h", "sigma", "trials", "r_range"), "perturbation and equicorrelation"),
-           ("equicorrelation", ("h", "sigma", "trials"), "perturbation"),
-           ("perturbation", ("dim", "n_samples", "r_range"), "random and equicorrelation"))
-       for name in names},
 }
 
 # what a run echoes from its config rather than computes from it

@@ -13,6 +13,7 @@ from advlab.decorr import (
     normalized_precision,
     penalty_and_grad,
     penalty_dacts,
+    resolve_ridge,
 )
 from advlab.linalg import normalize_to_correlation
 from advlab.network import Layer, Network, StaleTape, backward, cross_entropy, forward
@@ -115,6 +116,40 @@ class TestPenalty:
         x = np.array([[0.5, 0.5]])
         with pytest.raises(StaleTape):
             decorr_penalty(forward(net_a, x), forward(net_b, x), DecorrConfig())
+
+
+class TestDeadUnitFloor:
+    """A unit that is 0 on every row costs exactly the penalty's per-unit floor, 1.
+
+    Its row and column of the second moment are zero, so its row of the ridged
+    precision is e_i / ridge and its row of the normalized precision is e_i. In
+    `absolute` mode the ridge ignores the activations, so the dead unit leaves the
+    live units' block as it is and adds exactly 1. `scaled` mode divides trace(cov)
+    by the wider h, which moves the live units' ridge: there the +1 does not hold.
+    """
+
+    def live_and_dead(self, seed):
+        live = np.maximum(np.random.default_rng(seed).standard_normal((16, 6)), 0.0)
+        return live, np.hstack([live, np.zeros((16, 1))])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_adds_exactly_one_under_absolute_damping(self, seed):
+        live, dead = self.live_and_dead(seed)
+        cfg = DecorrConfig(damping=0.05, damping_mode="absolute")
+        value, grad = penalty_and_grad(live, cfg)
+        value_dead, grad_dead = penalty_and_grad(dead, cfg)
+        assert abs(value_dead - (value + 1.0)) <= 1e-12 * (value + 1.0)
+        assert np.abs(grad_dead[:, :-1] - grad).max() <= 1e-12 * np.abs(grad).max()
+        assert np.array_equal(grad_dead[:, -1], np.zeros(16))
+
+    @pytest.mark.parametrize("mode", ["absolute", "scaled"])
+    def test_normalized_precision_row_is_the_unit_vector(self, mode):
+        _, dead = self.live_and_dead(3)
+        cov = _second_moment(dead)
+        ridge, _ = resolve_ridge(cov, DecorrConfig(damping=0.05, damping_mode=mode))
+        p = normalized_precision(cov, ridge)
+        unit = np.eye(dead.shape[1])[-1]
+        assert np.array_equal(p[-1], unit) and np.array_equal(p[:, -1], unit)
 
 
 def penalty_weight_gradients(net, tape_clean, tape_adv, cfg):

@@ -149,6 +149,11 @@ class TestSampling:
         with pytest.raises(ValueError, match="at least one layer"):
             SamplingConfig(layers=())
 
+    def test_negative_noise_sigma_rejected(self):
+        with pytest.raises(ValueError, match="noise_sigma -0.5 is below 0"):
+            SamplingConfig(noise_sigma=-0.5)
+        assert SamplingConfig(noise_sigma=0.0).noise_sigma == 0.0  # zero noise stays a valid request
+
 
 class TestSamplerHeadForward:
     """The sampler forwards the frozen layers once and each draw only the head, bit for bit."""
