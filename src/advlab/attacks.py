@@ -19,7 +19,7 @@ import dataclasses
 
 import numpy as np
 
-from .linalg import InvalidShape, as_matrix
+from .linalg import as_matrix
 from .network import (LOSS_KINDS, Network, _as_input, _augmented_buffer, _forward, _input_gradient,
                       forward)
 
@@ -110,7 +110,7 @@ def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=No
     iterate's buffer without its bias column.
     """
     if spec is None:
-        raise InvalidShape("an AttackSpec is required")
+        raise ValueError("an AttackSpec is required")
     origin = _as_input(net, batch)
     if spec.loss == "kl" and ref_logits is None:
         ref_logits = forward(net, origin).logits

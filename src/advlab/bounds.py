@@ -29,18 +29,6 @@ from .weight_stats import LayerCorrStats
 BOUND_KINDS = ("neyshabur", "xiao", "corr", "corr_mixed")
 
 
-class DegenerateLayer(ValueError):
-    """A layer has zero spectral norm; the capacity product is undefined."""
-
-
-class IncompleteStats(ValueError):
-    """Correlation statistics do not cover every layer, or name a layer the network lacks."""
-
-
-class InvalidMargin(ValueError):
-    """The margin must be strictly positive."""
-
-
 @dataclass(frozen=True)
 class BoundInputs:
     """Scalar inputs shared by every bound kind.
@@ -60,7 +48,7 @@ class BoundInputs:
 
     def __post_init__(self):
         if self.gamma <= 0:
-            raise InvalidMargin("gamma must be > 0")
+            raise ValueError("gamma must be > 0")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.m < 1 or self.input_bound <= 0 or self.epsilon < 0 or self.constant <= 0:
@@ -108,7 +96,7 @@ def _layer_norms(net: Network) -> list[dict]:
 def _capacity(per_layer: list[dict]) -> float:
     """Capacity product prod ||W||_2^2 * sum ||W||_F^2 / ||W||_2^2 of the folded weights."""
     if any(row["spectral_norm"] == 0.0 for row in per_layer):
-        raise DegenerateLayer("a layer has zero spectral norm")
+        raise ValueError("a layer has zero spectral norm")
     spectral_sq = [row["spectral_norm"] * row["spectral_norm"] for row in per_layer]
     product = float(np.prod(spectral_sq))
     return product * sum(row["frob_sq"] / s2 for row, s2 in zip(per_layer, spectral_sq))
@@ -124,7 +112,7 @@ def _lam_by_layer(net: Network, stats: list[LayerCorrStats]) -> dict[int, dict[s
              "logdet": np.inf, "det_lb": np.inf, "dim": s.dim},
         )
         if s.dim != entry["dim"]:
-            raise IncompleteStats(f"layer {s.layer} has entries of mismatched dimension")
+            raise ValueError(f"layer {s.layer} has entries of mismatched dimension")
         entry["lamc"] = max(entry["lamc"], s.lamc_max)
         entry["lamr"] = max(entry["lamr"], s.lamr_max)
         entry["lam_max"] = max(entry["lam_max"], s.lam_max)
@@ -132,7 +120,7 @@ def _lam_by_layer(net: Network, stats: list[LayerCorrStats]) -> dict[int, dict[s
         entry["logdet"] = min(entry["logdet"], s.logdet)
         entry["det_lb"] = min(entry["det_lb"], s.det_lb)
     if set(table) != set(range(1, len(net.layers) + 1)):
-        raise IncompleteStats(f"statistics cover layers {sorted(table)}, not 1..{len(net.layers)}")
+        raise ValueError(f"statistics cover layers {sorted(table)}, not 1..{len(net.layers)}")
     return table
 
 
@@ -160,7 +148,7 @@ def evaluate_bound(
         logdet_term = 0.0
     else:
         if stats is None:
-            raise IncompleteStats("correlation bound kinds need layer statistics")
+            raise ValueError("correlation bound kinds need layer statistics")
         table = _lam_by_layer(net, stats)
         phi = _capacity(per_layer) * sum(e["lamc"] + e["lamr"] for e in table.values()) ** 2
         radius = inputs.input_bound + inputs.epsilon
@@ -173,7 +161,7 @@ def evaluate_bound(
             )
             if kind == "corr":
                 if not np.isfinite(entry["logdet"]):
-                    raise IncompleteStats(
+                    raise ValueError(
                         f"layer {layer_idx} lacks a finite log-determinant (rank-deficient stats)"
                     )
                 logdet_term -= entry["logdet"]
@@ -181,15 +169,17 @@ def evaluate_bound(
                 lo = min(entry["lam_min"], 1.0)
                 hi = max(entry["lam_max"], 1.0)
                 if lo <= 0.0:
-                    raise IncompleteStats(
-                        f"layer {layer_idx} has a vanishing determinant lower bound"
-                    )
+                    raise ValueError(f"layer {layer_idx} has a vanishing determinant lower bound")
                 # log space: the bound itself underflows at realistic dims
                 logdet_term -= logdet_lower_bound(lo, hi, entry["dim"])
 
     phi_term = float(phi_term)
     numerator = phi_term + logdet_term + log_term
-    complexity = float(np.sqrt(numerator / (inputs.gamma**2 * inputs.m)))
+    # in float64, a gamma**2 that underflows to 0 gives inf rather than ZeroDivisionError
+    complexity = float(np.sqrt(np.float64(numerator) / (inputs.gamma**2 * inputs.m)))
+    for name, value in (("phi", phi), ("numerator", numerator), ("complexity_term", complexity)):
+        if not np.isfinite(value):  # JSON has no Infinity or NaN to report it with
+            raise ValueError(f"bound term {name} is {value}: the weights or inputs exceed float64 range")
     return BoundReport(
         kind=kind,
         phi=float(phi),

@@ -4,8 +4,13 @@ Subcommands: train, evaluate, stats, bound, simulate. Each takes
 --config <json> and --out <dir>; --seed overrides the config's seed,
 and a config with no seed (`bound`, an `equicorrelation` study) draws
 no random numbers and rejects it.
-Exit codes: 0 success, 2 configuration error, 3 diverged training,
-4 I/O or file-format error.
+
+One rule maps a failure to its exit code, whatever the command: 4 for a
+file that cannot be read (OSError) or is not in the format advlab writes
+(advlab.io.FormatError); 3 for diverged training (DivergedTraining); 2 for
+any other request the library rejects (a ValueError, or the
+FloatingPointError of non-finite logits). 0 is success. A failure prints
+one line to stderr.
 """
 
 from __future__ import annotations
@@ -17,13 +22,14 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .attacks import pgd
 from .bounds import evaluate_bound
-from .data import BadMagic, CountMismatch, Dataset, Truncated
-from .decorr import Unsupported
-from .io import write_json
+from .data import Dataset
+from .io import FormatError, write_json
 from .linalg import NotPositiveDefinite
-from .network import CheckpointError, Network, load_checkpoint
+from .network import Network, load_checkpoint
 from .train import (
     BoundConfig,
     ConfigError,
@@ -40,10 +46,7 @@ from .train import (
     write_evaluation_csv,
 )
 from .weight_stats import (
-    DegenerateVariance,
     LayerCorrStats,
-    SamplingStalled,
-    StatsFormatError,
     check_perturbation_bound,
     corr_from_laplace,
     corr_from_samples,
@@ -63,7 +66,7 @@ def _load_config(path):
             return json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
@@ -144,10 +147,7 @@ def _cmd_bound(doc, out: Path, seed: int | None) -> int:
     for path, s in zip(paths, stats or ()):  # a layer beyond the net is evaluate_bound's to reject
         if s.layer <= len(net.layers) and s.dim != (size := net.layers[s.layer - 1].weight.size):
             raise ConfigError(f"stats {path} has dim {s.dim}; layer {s.layer} has {size} weights")
-    try:
-        report = evaluate_bound(net, config.inputs, config.kind, stats)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = evaluate_bound(net, config.inputs, config.kind, stats)
     (out / "bound.json").write_text(report.to_json_text(), encoding="utf-8")
     report.write_csv(out / "bound.csv")
     print(f"{config.kind}: complexity_term={report.complexity_term:.6g} "
@@ -161,24 +161,21 @@ def _rho_text(rho: float | None) -> str:
 
 def _cmd_simulate(doc, out: Path, seed: int | None) -> int:
     config = build_variant(SIMULATE_CONFIGS, "family", doc, "simulate", seed)
-    try:
-        if config.family == "perturbation":  # the ratios are scale-free: any sigma gives them
-            report = check_perturbation_bound(config.h, 1.0, config.trials, seed=config.seed)
-            report.write_csv(out / "simulate.csv")
-            summary = {"h": report.h, "trials": report.trials,
-                       "median": report.median, "p95": report.p95}
-            print(f"perturbation h={report.h}: median={report.median:.4f} p95={report.p95:.4f}")
-        else:
-            study = simulate_correlation_study(**dataclasses.asdict(config))  # fields named as its parameters
-            study.write_csv(out / "simulate.csv")
-            rho_lam, rho_det = (None if math.isnan(r) else r  # undefined: JSON null, not NaN
-                                for r in (study.rho_frob_lam, study.rho_frob_det))
-            summary = {"family": study.family, "dim": study.dim, "n_samples": int(study.rows.shape[0]),
-                       "rho_frob_lam": rho_lam, "rho_frob_det": rho_det}
-            print(f"{config.family}: rho(frob, lam_proxy)={_rho_text(rho_lam)} "
-                  f"rho(frob, det_lb)={_rho_text(rho_det)}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if config.family == "perturbation":  # the ratios are scale-free: any sigma gives them
+        report = check_perturbation_bound(config.h, 1.0, config.trials, seed=config.seed)
+        report.write_csv(out / "simulate.csv")
+        summary = {"h": report.h, "trials": report.trials,
+                   "median": report.median, "p95": report.p95}
+        print(f"perturbation h={report.h}: median={report.median:.4f} p95={report.p95:.4f}")
+    else:
+        study = simulate_correlation_study(**dataclasses.asdict(config))  # fields named as its parameters
+        study.write_csv(out / "simulate.csv")
+        rho_lam, rho_det = (None if math.isnan(r) else r  # undefined: JSON null, not NaN
+                            for r in (study.rho_frob_lam, study.rho_frob_det))
+        summary = {"family": study.family, "dim": study.dim, "n_samples": int(study.rows.shape[0]),
+                   "rho_frob_lam": rho_lam, "rho_frob_det": rho_det}
+        print(f"{config.family}: rho(frob, lam_proxy)={_rho_text(rho_lam)} "
+              f"rho(frob, det_lb)={_rho_text(rho_det)}")
     write_json(out / "simulate_summary.json", summary)
     return EXIT_OK
 
@@ -213,16 +210,17 @@ def main(argv=None) -> int:
         doc = _load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](doc, out, args.seed)
-    except (ConfigError, Unsupported, SamplingStalled, DegenerateVariance) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        with np.errstate(all="ignore"):  # a non-finite value is reported once, by the check it fails
+            return _COMMANDS[args.command](doc, out, args.seed)
+    except (OSError, FormatError) as exc:  # before ValueError: a FormatError is one
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except DivergedTraining as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (OSError, BadMagic, Truncated, CountMismatch, CheckpointError, StatsFormatError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (ValueError, FloatingPointError) as exc:  # the latter: network._forward's non-finite logits
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

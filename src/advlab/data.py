@@ -12,20 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import FormatError
+
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
-
-
-class BadMagic(ValueError):
-    """IDX file does not start with the expected magic number."""
-
-
-class Truncated(ValueError):
-    """IDX file ends before the declared payload."""
-
-
-class CountMismatch(ValueError):
-    """Image and label files declare different item counts."""
 
 
 @dataclass
@@ -56,7 +46,7 @@ class Dataset:
 def _read_exact(f, count: int, what: str) -> bytes:
     data = f.read(count)
     if len(data) != count:
-        raise Truncated(f"{what}: expected {count} bytes, got {len(data)}")
+        raise FormatError(f"{what}: expected {count} bytes, got {len(data)}")
     return data
 
 
@@ -69,7 +59,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     with open(images_path, "rb") as f:
         magic = _read_be32(f, "image magic")
         if magic != IDX_IMAGE_MAGIC:
-            raise BadMagic(f"{images_path}: magic {magic:#010x}, expected {IDX_IMAGE_MAGIC:#010x}")
+            raise FormatError(f"{images_path}: magic {magic:#010x}, expected {IDX_IMAGE_MAGIC:#010x}")
         count = _read_be32(f, "image count")
         rows = _read_be32(f, "image rows")
         cols = _read_be32(f, "image cols")
@@ -78,7 +68,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         )
     labels = _read_idx_labels(labels_path)
     if len(labels) != count:
-        raise CountMismatch(f"{count} images but {len(labels)} labels")
+        raise FormatError(f"{count} images but {len(labels)} labels")
     inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     return Dataset(inputs, labels, int(labels.max(initial=0)) + 1, name=str(images_path))
 
@@ -87,7 +77,7 @@ def _read_idx_labels(path) -> np.ndarray:
     with open(path, "rb") as f:
         magic = _read_be32(f, "label magic")
         if magic != IDX_LABEL_MAGIC:
-            raise BadMagic(f"{path}: magic {magic:#010x}, expected {IDX_LABEL_MAGIC:#010x}")
+            raise FormatError(f"{path}: magic {magic:#010x}, expected {IDX_LABEL_MAGIC:#010x}")
         count = _read_be32(f, "label count")
         return np.frombuffer(_read_exact(f, count, "label payload"), dtype=np.uint8).astype(np.int64)
 

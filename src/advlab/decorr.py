@@ -23,17 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import inverse_psd, normalize_to_correlation
-from .network import ForwardTape, Network, StaleTape, softmax
+from .network import ForwardTape, Network, softmax
 
 LAYER_POLICIES = ("last", "all")
-
-
-class EmptyBatch(ValueError):
-    """Covariance of an empty batch is undefined."""
-
-
-class Unsupported(ValueError):
-    """Requested a Hessian factorization outside the supported case."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +61,7 @@ def penalized_layer_indices(net: Network, cfg: DecorrConfig) -> list[int]:
 
 def _second_moment(a: np.ndarray) -> np.ndarray:
     if a.shape[0] == 0:
-        raise EmptyBatch("cannot form a covariance from an empty batch")
+        raise ValueError("cannot form a covariance from an empty batch")
     return a.T @ a / a.shape[0]
 
 
@@ -127,7 +119,7 @@ def decorr_penalty(tape_clean: ForwardTape, tape_adv: ForwardTape, cfg: DecorrCo
     is always >= 2h for each configured layer.
     """
     if tape_clean.net is not tape_adv.net:
-        raise StaleTape("clean and adversarial tapes come from different networks")
+        raise ValueError("clean and adversarial tapes come from different networks")
     total = 0.0
     for layer in penalized_layer_indices(tape_clean.net, cfg):
         for tape in (tape_clean, tape_adv):
@@ -160,7 +152,7 @@ def hessian_kron_factors(tape: ForwardTape, labels, layer: int) -> tuple[np.ndar
     does not involve the labels.
     """
     if layer != len(tape.net.layers):
-        raise Unsupported("Hessian factorization is available for the output layer only")
+        raise ValueError("Hessian factorization is available for the output layer only")
     a = tape.augmented[layer - 1]
     a_hat = _second_moment(a)
     y = np.asarray(labels, dtype=np.int64)

@@ -16,6 +16,10 @@ import numpy as np
 CSV_BLOCK_ROWS = 1024  # rows of a float table formatted by one `%` call
 
 
+class FormatError(ValueError):
+    """A file is not one that advlab writes: an IDX pair, a checkpoint or a stats CSV."""
+
+
 def write_csv(path, header, rows):
     """Write a header line and one line per row of cells.
 

@@ -19,10 +19,6 @@ TOL_PSD = 1e-10     # eigenvalues in [-TOL_PSD, 0) are treated as 0
 TOL_DIAG = 1e-12    # smallest diagonal accepted by correlation normalization
 
 
-class InvalidShape(ValueError):
-    """Input is not a matrix of the required shape/symmetry."""
-
-
 class NotPositiveDefinite(ValueError):
     """Matrix is not positive definite within tolerance."""
 
@@ -31,19 +27,15 @@ class DegenerateDiagonal(ValueError):
     """Correlation normalization needs strictly positive diagonal entries."""
 
 
-class InvalidEigenRange(ValueError):
-    """Eigenvalue extremes violate 0 < lam_min <= 1 <= lam_max."""
-
-
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a 2-D float64 array with finite entries."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
-        raise InvalidShape(f"{name} must be 2-D, got ndim={m.ndim}")
+        raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
-        raise InvalidShape(f"{name} must have positive dimensions, got {m.shape}")
+        raise ValueError(f"{name} must have positive dimensions, got {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise InvalidShape(f"{name} contains non-finite entries")
+        raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
@@ -54,12 +46,12 @@ def _as_symmetric(a, name: str = "matrix") -> np.ndarray:
     """
     m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:
-        raise InvalidShape(f"{name} must be square, got {m.shape}")
+        raise ValueError(f"{name} must be square, got {m.shape}")
     if np.array_equal(m, m.T):
         return m
     scale = max(1.0, float(np.abs(m).max()))
     if float(np.abs(m - m.T).max()) > TOL_SYM * scale:
-        raise InvalidShape(f"{name} is not symmetric within tolerance {TOL_SYM}")
+        raise ValueError(f"{name} is not symmetric within tolerance {TOL_SYM}")
     return 0.5 * (m + m.T)
 
 
@@ -116,13 +108,11 @@ def normalize_to_correlation(m) -> np.ndarray:
 
 def _check_eigen_bracket(lam_min: float, lam_max: float, dim: int) -> tuple[float, float]:
     if dim < 1:
-        raise InvalidEigenRange(f"dim must be >= 1, got {dim}")
+        raise ValueError(f"dim must be >= 1, got {dim}")
     if not (0.0 < lam_min <= 1.0 + TOL_PSD and 1.0 - TOL_PSD <= lam_max):
-        raise InvalidEigenRange(
-            f"need 0 < lam_min <= 1 <= lam_max, got [{lam_min}, {lam_max}]"
-        )
+        raise ValueError(f"need 0 < lam_min <= 1 <= lam_max, got [{lam_min}, {lam_max}]")
     if lam_min > lam_max:
-        raise InvalidEigenRange(f"lam_min {lam_min} exceeds lam_max {lam_max}")
+        raise ValueError(f"lam_min {lam_min} exceeds lam_max {lam_max}")
     return min(lam_min, 1.0), max(lam_max, 1.0)
 
 
@@ -180,9 +170,9 @@ def equicorrelation(dim: int, r: float) -> np.ndarray:
     PSD requires -1/(dim-1) <= r <= 1.
     """
     if dim < 1:
-        raise InvalidShape(f"dim must be >= 1, got {dim}")
+        raise ValueError(f"dim must be >= 1, got {dim}")
     if dim > 1 and not (-1.0 / (dim - 1) <= r <= 1.0):
-        raise InvalidEigenRange(f"r={r} outside the PSD range for dim={dim}")
+        raise ValueError(f"r={r} outside the PSD range for dim={dim}")
     m = np.full((dim, dim), float(r))
     np.fill_diagonal(m, 1.0)
     return m

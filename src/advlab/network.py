@@ -19,25 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import json_text
-from .linalg import InvalidShape, as_matrix
+from .io import FormatError, json_text
+from .linalg import as_matrix
 
 ACTIVATIONS = ("relu", "identity")
 
 CHECKPOINT_SCHEMA_VERSION = 2
 CHECKPOINT_KEYS = ("schema_version", "layer_dims", "activations", "weights")
-
-
-class InvalidLabel(ValueError):
-    """A class label falls outside [0, num_classes)."""
-
-
-class StaleTape(ValueError):
-    """A tape is replayed against a network it was not recorded on."""
-
-
-class CheckpointError(ValueError):
-    """A checkpoint file is malformed or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +36,7 @@ class Layer:
     def __post_init__(self):
         as_matrix(self.weight, "layer weight")
         if self.activation not in ACTIVATIONS:
-            raise InvalidShape(f"unknown activation {self.activation!r}")
+            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def out_dim(self) -> int:
@@ -64,14 +52,12 @@ class Network:
 
     def __init__(self, layers: list[Layer]):
         if not layers:
-            raise InvalidShape("network needs at least one layer")
+            raise ValueError("network needs at least one layer")
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.in_dim != prev.out_dim:
-                raise InvalidShape(
-                    f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
-                )
+                raise ValueError(f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}")
         if layers[-1].activation != "identity":
-            raise InvalidShape("final layer must use the identity activation")
+            raise ValueError("final layer must use the identity activation")
         self.layers = list(layers)
 
     @property
@@ -88,7 +74,7 @@ class Network:
 
     def with_weights(self, weights: list[np.ndarray]) -> "Network":
         if len(weights) != len(self.layers):
-            raise InvalidShape("weight count does not match layer count")
+            raise ValueError("weight count does not match layer count")
         return Network(
             [Layer(w, layer.activation) for w, layer in zip(weights, self.layers)]
         )
@@ -101,7 +87,7 @@ class Network:
         columns start at zero.
         """
         if len(dims) < 2:
-            raise InvalidShape("need at least input and output dims")
+            raise ValueError("need at least input and output dims")
         rng = np.random.default_rng(seed)
         layers = []
         for i, (h_in, h_out) in enumerate(zip(dims, dims[1:])):
@@ -150,9 +136,7 @@ def _as_input(net: Network, batch) -> np.ndarray:
     """`batch` as a finite float64 matrix with the network's input width."""
     x = as_matrix(batch, "batch")
     if x.shape[1] != net.input_dim:
-        raise InvalidShape(
-            f"batch has {x.shape[1]} features, network expects {net.input_dim}"
-        )
+        raise ValueError(f"batch has {x.shape[1]} features, network expects {net.input_dim}")
     return x
 
 
@@ -192,7 +176,7 @@ def _forward(net: Network, xa: np.ndarray) -> ForwardTape:
 
 def _check_tape(net: Network, tape: ForwardTape):
     if tape.net is not net:
-        raise StaleTape("tape was recorded on a different network")
+        raise ValueError("tape was recorded on a different network")
 
 
 def backward(net: Network, tape: ForwardTape, dlogits: np.ndarray, dacts=None) -> list[np.ndarray]:
@@ -211,7 +195,7 @@ def backward(net: Network, tape: ForwardTape, dlogits: np.ndarray, dacts=None) -
     dacts = dacts or {}
     for idx, dact in dacts.items():
         if not 1 <= idx < len(net.layers) or np.shape(dact) != tape.activations[idx].shape:
-            raise InvalidShape(f"activation gradient {idx} does not match an inner activation")
+            raise ValueError(f"activation gradient {idx} does not match an inner activation")
     dz = np.asarray(dlogits, dtype=np.float64)
     grads: list[np.ndarray] = []
     for idx in range(len(net.layers) - 1, -1, -1):
@@ -236,9 +220,9 @@ def backward(net: Network, tape: ForwardTape, dlogits: np.ndarray, dacts=None) -
 def _check_labels(labels, num_classes: int) -> np.ndarray:
     y = np.asarray(labels, dtype=np.int64)
     if y.ndim != 1:
-        raise InvalidLabel("labels must be a flat integer list")
+        raise ValueError("labels must be a flat integer list")
     if y.size and (y.min() < 0 or y.max() >= num_classes):
-        raise InvalidLabel(f"labels must lie in [0, {num_classes})")
+        raise ValueError(f"labels must lie in [0, {num_classes})")
     return y
 
 
@@ -296,7 +280,7 @@ def kl_softmax(logits_p, logits_q) -> float:
     zp = as_matrix(logits_p, "logits_p")
     zq = as_matrix(logits_q, "logits_q")
     if zp.shape != zq.shape:
-        raise InvalidShape("logit shapes differ")
+        raise ValueError("logit shapes differ")
     logp, logq = log_softmax(zp), log_softmax(zq)
     return float((np.exp(logp) * (logp - logq)).sum(axis=1).mean())
 
@@ -345,7 +329,7 @@ def loss_logit_grad(kind: str, logits, labels=None, ref_logits=None) -> np.ndarr
         return cw_margin_grad(logits, labels)
     if kind == "kl":
         return kl_softmax_grad_q(ref_logits, logits)
-    raise InvalidShape(f"unknown loss kind {kind!r}")
+    raise ValueError(f"unknown loss kind {kind!r}")
 
 
 def input_gradient(net: Network, batch, kind: str, labels=None, ref_logits=None) -> np.ndarray:
@@ -397,33 +381,33 @@ def save_checkpoint(net: Network, path):
 
 
 def load_checkpoint(path) -> Network:
-    """Read a schema-2 checkpoint; any other content raises CheckpointError."""
+    """Read a schema-2 checkpoint; any other content raises FormatError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
         if not isinstance(doc, dict) or set(doc) != set(CHECKPOINT_KEYS):
-            raise CheckpointError(f"checkpoint {path} must hold exactly the keys "
+            raise FormatError(f"checkpoint {path} must hold exactly the keys "
                                   f"{', '.join(CHECKPOINT_KEYS)}")
         if doc["schema_version"] != CHECKPOINT_SCHEMA_VERSION:
-            raise CheckpointError(f"checkpoint {path} has unsupported schema {doc['schema_version']} "
+            raise FormatError(f"checkpoint {path} has unsupported schema {doc['schema_version']} "
                                   f"(expected {CHECKPOINT_SCHEMA_VERSION}); re-run train to regenerate it")
         dims, acts, blobs = doc["layer_dims"], doc["activations"], doc["weights"]
         lists = all(isinstance(v, list) for v in (dims, acts, blobs))
         if not lists or not len(dims) == len(acts) == len(blobs):
-            raise CheckpointError(f"checkpoint {path}: layer_dims, activations and weights "
+            raise FormatError(f"checkpoint {path}: layer_dims, activations and weights "
                                   "must be lists of one length")
         layers = []
         for (rows, cols), act, blob in zip(dims, acts, blobs):
             flat = np.frombuffer(base64.b64decode(blob, validate=True), dtype="<f8")
             w = flat.astype(np.float64).reshape(rows, cols)  # frombuffer is read-only; astype copies
             if w.shape != (rows, cols):
-                raise CheckpointError(f"checkpoint {path}: weight shape {w.shape} is not {rows}x{cols}")
+                raise FormatError(f"checkpoint {path}: weight shape {w.shape} is not {rows}x{cols}")
             layers.append(Layer(w, act))
         return Network(layers)
-    except CheckpointError:
+    except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
+        raise FormatError(f"malformed checkpoint {path}: {exc}") from exc

@@ -175,6 +175,8 @@ def dataset_from_spec(spec: dict, *splits: str) -> tuple[Dataset, ...]:
         if getattr(s, f"{split}_images") is None:
             raise ConfigError(f"dataset config lacks '{split}_images'")
         loaded[split] = load_idx(getattr(s, f"{split}_images"), getattr(s, f"{split}_labels"))
+        if not len(loaded[split]):
+            raise ConfigError(f"dataset split {split!r} has no rows")
     classes = [ds.num_classes for ds in loaded.values()]
     unread = [getattr(s, f"{split}_labels") for split in ("train", "test") if split not in loaded]
     if unread:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, batches, epoch_seed_from
-from .decorr import Unsupported, hessian_kron_factors, normalized_precision
-from .io import write_csv
+from .decorr import hessian_kron_factors, normalized_precision
+from .io import FormatError, write_csv
 from .linalg import TOL_PSD, det_lower_bound, logdet_lower_bound, normalize_to_correlation
 from .network import Layer, Network, backward, cross_entropy, cross_entropy_grad, forward
 
@@ -34,18 +34,6 @@ STUDY_BLOCK = 1024  # matrices per batch of the random study: a few MB of workin
 SOURCES = ("sampling", "laplace")
 DATA_TAGS = ("clean", "adversarial")
 STUDY_FAMILIES = ("random", "equicorrelation")
-
-
-class DegenerateVariance(ValueError):
-    """A weight coordinate shows zero variance across the samples."""
-
-
-class SamplingStalled(RuntimeError):
-    """The loss-constrained sampler's acceptance rate collapsed."""
-
-
-class StatsFormatError(ValueError):
-    """A stats CSV is not one that LayerCorrStats.write_csv writes."""
 
 
 @dataclass
@@ -106,21 +94,24 @@ class LayerCorrStats:
 
     @classmethod
     def read_csv(cls, path) -> "LayerCorrStats":
-        """Inverse of write_csv; StatsFormatError for a file no estimate could have written."""
-        with open(path, newline="", encoding="utf-8") as f:
-            rows = list(csv.DictReader(f))
+        """Inverse of write_csv; FormatError for a file no estimate could have written."""
+        try:
+            with open(path, newline="", encoding="utf-8") as f:
+                rows = list(csv.DictReader(f))
+        except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8; a field over csv's size limit
+            raise FormatError(f"{path}: {exc}") from exc
         if len(rows) != 1:
-            raise StatsFormatError(f"{path}: expected exactly one stats row")
+            raise FormatError(f"{path}: expected exactly one stats row")
         row = rows[0]
         missing = [k for k in cls.CSV_FIELDS if row.get(k) is None]
         if missing:
-            raise StatsFormatError(f"{path}: missing fields {', '.join(missing)}")
+            raise FormatError(f"{path}: missing fields {', '.join(missing)}")
         ints, strs = ("layer", "dim", "sample_count"), ("source", "data")
         try:
             return cls(**{k: int(row[k]) if k in ints else row[k] if k in strs else float(row[k])
                           for k in cls.CSV_FIELDS}).validate()
         except (ValueError, OverflowError) as exc:  # OverflowError: a dim beyond float range
-            raise StatsFormatError(f"{path}: {exc}") from exc
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def _layer_stats(layer, rc, rr, eig_c, eig_r, eig, source, sample_count) -> LayerCorrStats:
@@ -230,7 +221,7 @@ def sample_weight_perturbations(
     The layers below the first perturbed one never change, so their output
     on `ds` comes from one forward pass of `net`; each draw forwards only
     the head from there. A layer that is not perturbed gets one read-only
-    zero delta, shared by every sample. Raises SamplingStalled when
+    zero delta, shared by every sample. Raises ValueError when
     100 * num_samples draws are exhausted before num_samples acceptances.
     """
     sigmas = _layer_sigmas(net, cfg)
@@ -265,9 +256,7 @@ def sample_weight_perturbations(
             accepted.append([rw - w if on else zero for rw, w, on, zero
                              in zip(refined.weights, net.weights, active, zeros)])
     if len(accepted) < cfg.num_samples:
-        raise SamplingStalled(
-            f"accepted {len(accepted)}/{cfg.num_samples} after {max_draws} draws"
-        )
+        raise ValueError(f"accepted {len(accepted)}/{cfg.num_samples} after {max_draws} draws")
     return accepted
 
 
@@ -290,12 +279,12 @@ def corr_from_samples(deltas: list[list[np.ndarray]], layer: int) -> LayerCorrSt
     flat = np.stack([m.reshape(-1) for m in mats])  # (samples, dim)
     sigma_sq = float(np.mean(flat * flat))
     if sigma_sq <= 0.0:
-        raise DegenerateVariance("all-zero weight samples")
+        raise ValueError("all-zero weight samples")
 
     rc_raw = sum(m.T @ m for m in mats) / count
     rr_raw = sum(m @ m.T for m in mats) / count
     if min(np.diag(rc_raw).min(), np.diag(rr_raw).min()) <= 0.0:
-        raise DegenerateVariance("a weight coordinate never varies across samples")
+        raise ValueError("a weight coordinate never varies across samples")
     rc, rr = normalize_to_correlation(rc_raw), normalize_to_correlation(rr_raw)
     s = np.linalg.svd(flat, compute_uv=False)
     return _layer_stats(
@@ -334,7 +323,7 @@ def corr_from_laplace(
     inverse of each factor.
     """
     if layer != len(net.layers):
-        raise Unsupported("the Laplace estimator covers the softmax output layer only")
+        raise ValueError("the Laplace estimator covers the softmax output layer only")
     if len(ds) == 0:
         raise ValueError("dataset is empty")
     a_dim = net.layers[-1].in_dim + 1

@@ -105,3 +105,17 @@ CHECKPOINT_CORRUPTIONS = {
     "extra weights": lambda doc: doc["weights"].append(doc["weights"][-1]),
     "unknown key": lambda doc: doc.update(note="x"),
 }
+
+# name -> a pattern of the FormatError message that corruption gets, on any network
+CHECKPOINT_CORRUPTION_MESSAGES = {
+    "bad base64 character": "malformed checkpoint .*: Only base64 data is allowed",
+    "short payload": "malformed checkpoint .*: cannot reshape array of size",
+    "long payload": "malformed checkpoint .*: cannot reshape array of size",
+    "nan payload": "malformed checkpoint .*: layer weight contains non-finite entries",
+    "inf payload": "malformed checkpoint .*: layer weight contains non-finite entries",
+    "inferred rows": r"weight shape \(\d+, \d+\) is not -1x\d+",
+    "schema 1": r"has unsupported schema 1 \(expected 2\)",
+    "extra layer": "layer_dims, activations and weights must be lists of one length",
+    "extra weights": "layer_dims, activations and weights must be lists of one length",
+    "unknown key": "must hold exactly the keys schema_version, layer_dims, activations, weights",
+}

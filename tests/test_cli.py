@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,11 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CHECKPOINT_CORRUPTIONS
+from conftest import CHECKPOINT_CORRUPTION_MESSAGES, CHECKPOINT_CORRUPTIONS
 
 import advlab
+from advlab import cli
 from advlab.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from advlab.data import write_idx_images, write_idx_labels
+from advlab.io import FormatError
+from advlab.network import load_checkpoint, save_checkpoint
+from advlab.train import DivergedTraining
 
 DATASET = {
     "kind": "synthetic", "num_classes": 3, "per_class": 10, "dim": 5,
@@ -31,6 +36,16 @@ TRAIN_CONFIG = {
     "penalty": {"alpha": 0.3},
     "eval_subset": 30,
 }
+
+
+# an IDX dataset whose splits hold no rows, read from the working directory (see write_empty_idx)
+EMPTY_IDX = {"kind": "idx", "train_images": "empty-images.idx", "train_labels": "empty-labels.idx",
+             "test_images": "empty-images.idx", "test_labels": "empty-labels.idx"}
+
+
+def write_empty_idx(directory):
+    write_idx_images(directory / EMPTY_IDX["train_images"], np.zeros((0, 1, 5)))
+    write_idx_labels(directory / EMPTY_IDX["train_labels"], [])
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -87,10 +102,17 @@ class TestTrainCommand:
         assert run(["train", "--config", config, "--out", out2, "--seed", 99]) == EXIT_OK
         assert (trained / "checkpoint.json").read_bytes() != (out2 / "checkpoint.json").read_bytes()
 
-    def test_bad_json_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("content, message", [
+        (b"{nope", "is not valid JSON: Expecting property name"),
+        (b"\xff\xfe{}", "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["not-json", "not-utf-8"])
+    def test_bad_json_exits_2(self, tmp_path, capsys, content, message):
         path = tmp_path / "broken.json"
-        path.write_text("{nope")
+        path.write_bytes(content)
         assert run(["train", "--config", path, "--out", tmp_path / "x"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_inconsistent_config_exits_2(self, tmp_path):
         doc = dict(TRAIN_CONFIG, method="trades", trades_lambda=0.0)
@@ -141,16 +163,23 @@ class TestEvaluateCommand:
         assert run(["evaluate", "--config", config, "--out", tmp_path / "x"]) == EXIT_IO
 
     @pytest.mark.parametrize("case", ["bad base64 character", "short payload", "nan payload",
-                                      "schema 1", "extra weights"])
+                                      "schema 1", "extra weights", "not utf-8"])
     def test_corrupt_checkpoint_exits_4_with_one_line(self, tmp_path, trained, capsys, case):
-        doc = json.loads((trained / "checkpoint.json").read_text())
-        CHECKPOINT_CORRUPTIONS[case](doc)
-        (trained / "checkpoint.json").write_text(json.dumps(doc))
+        path = trained / "checkpoint.json"
+        if case == "not utf-8":
+            path.write_bytes(b"\xff\xfe" + path.read_bytes())
+            message = "cannot read checkpoint .*: 'utf-8' codec can't decode byte 0xff"
+        else:
+            doc = json.loads(path.read_text())
+            CHECKPOINT_CORRUPTIONS[case](doc)
+            path.write_text(json.dumps(doc))
+            message = CHECKPOINT_CORRUPTION_MESSAGES[case]
         config = self.config(tmp_path, trained)
         capsys.readouterr()
         assert run(["evaluate", "--config", config, "--out", tmp_path / "x"]) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert re.search(message, err)
 
     def test_idx_test_split_without_top_class_is_accepted(self, tmp_path, trained):
         # the checkpoint has 3 classes; only the train labels reach class 2
@@ -214,7 +243,7 @@ class TestBoundCommand:
         config = write_config(tmp_path, doc, "bound.json")
         out = tmp_path / "bound-out"
         assert run(["bound", "--config", config, "--out", out]) == EXIT_OK
-        report = json.loads((out / "bound.json").read_text())
+        report = strict_json(out / "bound.json")
         assert report["kind"] == "xiao"
         assert report["complexity_term"] > 0
         assert (out / "bound.csv").exists()
@@ -261,9 +290,14 @@ class TestBoundCommand:
         report = json.loads((out / "bound.json").read_text())
         assert report["logdet_term"] >= 0.0
 
-    def test_malformed_stats_file_exits_4(self, tmp_path, trained, capsys):
+    @pytest.mark.parametrize("content, message", [
+        (b"layer,dim\n1,48\n", "missing fields"),
+        (b"\xff\xfelayer,dim\n1,48\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"layer\n" + b"1" * 200_000 + b"\n", "field larger than field limit"),
+    ], ids=["missing-fields", "not-utf-8", "oversized-field"])
+    def test_malformed_stats_file_exits_4(self, tmp_path, trained, capsys, content, message):
         bad = tmp_path / "stats_bad.csv"
-        bad.write_text("layer,dim\n1,48\n")
+        bad.write_bytes(content)
         doc = {
             "checkpoint": str(trained / "checkpoint.json"),
             "kind": "corr",
@@ -271,8 +305,11 @@ class TestBoundCommand:
             "inputs": {"gamma": 0.5, "delta": 0.05, "m": 100, "input_bound": 2.0},
         }
         config = write_config(tmp_path, doc, "bound-bad-stats.json")
+        capsys.readouterr()
         assert run(["bound", "--config", config, "--out", tmp_path / "x"]) == EXIT_IO
-        assert "missing fields" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert message in err
 
     @pytest.mark.parametrize("kind", ["xiao", "neyshabur"])
     def test_spectral_kinds_do_not_read_stats(self, tmp_path, trained, kind):
@@ -337,22 +374,121 @@ class TestBoundCommand:
         ("stats", {"method": "laplace", "damping": 1e400}, "stats damping inf is not"),
         ("stats", {"method": "laplace", "damping": "x"}, "stats damping 'x' is not"),
         ("stats", {"method": "laplace", "damping": 1e-30}, "stats damping 1e-30 is too small"),
+        ("train", {"dataset": EMPTY_IDX}, "dataset split 'train' has no rows"),
+        ("evaluate", {"dataset": EMPTY_IDX}, "dataset split 'test' has no rows"),
+        ("stats", {"method": "laplace", "dataset": EMPTY_IDX}, "dataset split 'train' has no rows"),
+        ("stats", {"method": "sampling", "dataset": EMPTY_IDX}, "dataset split 'train' has no rows"),
     ],
     ids=["laplace-hidden-layer", "evaluate-input-dim", "stats-input-dim", "sampling-stalled",
          "sampling-layer-above-depth", "sampling-layer-zero", "evaluate-class-count",
          "sampling-layer-never-perturbed", "sampling-layers-empty", "sampling-zero-noise",
          "sampling-negative-noise",
          "laplace-damping-zero", "laplace-damping-negative", "laplace-damping-overflow",
-         "laplace-damping-string", "laplace-damping-tiny"],
+         "laplace-damping-string", "laplace-damping-tiny",
+         "train-empty-split", "evaluate-empty-split", "laplace-empty-split", "sampling-empty-split"],
 )
-def test_unmeetable_request_exits_2_with_one_line(tmp_path, trained, capsys, command, extra, message):
-    doc = {"checkpoint": str(trained / "checkpoint.json"), "dataset": DATASET} | extra
+def test_unmeetable_request_exits_2_with_one_line(tmp_path, trained, capsys, monkeypatch,
+                                                  command, extra, message):
+    write_empty_idx(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    base = TRAIN_CONFIG if command == "train" else {"checkpoint": str(trained / "checkpoint.json"),
+                                                    "dataset": DATASET}
+    doc = base | extra
     config = write_config(tmp_path, doc, "unmeetable.json")
     capsys.readouterr()
     assert run([command, "--config", config, "--out", tmp_path / "x"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
+
+
+def scaled_checkpoint(trained, scale):
+    """The trained checkpoint with every weight multiplied by `scale`, saved beside it."""
+    net = load_checkpoint(trained / "checkpoint.json")
+    path = trained / f"checkpoint-x{scale:g}.json"
+    save_checkpoint(net.with_weights([scale * w for w in net.weights]), path)
+    return path
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would print a second stderr line
+@pytest.mark.parametrize(
+    "command, extra, scale, message",
+    [
+        ("evaluate", {"attacks": [{"epsilon": 0.08, "step_size": 0.02, "steps": 3}]}, 1e200,
+         "non-finite logits"),
+        ("stats", {"method": "laplace"}, 1e200, "non-finite logits"),
+        ("stats", {"method": "laplace"}, 1e150, "non-positive diagonal entry"),
+    ],
+    ids=["evaluate-1e200", "laplace-1e200", "laplace-1e150"],
+)
+def test_overflowing_checkpoint_exits_2_with_one_line(tmp_path, trained, capsys, command, extra, scale,
+                                                      message):
+    doc = {"checkpoint": str(scaled_checkpoint(trained, scale)), "dataset": DATASET} | extra
+    config = write_config(tmp_path, doc, "overflow.json")
+    capsys.readouterr()
+    assert run([command, "--config", config, "--out", tmp_path / "x"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "scale, inputs, message",
+    [
+        (1e150, {}, "bound term phi is inf"),
+        (1e200, {}, "bound term phi is nan"),
+        (1.0, {"gamma": 1e-200}, "bound term complexity_term is inf"),
+    ],
+    ids=["phi-overflow", "norm-overflow", "vanishing-margin"],
+)
+def test_non_finite_bound_exits_2_without_output(tmp_path, trained, capsys, scale, inputs, message):
+    doc = {"checkpoint": str(scaled_checkpoint(trained, scale)), "kind": "xiao",
+           "inputs": {"gamma": 0.5, "delta": 0.05, "m": 100, "input_bound": 2.0} | inputs}
+    config = write_config(tmp_path, doc, "bound-overflow.json")
+    out = tmp_path / "bound-out"
+    capsys.readouterr()
+    assert run(["bound", "--config", config, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert not (out / "bound.json").exists() and not (out / "bound.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (ValueError, EXIT_CONFIG, "config error: "),
+        (FloatingPointError, EXIT_CONFIG, "config error: "),
+        (FormatError, EXIT_IO, "i/o error: "),
+        (DivergedTraining, EXIT_DIVERGED, "diverged: "),
+    ],
+    ids=["ValueError", "FloatingPointError", "FormatError", "DivergedTraining"],
+)
+@pytest.mark.parametrize(
+    "command, call",
+    [("train", "train"), ("evaluate", "evaluate"), ("stats", "corr_from_laplace"),
+     ("bound", "evaluate_bound"), ("simulate", "simulate_correlation_study")],
+    ids=["train", "evaluate", "stats", "bound", "simulate"],
+)
+def test_exit_code_follows_the_exception_type(tmp_path, trained, capsys, monkeypatch, command, call,
+                                              error, code, prefix):
+    # one library call per command raises a bare exception; main alone picks the exit code
+    checkpoint = str(trained / "checkpoint.json")
+    doc = {
+        "train": TRAIN_CONFIG,
+        "evaluate": {"checkpoint": checkpoint, "dataset": DATASET, "attacks": []},
+        "stats": {"checkpoint": checkpoint, "dataset": DATASET, "method": "laplace"},
+        "bound": {"checkpoint": checkpoint, "kind": "xiao",
+                  "inputs": {"gamma": 0.5, "delta": 0.05, "m": 100, "input_bound": 2.0}},
+        "simulate": {"family": "random", "dim": 4, "n_samples": 10, "seed": 1},
+    }[command]
+
+    def fail(*args, **kwargs):
+        raise error(f"{call} failed")
+
+    monkeypatch.setattr(cli, call, fail)
+    config = write_config(tmp_path, doc, "contract.json")
+    capsys.readouterr()
+    assert run([command, "--config", config, "--out", tmp_path / "x"]) == code
+    assert capsys.readouterr().err == f"{prefix}{call} failed\n"
 
 
 class TestSimulateCommand:

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from advlab.data import (
-    BadMagic,
-    CountMismatch,
     Dataset,
-    Truncated,
     batches,
     load_idx,
     split_blobs,
@@ -15,6 +12,7 @@ from advlab.data import (
     write_idx_images,
     write_idx_labels,
 )
+from advlab.io import FormatError
 
 
 class TestIdx:
@@ -37,23 +35,23 @@ class TestIdx:
 
     def test_wrong_magic_rejected(self, tmp_path):
         ip, lp = self.write_pair(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
-        with pytest.raises(BadMagic):
+        with pytest.raises(FormatError, match="magic 0x00000801, expected 0x00000803"):
             load_idx(lp, lp)  # labels file offered as images
-        with pytest.raises(BadMagic):
+        with pytest.raises(FormatError, match="magic 0x00000803, expected 0x00000801"):
             load_idx(ip, ip)
 
     def test_truncated_rejected(self, tmp_path):
         ip, lp = self.write_pair(tmp_path, np.zeros((2, 3, 3), np.uint8), [0, 1])
         raw = ip.read_bytes()
         ip.write_bytes(raw[:-5])
-        with pytest.raises(Truncated):
+        with pytest.raises(FormatError, match="image payload: expected 18 bytes, got 13"):
             load_idx(ip, lp)
 
     def test_count_mismatch_rejected(self, tmp_path):
         ip, _ = self.write_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1])
         lp = ip.parent / "short.idx"
         write_idx_labels(lp, [0])
-        with pytest.raises(CountMismatch):
+        with pytest.raises(FormatError, match="2 images but 1 labels"):
             load_idx(ip, lp)
 
     def test_round_trip_bit_identical(self, tmp_path):
