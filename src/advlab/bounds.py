@@ -103,16 +103,20 @@ def _capacity(per_layer: list[dict]) -> float:
 
 
 def _lam_by_layer(net: Network, stats: list[LayerCorrStats]) -> dict[int, dict[str, float]]:
-    """Aggregate per-layer extremes over however many entries cover a layer."""
+    """Aggregate per-layer extremes over however many entries cover a layer.
+
+    Every entry on a layer of `net` must have that layer's weight count as its dim.
+    """
     table: dict[int, dict[str, float]] = {}
-    for s in stats:
+    for i, s in enumerate(stats):
+        if 1 <= s.layer <= len(net.layers) and s.dim != (size := net.layers[s.layer - 1].weight.size):
+            raise ValueError(f"stats[{i}] ({s.source}, {s.data}) has dim {s.dim}; "
+                             f"layer {s.layer} has {size} weights")
         entry = table.setdefault(
             s.layer,
             {"lamc": -np.inf, "lamr": -np.inf, "lam_max": -np.inf, "lam_min": np.inf,
              "logdet": np.inf, "det_lb": np.inf, "dim": s.dim},
         )
-        if s.dim != entry["dim"]:
-            raise ValueError(f"layer {s.layer} has entries of mismatched dimension")
         entry["lamc"] = max(entry["lamc"], s.lamc_max)
         entry["lamr"] = max(entry["lamr"], s.lamr_max)
         entry["lam_max"] = max(entry["lam_max"], s.lam_max)

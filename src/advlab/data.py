@@ -152,17 +152,15 @@ def split_blobs(
     if min(train_per_class, test_per_class) < 1:
         raise ValueError("train_per_class and test_per_class must be >= 1")
     full = synth_blobs(num_classes, train_per_class + test_per_class, dim, spread, seed)
-    per = train_per_class + test_per_class
-    train_idx, test_idx = [], []
-    for c in range(num_classes):
-        start = c * per
-        train_idx.extend(range(start, start + train_per_class))
-        test_idx.extend(range(start + train_per_class, start + per))
-    train = Dataset(full.inputs[train_idx], full.labels[train_idx], num_classes,
-                    name=f"{full.name}-train")
-    test = Dataset(full.inputs[test_idx], full.labels[test_idx], num_classes,
-                   name=f"{full.name}-test")
-    return train, test
+
+    def rows_of_each_class(a: np.ndarray, rows: slice) -> np.ndarray:
+        """`rows` of every class block of `a`, in class order, as one C-ordered array."""
+        picked = a.reshape(num_classes, -1, *a.shape[1:])[:, rows]
+        return np.ascontiguousarray(picked.reshape(-1, *a.shape[1:]))
+
+    return tuple(Dataset(rows_of_each_class(full.inputs, rows), rows_of_each_class(full.labels, rows),
+                         num_classes, name=f"{full.name}-{tag}")
+                 for rows, tag in ((slice(train_per_class), "train"), (slice(train_per_class, None), "test")))
 
 
 def epoch_seed_from(*parts: int) -> int:

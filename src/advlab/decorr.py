@@ -137,7 +137,7 @@ def penalty_dacts(tape: ForwardTape, cfg: DecorrConfig) -> dict[int, np.ndarray]
             for layer in penalized_layer_indices(tape.net, cfg) if layer > 1}
 
 
-def hessian_kron_factors(tape: ForwardTape, labels, layer: int) -> tuple[np.ndarray, np.ndarray]:
+def hessian_kron_factors(tape: ForwardTape, layer: int) -> tuple[np.ndarray, np.ndarray]:
     """Kronecker factors of the softmax-CE Hessian for the output layer.
 
     Returns (A_hat, H_hat): A_hat is the batch second moment of the
@@ -148,16 +148,13 @@ def hessian_kron_factors(tape: ForwardTape, labels, layer: int) -> tuple[np.ndar
     single-sample batch their Kronecker product (column-major weight
     vectorization) equals the exact Hessian w.r.t. the layer's weights;
     for larger batches it is the standard factorized approximation.
-    Softmax-CE only: its pre-activation Hessian has this closed form and
-    does not involve the labels.
+    Softmax-CE only: its logit Hessian has this closed form and does not
+    involve the labels, so none are taken.
     """
     if layer != len(tape.net.layers):
         raise ValueError("Hessian factorization is available for the output layer only")
     a = tape.augmented[layer - 1]
     a_hat = _second_moment(a)
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (a.shape[0],):
-        raise ValueError("labels must match the batch")
     p = softmax(tape.logits)
     h_hat = (np.diag(p.sum(axis=0)) - p.T @ p) / a.shape[0]
     return a_hat, 0.5 * (h_hat + h_hat.T)

@@ -99,21 +99,22 @@ def normalize_to_correlation(m) -> np.ndarray:
     s = _as_symmetric(m)
     d = np.diag(s)
     if np.any(d <= TOL_DIAG):
-        raise DegenerateDiagonal("non-positive diagonal entry")
+        raise DegenerateDiagonal(f"smallest diagonal entry {d.min():.3g} "
+                                 f"is not above the floor {TOL_DIAG:g}")
     inv_sqrt = 1.0 / np.sqrt(d)
     out = s * np.outer(inv_sqrt, inv_sqrt)
     np.fill_diagonal(out, 1.0)
     return out
 
 
-def _check_eigen_bracket(lam_min: float, lam_max: float, dim: int) -> tuple[float, float]:
+def _check_eigen_bracket(lam_min: float, lam_max: float, dim: int):
+    """Raise the ValueError naming what is wrong with one bracket and dim."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if not (0.0 < lam_min <= 1.0 + TOL_PSD and 1.0 - TOL_PSD <= lam_max):
         raise ValueError(f"need 0 < lam_min <= 1 <= lam_max, got [{lam_min}, {lam_max}]")
     if lam_min > lam_max:
         raise ValueError(f"lam_min {lam_min} exceeds lam_max {lam_max}")
-    return min(lam_min, 1.0), max(lam_max, 1.0)
 
 
 def det_lower_bound(lam_min: float, lam_max: float, dim: int) -> float:
@@ -134,33 +135,23 @@ def det_lower_bound(lam_min: float, lam_max: float, dim: int) -> float:
 def logdet_lower_bound(lam_min, lam_max, dim: int):
     """log of det_lower_bound: k log(lam_min) + (dim - k) log(lam_max).
 
-    Given ndarrays, one call returns the array of the floats that per-pair
-    calls give, bit for bit, after the same checks with the same messages.
-    Scalars keep a path of their own: numpy on 0-d arrays costs several
-    times as much per call.
+    Scalars give a float; ndarrays give the array of the floats that
+    per-pair calls give, bit for bit. A bad pair raises the message of
+    the first one.
     """
-    if isinstance(lam_min, np.ndarray) or isinstance(lam_max, np.ndarray):
-        return _logdet_lower_bound_array(lam_min, lam_max, dim)
-    lam_min, lam_max = _check_eigen_bracket(lam_min, lam_max, dim)
-    if lam_max == lam_min:
-        return float(dim * np.log(lam_min))
-    k = dim * (lam_max - 1.0) / (lam_max - lam_min)
-    return float(k * np.log(lam_min) + (dim - k) * np.log(lam_max))
-
-
-def _logdet_lower_bound_array(lam_min, lam_max, dim: int) -> np.ndarray:
     lam_min, lam_max = np.broadcast_arrays(np.asarray(lam_min, dtype=np.float64),
                                            np.asarray(lam_max, dtype=np.float64))
     ok = ((0.0 < lam_min) & (lam_min <= 1.0 + TOL_PSD) & (1.0 - TOL_PSD <= lam_max)
           & (lam_min <= lam_max))
-    if dim < 1 or not ok.all():  # a NaN is not ok; the scalar check raises on the first bad pair
+    if dim < 1 or not ok.all():  # a NaN is not ok
         i = np.argmin(ok)
         _check_eigen_bracket(float(lam_min.flat[i]), float(lam_max.flat[i]), dim)
     lam_min, lam_max = np.minimum(lam_min, 1.0), np.maximum(lam_max, 1.0)
     with np.errstate(invalid="ignore"):  # k is 0/0 where lam_max == lam_min, i.e. both 1
         k = dim * (lam_max - 1.0) / (lam_max - lam_min)
-        return np.where(lam_max == lam_min, dim * np.log(lam_min),
-                        k * np.log(lam_min) + (dim - k) * np.log(lam_max))
+        out = np.where(lam_max == lam_min, dim * np.log(lam_min),
+                       k * np.log(lam_min) + (dim - k) * np.log(lam_max))
+    return float(out) if out.ndim == 0 else out
 
 
 def equicorrelation(dim: int, r: float) -> np.ndarray:

@@ -246,7 +246,7 @@ def sample_weight_perturbations(
         rng = np.random.default_rng([cfg.seed, draw])
         noise = [sigma * rng.standard_normal(w.shape) if on else zero
                  for w, sigma, on, zero in zip(net.weights, sigmas, active, zeros)]
-        layers = [Layer(layer.weight + u, layer.activation) if on else layer
+        layers = [Layer(layer.weight + u) if on else layer
                   for layer, u, on in zip(net.layers, noise, active)]
         if within_tolerance(layers):
             accepted.append(noise)
@@ -331,9 +331,8 @@ def corr_from_laplace(
     h_hat = np.zeros((net.output_dim, net.output_dim))
     for start in range(0, len(ds), chunk):
         xb = ds.inputs[start : start + chunk]
-        yb = ds.labels[start : start + chunk]
         tape = forward(net, xb)
-        a_part, h_part = hessian_kron_factors(tape, yb, layer)
+        a_part, h_part = hessian_kron_factors(tape, layer)
         a_hat += a_part * len(xb)
         h_hat += h_part * len(xb)
     a_hat /= len(ds)

@@ -45,11 +45,9 @@ def full_reverse_input_gradient(net, tape, dlogits):
     """
     dz = dlogits
     for idx in range(len(net.layers) - 1, -1, -1):
-        da = (dz @ net.layers[idx].weight)[:, :-1]
-        if idx > 0 and net.layers[idx - 1].activation == "relu":
-            dz = da * (tape.pre_activations[idx - 1] > 0.0)
-        else:
-            dz = da
+        dz = (dz @ net.layers[idx].weight)[:, :-1]
+        if idx > 0:  # layer idx's input is a hidden ReLU output
+            dz = dz * (tape.activations[idx] > 0.0)
     return dz
 
 
@@ -63,14 +61,15 @@ def max_rel_error(analytic, oracle):
 
 
 def away_from_relu_kinks(net, batch, margin=1e-3):
-    """True when no pre-activation sits within `margin` of a ReLU kink.
+    """True when no hidden pre-activation sits within `margin` of a ReLU kink.
 
     Finite differences are meaningless across a kink, so gradient-check
     fixtures are seeded to keep clear of them; this guards the fixture.
+    Each hidden layer's pre-activation is recomputed from its augmented input.
     """
     tape = forward(net, batch)
-    for z, layer in zip(tape.pre_activations, net.layers):
-        if layer.activation == "relu" and np.abs(z).min() < margin:
+    for inputs, layer in zip(tape.augmented[:-1], net.layers[:-1]):
+        if np.abs(inputs @ layer.weight.T).min() < margin:
             return False
     return True
 
@@ -103,6 +102,8 @@ CHECKPOINT_CORRUPTIONS = {
     "schema 1": _schema_1,
     "extra layer": lambda doc: (doc["layer_dims"].append([2, 4]), doc["activations"].append("identity")),
     "extra weights": lambda doc: doc["weights"].append(doc["weights"][-1]),
+    "hidden identity": lambda doc: doc["activations"].__setitem__(0, "identity"),
+    "relu output": lambda doc: doc["activations"].__setitem__(-1, "relu"),
     "unknown key": lambda doc: doc.update(note="x"),
 }
 
@@ -117,5 +118,7 @@ CHECKPOINT_CORRUPTION_MESSAGES = {
     "schema 1": r"has unsupported schema 1 \(expected 2\)",
     "extra layer": "layer_dims, activations and weights must be lists of one length",
     "extra weights": "layer_dims, activations and weights must be lists of one length",
+    "hidden identity": r'activations must be \["relu", ("relu", )*"identity"\], got \["identity", ',
+    "relu output": r'activations must be \[("relu", )+"identity"\], got \[("relu", )+"relu"\]',
     "unknown key": "must hold exactly the keys schema_version, layer_dims, activations, weights",
 }

@@ -208,7 +208,7 @@ def test_criterion_5_kronecker_hessian():
     x = rng.uniform(0, 1, (1, 3))
     y = [1]
     tape = forward(net, x)
-    a_hat, h_hat = hessian_kron_factors(tape, y, 1)
+    a_hat, h_hat = hessian_kron_factors(tape, 1)
     kron = np.kron(a_hat, h_hat)
 
     w0 = net.weights[0]
@@ -235,9 +235,8 @@ def test_criterion_5_kronecker_hessian():
 
     # informational: the factorized expectation over a batch is approximate
     xb = rng.uniform(0, 1, (16, 3))
-    yb = rng.integers(0, 4, size=16)
     tape_b = forward(net, xb)
-    a_b, h_b = hessian_kron_factors(tape_b, yb, 1)
+    a_b, h_b = hessian_kron_factors(tape_b, 1)
     from advlab.network import softmax
 
     exact = np.zeros((dim, dim))

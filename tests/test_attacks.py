@@ -20,7 +20,7 @@ from advlab.network import (
 def linear_two_class():
     # logits = (x1, x2): cross-entropy on label 1 ascends x1 and descends x2
     w = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    return Network([Layer(w, "identity")])
+    return Network([Layer(w)])
 
 
 def random_net(seed=0, dims=(6, 12, 4)):
@@ -50,7 +50,7 @@ class TestFgsm:
         assert np.allclose(got - x, [[0.1, -0.1]], atol=1e-15)
 
     def test_zero_gradient_leaves_input(self):
-        net = Network([Layer(np.zeros((2, 3)), "identity")])
+        net = Network([Layer(np.zeros((2, 3)))])
         x = np.array([[0.4, 0.6]])
         assert np.array_equal(one_step(net, x, [0], epsilon=0.1), x)
 
@@ -204,7 +204,7 @@ class TestPgdBuffers:
 
     def test_non_finite_iterate_is_rejected(self):
         # an l2 step along an infinite gradient leaves the iterate nan
-        net = Network([Layer(np.array([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]]), "identity")])
+        net = Network([Layer(np.array([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]]))])
         with (np.errstate(over="ignore", invalid="ignore"),
               pytest.raises(ValueError, match="batch contains non-finite entries")):
             pgd(net, np.array([[0.5, 0.5]]), [1], AttackSpec(0.1, 0.05, 3, norm="l2"))
@@ -212,7 +212,7 @@ class TestPgdBuffers:
 
 def pgd_start(origin, spec, seed):
     """pgd's projected random start: one step on a network whose input gradient is 0 adds 0 to it."""
-    net = Network([Layer(np.zeros((2, origin.shape[1] + 1)), "identity")])
+    net = Network([Layer(np.zeros((2, origin.shape[1] + 1)))])
     return pgd(net, origin, np.zeros(len(origin), dtype=int), spec, seed=seed)
 
 

@@ -29,13 +29,13 @@ def identity_stats(net):
 
 
 def single_identity_net(dim=3):
-    return Network([Layer(np.hstack([np.eye(dim), np.zeros((dim, 1))]), "identity")])
+    return Network([Layer(np.hstack([np.eye(dim), np.zeros((dim, 1))]))])
 
 
 def rank_one_two_layer_net():
     w1 = np.zeros((4, 4)); w1[0, 0] = 2.0
     w2 = np.zeros((2, 5)); w2[0, 0] = 0.5
-    return Network([Layer(w1, "relu"), Layer(w2, "identity")])
+    return Network([Layer(w1), Layer(w2)])
 
 
 INPUTS = BoundInputs(gamma=0.5, delta=0.05, m=1000, input_bound=3.0, epsilon=0.1)
@@ -71,7 +71,7 @@ class TestPhiStandard:
         assert capacity(scaled) == pytest.approx(base, rel=1e-10)
 
     def test_zero_layer_rejected(self):
-        net = Network([Layer(np.zeros((2, 3)), "identity")])
+        net = Network([Layer(np.zeros((2, 3)))])
         with pytest.raises(ValueError, match="a layer has zero spectral norm"):
             capacity(net)
 
@@ -203,11 +203,19 @@ class TestEvaluateBound:
     def test_mixed_bound_survives_underflowing_determinant(self):
         # at realistic dimensions the determinant bound underflows float64,
         # but its logarithm is what the numerator needs
-        net = single_identity_net(2)
+        net = Network([Layer(np.eye(40, 50))])  # 2000 weights
         stats = [stats_entry(1, dim=2000, lam_max=3.0, lam_min=0.01, det_lb=0.0, logdet=-5000.0)]
         report = evaluate_bound(net, INPUTS, "corr_mixed", stats)
         assert np.isfinite(report.logdet_term)
         assert report.logdet_term > 700.0
+
+    @pytest.mark.parametrize("kind", ["corr", "corr_mixed"])
+    def test_stats_of_another_nets_layer_rejected(self, kind):
+        # a layer of 3x4 weights, described by the statistics of a 2x3 one
+        stats = identity_stats(single_identity_net(2))
+        message = r"stats\[0\] \(laplace, clean\) has dim 6; layer 1 has 12 weights"
+        with pytest.raises(ValueError, match=message):
+            evaluate_bound(single_identity_net(3), INPUTS, kind, stats)
 
     def test_rank_deficient_stats_rejected(self):
         net = single_identity_net(2)

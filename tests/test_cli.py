@@ -163,7 +163,7 @@ class TestEvaluateCommand:
         assert run(["evaluate", "--config", config, "--out", tmp_path / "x"]) == EXIT_IO
 
     @pytest.mark.parametrize("case", ["bad base64 character", "short payload", "nan payload",
-                                      "schema 1", "extra weights", "not utf-8"])
+                                      "schema 1", "extra weights", "hidden identity", "not utf-8"])
     def test_corrupt_checkpoint_exits_4_with_one_line(self, tmp_path, trained, capsys, case):
         path = trained / "checkpoint.json"
         if case == "not utf-8":
@@ -410,14 +410,17 @@ def scaled_checkpoint(trained, scale):
     return path
 
 
+OVERFLOW = "non-finite logits: the weights or inputs exceed float64 range"
+
+
 @pytest.mark.filterwarnings("error")  # a numpy warning would print a second stderr line
 @pytest.mark.parametrize(
     "command, extra, scale, message",
     [
-        ("evaluate", {"attacks": [{"epsilon": 0.08, "step_size": 0.02, "steps": 3}]}, 1e200,
-         "non-finite logits"),
-        ("stats", {"method": "laplace"}, 1e200, "non-finite logits"),
-        ("stats", {"method": "laplace"}, 1e150, "non-positive diagonal entry"),
+        ("evaluate", {"attacks": [{"epsilon": 0.08, "step_size": 0.02, "steps": 3}]}, 1e200, OVERFLOW),
+        ("stats", {"method": "laplace"}, 1e200, OVERFLOW),
+        ("stats", {"method": "laplace"}, 1e150,
+         "smallest diagonal entry 1.1e-299 is not above the floor 1e-12"),
     ],
     ids=["evaluate-1e200", "laplace-1e200", "laplace-1e150"],
 )

@@ -17,12 +17,12 @@ from advlab.linalg import normalize_to_correlation
 from advlab.network import Layer, Network, backward, cross_entropy, forward
 
 
-def identity_layer(dim, activation="relu"):
-    return Layer(np.hstack([np.eye(dim), np.zeros((dim, 1))]), activation)
+def identity_layer(dim):
+    return Layer(np.hstack([np.eye(dim), np.zeros((dim, 1))]))
 
 
 def identity_passthrough_net(dim):
-    return Network([identity_layer(dim, "relu"), identity_layer(dim, "identity")])
+    return Network([identity_layer(dim), identity_layer(dim)])
 
 
 class TestActivationCovariance:
@@ -226,16 +226,16 @@ class TestGradient:
 
 class TestHessianFactors:
     def test_uniform_two_class(self):
-        net = Network([Layer(np.zeros((2, 3)), "identity")])
+        net = Network([Layer(np.zeros((2, 3)))])
         tape = forward(net, np.array([[0.3, 0.4]]))
-        _, h_hat = hessian_kron_factors(tape, [0], 1)
+        _, h_hat = hessian_kron_factors(tape, 1)
         assert np.allclose(h_hat, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
 
     def test_one_hot_probabilities(self):
         w = np.array([[100.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        net = Network([Layer(w, "identity")])
+        net = Network([Layer(w)])
         tape = forward(net, np.array([[1.0, 0.0]]))
-        _, h_hat = hessian_kron_factors(tape, [0], 1)
+        _, h_hat = hessian_kron_factors(tape, 1)
         assert np.abs(h_hat).max() < 1e-12
 
     def test_single_sample_kron_equals_fd_hessian(self):
@@ -244,7 +244,7 @@ class TestHessianFactors:
         x = rng.uniform(0, 1, (1, 3))
         y = [2]
         tape = forward(net, x)
-        a_hat, h_hat = hessian_kron_factors(tape, y, 1)
+        a_hat, h_hat = hessian_kron_factors(tape, 1)
         kron = np.kron(a_hat, h_hat)
 
         w0 = net.weights[0]
@@ -273,9 +273,8 @@ class TestHessianFactors:
         rng = np.random.default_rng(10)
         net = Network.he_init([3, 4], seed=21)
         x = rng.uniform(0, 1, (6, 3))
-        y = rng.integers(0, 4, size=6)
         tape = forward(net, x)
-        a_hat, h_hat = hessian_kron_factors(tape, y, 1)
+        a_hat, h_hat = hessian_kron_factors(tape, 1)
         from advlab.network import softmax
 
         aug = np.hstack([x, np.ones((6, 1))])
@@ -293,7 +292,7 @@ class TestHessianFactors:
         net = Network.he_init([6, 8, 10], seed=27)
         x = np.random.default_rng(13).uniform(0, 1, (500, 6))
         tape = forward(net, x)
-        _, h_hat = hessian_kron_factors(tape, np.zeros(500, dtype=int), 2)
+        _, h_hat = hessian_kron_factors(tape, 2)
         from advlab.network import softmax
 
         reference = np.zeros((10, 10))
@@ -306,14 +305,14 @@ class TestHessianFactors:
         net = Network.he_init([3, 4, 2], seed=23)
         tape = forward(net, np.random.default_rng(11).uniform(0, 1, (2, 3)))
         with pytest.raises(ValueError, match="available for the output layer only"):
-            hessian_kron_factors(tape, [0, 1], 1)
+            hessian_kron_factors(tape, 1)
 
     def test_single_sample_factorization_is_exact(self):
         rng = np.random.default_rng(12)
         net = Network.he_init([3, 4], seed=25)
         x = rng.uniform(0, 1, (1, 3))
         tape = forward(net, x)
-        a_hat, h_hat = hessian_kron_factors(tape, [1], 1)
+        a_hat, h_hat = hessian_kron_factors(tape, 1)
         from advlab.network import softmax
 
         aug = np.append(x[0], 1.0)

@@ -41,7 +41,7 @@ from advlab.network import (
 
 
 def single_layer(weight):
-    return Network([Layer(np.asarray(weight, dtype=float), "identity")])
+    return Network([Layer(np.asarray(weight, dtype=float))])
 
 
 def identity_net(dim):
@@ -57,7 +57,7 @@ class TestForward:
 
     def test_relu_kills_negative_preactivations(self):
         w = np.hstack([-np.eye(3), np.zeros((3, 1))])
-        net = Network([Layer(w, "relu"), Layer(np.hstack([np.eye(3), np.zeros((3, 1))]), "identity")])
+        net = Network([Layer(w), Layer(np.hstack([np.eye(3), np.zeros((3, 1))]))])
         tape = forward(net, np.ones((1, 3)))
         assert np.array_equal(tape.activations[1], np.zeros((1, 3)))
 
@@ -69,12 +69,12 @@ class TestForward:
 
         for row, logits in zip(x, tape.logits):
             a = row
-            for layer in net.layers:
+            for depth, layer in enumerate(net.layers, start=1):
                 z = np.array(
                     [sum(layer.weight[i, j] * aj for j, aj in enumerate(list(a) + [1.0]))
                      for i in range(layer.out_dim)]
                 )
-                a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+                a = np.maximum(z, 0.0) if depth < len(net.layers) else z  # ReLU but on the logits
             assert np.allclose(a, logits, atol=1e-12)
 
     def test_rejects_wrong_width(self):
@@ -208,10 +208,10 @@ class TestBackward:
     def test_dead_unit_gradient_exactly_zero(self):
         w1 = np.hstack([np.eye(2), np.zeros((2, 1))])
         w1[0] = [-1.0, -1.0, -1.0]  # unit 0 dead for positive inputs
-        net = Network([Layer(w1, "relu"), Layer(np.ones((2, 3)), "identity")])
+        net = Network([Layer(w1), Layer(np.ones((2, 3)))])
         x = np.random.default_rng(9).uniform(0.1, 1.0, (5, 2))
         tape = forward(net, x)
-        assert np.all(tape.pre_activations[0][:, 0] < 0)
+        assert np.all((tape.augmented[0] @ w1.T)[:, 0] < 0)
         grads = backward(net, tape, cross_entropy_grad(tape.logits, [0] * 5))
         assert np.array_equal(grads[0][0], np.zeros(3))
 
@@ -339,7 +339,7 @@ class TestHomogeneity:
         rng = np.random.default_rng(14)
         w1 = np.hstack([rng.standard_normal((6, 4)), np.zeros((6, 1))])
         w2 = np.hstack([rng.standard_normal((3, 6)), np.zeros((3, 1))])
-        net = Network([Layer(w1, "relu"), Layer(w2, "identity")])
+        net = Network([Layer(w1), Layer(w2)])
         x = rng.uniform(0, 1, (5, 4))
         base = forward(net, x).logits
 
@@ -361,14 +361,13 @@ class TestCheckpoint:
 
     def test_weights_survive_bit_for_bit(self, tmp_path):
         net = Network.he_init([3, 4, 2], seed=52)
-        extremes = Layer(np.array([[-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1.0]]),
-                         "identity")
+        extremes = Layer(np.array([[-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1.0]]))
         for original in (net, Network([extremes])):
             path = tmp_path / "ck.json"
             save_checkpoint(original, path)
             loaded = load_checkpoint(path)
             assert [w.tobytes() for w in loaded.weights] == [w.tobytes() for w in original.weights]
-            assert [l.activation for l in loaded.layers] == [l.activation for l in original.layers]
+            assert checkpoint_text(loaded) == checkpoint_text(original)
 
     def test_loaded_weights_are_writable_c_contiguous_float64(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -408,8 +407,5 @@ class TestCheckpoint:
 class TestNetworkValidation:
     def test_rejects_non_chaining_dims(self):
         with pytest.raises(ValueError, match="layer dims do not chain: 3 -> 2"):
-            Network([Layer(np.ones((3, 4)), "relu"), Layer(np.ones((2, 3)), "identity")])
+            Network([Layer(np.ones((3, 4))), Layer(np.ones((2, 3)))])
 
-    def test_rejects_relu_output(self):
-        with pytest.raises(ValueError, match="final layer must use the identity activation"):
-            Network([Layer(np.ones((2, 3)), "relu")])

@@ -82,7 +82,7 @@ def deep_trained_net(ds, seed=11, steps=200, lr=0.3):
 
 def laplace_correlations(net, ds, damping):
     """The Laplace estimator's column and row correlations, formed from the same factors."""
-    factors = hessian_kron_factors(forward(net, ds.inputs), ds.labels, len(net.layers))
+    factors = hessian_kron_factors(forward(net, ds.inputs), len(net.layers))
     return [normalized_precision(f, damping * float(np.trace(f)) / f.shape[0]) for f in factors]
 
 
@@ -352,7 +352,7 @@ def flat_feature_case(k_flat, seed, d=6, classes=3, n=120):
     probes = r.standard_normal((classes, d - k_flat))
     labels = (live @ probes.T).argmax(axis=1)
     ds = Dataset(x, labels, classes, f"flat{k_flat}")
-    net = Network([Layer(np.zeros((classes, d + 1)), "identity")])
+    net = Network([Layer(np.zeros((classes, d + 1)))])
     for _ in range(4000):
         tape = forward(net, ds.inputs)
         g = backward(net, tape, cross_entropy_grad(tape.logits, ds.labels))
