@@ -32,7 +32,6 @@ from .linalg import NotPositiveDefinite
 from .network import Network, load_checkpoint
 from .train import (
     BoundConfig,
-    ConfigError,
     DivergedTraining,
     EvaluateConfig,
     RunConfig,
@@ -64,10 +63,8 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
 
 
 def _cmd_train(doc, out: Path, seed: int | None) -> int:
@@ -85,9 +82,9 @@ def _checked_dataset(net: Network, spec: dict, split: str) -> Dataset:
     """The dataset split, checked against the checkpoint's input width and class count."""
     (ds,) = dataset_from_spec(spec, split)
     if ds.dim != net.input_dim:
-        raise ConfigError(f"dataset has {ds.dim} features, checkpoint expects {net.input_dim}")
+        raise ValueError(f"dataset has {ds.dim} features, checkpoint expects {net.input_dim}")
     if ds.num_classes != net.output_dim:
-        raise ConfigError(f"dataset has {ds.num_classes} classes, checkpoint expects {net.output_dim}")
+        raise ValueError(f"dataset has {ds.num_classes} classes, checkpoint expects {net.output_dim}")
     return ds
 
 
@@ -105,18 +102,18 @@ def _cmd_evaluate(doc, out: Path, seed: int | None) -> int:
 def _cmd_stats(doc, out: Path, seed: int | None) -> int:
     config = build_variant(STATS_CONFIGS, "method", doc, "stats", seed)
     if "seed" in doc.get("sampling", {}):  # the dataclass keeps the field for in-process callers
-        raise ConfigError("stats sampling.seed is not accepted: the sampler draws from the run 'seed'")
+        raise ValueError("stats sampling.seed is not accepted: the sampler draws from the run 'seed'")
     net = load_checkpoint(config.checkpoint)
     ds = _checked_dataset(net, config.dataset, config.split)
     depth = len(net.layers)
     layer = depth if config.layer is None else config.layer
     if not 1 <= layer <= depth:
-        raise ConfigError(f"stats layer {layer!r} outside 1..{depth}")
+        raise ValueError(f"stats layer {layer!r} outside 1..{depth}")
     if config.method == "sampling" and not all(1 <= l <= depth for l in config.sampling.layers or ()):
-        raise ConfigError(f"stats sampling.layers {list(config.sampling.layers)} outside 1..{depth}")
+        raise ValueError(f"stats sampling.layers {list(config.sampling.layers)} outside 1..{depth}")
     if config.method == "sampling" and layer not in (config.sampling.layers or range(1, depth + 1)):
-        raise ConfigError(f"stats layer {layer} is not in sampling.layers "
-                          f"{list(config.sampling.layers)}: its weights would never be perturbed")
+        raise ValueError(f"stats layer {layer} is not in sampling.layers "
+                         f"{list(config.sampling.layers)}: its weights would never be perturbed")
     variants = [("clean", ds)]
     if config.attack is not None:
         adv = pgd(net, ds.inputs, ds.labels, config.attack, seed=config.seed)
@@ -126,8 +123,8 @@ def _cmd_stats(doc, out: Path, seed: int | None) -> int:
             try:
                 stats = corr_from_laplace(net, data, layer, damping=config.damping)
             except NotPositiveDefinite as exc:
-                raise ConfigError(f"stats damping {config.damping!r} is too small: the {tag} "
-                                  "Laplace factor is not positive definite") from exc
+                raise ValueError(f"stats damping {config.damping!r} is too small: the {tag} "
+                                 "Laplace factor is not positive definite") from exc
         else:
             sampling = dataclasses.replace(config.sampling, seed=config.seed)  # the run seeds the sampler
             stats = corr_from_samples(sample_weight_perturbations(net, data, sampling), layer)

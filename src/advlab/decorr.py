@@ -1,13 +1,13 @@
 """Weight-decorrelation penalty for adversarial training.
 
-The penalty for a layer is the squared Frobenius norm of the unit-diagonal
+The penalty is the squared Frobenius norm of the unit-diagonal
 normalization of the inverse (ridge-damped) covariance of the activations
-feeding that layer, accumulated over a clean and an adversarial minibatch.
+feeding the last layer, accumulated over a clean and an adversarial minibatch.
 Minimizing it pushes the normalized precision toward the identity, i.e.
 decorrelates the layer's input statistics and, through the Laplace view of
 the weight posterior, the weights themselves.
 
-`penalty_and_grad` gives a layer's value and its exact gradient w.r.t. the
+`penalty_and_grad` gives the value and its exact gradient w.r.t. the
 activations from one ridged inverse: the chain batch covariance -> ridge
 -> matrix inverse (dM = -M dS M) -> unit-diagonal normalization -> squared
 Frobenius norm is differentiated in closed form. That activation gradient
@@ -23,40 +23,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import inverse_psd, normalize_to_correlation
-from .network import ForwardTape, Network, softmax
-
-LAYER_POLICIES = ("last", "all")
+from .network import ForwardTape, softmax
 
 
 @dataclass(frozen=True)
 class DecorrConfig:
-    """Penalty weight, ridge, and which layers to penalize.
+    """Penalty weight `alpha` and ridge factor `damping`.
 
-    damping_mode "scaled" uses ridge = damping * trace(cov)/h, which keeps
-    the ridge meaningful across activation scales; "absolute" uses the raw
-    damping value. Minibatches smaller than the layer width make the
+    The ridge is damping * trace(cov)/h, which keeps it meaningful across
+    activation scales; a dead layer (zero trace) gets the absolute ridge
+    `damping`. Minibatches smaller than the layer width make the
     covariance singular routinely, so some ridge is always required.
     """
 
     alpha: float = 0.3
     damping: float = 1e-3
-    damping_mode: str = "scaled"
-    layer_policy: str = "last"
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError("alpha must be finite and >= 0")
         if not self.damping >= 1e-8:
             raise ValueError("damping must be >= 1e-8")
-        if self.damping_mode not in ("scaled", "absolute"):
-            raise ValueError(f"unknown damping_mode {self.damping_mode!r}")
-        if self.layer_policy not in LAYER_POLICIES:
-            raise ValueError(f"unknown layer_policy {self.layer_policy!r}")
-
-
-def penalized_layer_indices(net: Network, cfg: DecorrConfig) -> list[int]:
-    n = len(net.layers)
-    return [n] if cfg.layer_policy == "last" else list(range(1, n + 1))
 
 
 def _second_moment(a: np.ndarray) -> np.ndarray:
@@ -68,9 +55,9 @@ def _second_moment(a: np.ndarray) -> np.ndarray:
 def resolve_ridge(cov: np.ndarray, cfg: DecorrConfig) -> tuple[float, float]:
     """The ridge for `cov` and its slope d ridge / d trace(cov)."""
     scale = float(np.trace(cov)) / cov.shape[0]
-    if cfg.damping_mode == "scaled" and scale > 1e-300:
+    if scale > 1e-300:
         return cfg.damping * scale, cfg.damping / cov.shape[0]
-    return cfg.damping, 0.0  # absolute mode, or a dead layer: the absolute ridge
+    return cfg.damping, 0.0  # a dead layer: the absolute ridge
 
 
 def _ridged_inverse(cov: np.ndarray, ridge: float) -> np.ndarray:
@@ -113,28 +100,25 @@ def penalty_and_grad(a: np.ndarray, cfg: DecorrConfig) -> tuple[float, np.ndarra
 
 
 def decorr_penalty(tape_clean: ForwardTape, tape_adv: ForwardTape, cfg: DecorrConfig) -> float:
-    """Total penalty over the configured layers and both minibatches.
+    """Penalty of the last layer's input, summed over both minibatches.
 
     Unit diagonals alone contribute the layer width per tape, so the value
-    is always >= 2h for each configured layer.
+    is always >= 2h.
     """
     if tape_clean.net is not tape_adv.net:
         raise ValueError("clean and adversarial tapes come from different networks")
-    total = 0.0
-    for layer in penalized_layer_indices(tape_clean.net, cfg):
-        for tape in (tape_clean, tape_adv):
-            total += penalty_and_grad(tape.activations[layer - 1], cfg)[0]
-    return total
+    return sum(penalty_and_grad(tape.activations[-2], cfg)[0] for tape in (tape_clean, tape_adv))
 
 
 def penalty_dacts(tape: ForwardTape, cfg: DecorrConfig) -> dict[int, np.ndarray]:
-    """alpha-scaled penalty gradients w.r.t. the tape's penalized activations.
+    """alpha-scaled penalty gradient w.r.t. the last layer's input activations.
 
-    Keyed by activation index, as `network.backward` takes them. The input
-    batch feeding layer 1 does not depend on the weights and is left out.
+    Keyed by activation index, as `network.backward` takes them. A one-layer
+    net's last input is the data batch, which does not depend on the weights:
+    it gets no entry.
     """
-    return {layer - 1: cfg.alpha * penalty_and_grad(tape.activations[layer - 1], cfg)[1]
-            for layer in penalized_layer_indices(tape.net, cfg) if layer > 1}
+    last = len(tape.net.layers) - 1
+    return {last: cfg.alpha * penalty_and_grad(tape.activations[last], cfg)[1]} if last else {}
 
 
 def hessian_kron_factors(tape: ForwardTape, layer: int) -> tuple[np.ndarray, np.ndarray]:

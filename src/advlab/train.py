@@ -52,16 +52,12 @@ _INIT, _SHUFFLE, _ATTACK, _EVAL = 0, 1, 2, 3
 METRICS_HEADER = ("epoch", "train_loss", "clean_train", "clean_test", "pgd_train", "pgd_test", "penalty")
 
 
-class ConfigError(ValueError):
-    """A run configuration is inconsistent or malformed."""
-
-
 class DivergedTraining(RuntimeError):
     """Training hit a non-finite loss; the last good checkpoint was kept."""
 
 
 def build_config(cls, doc, what: str, path: str = "", seed: int | None = None):
-    """The dataclass `cls` built from the JSON object `doc`; ConfigError otherwise.
+    """The dataclass `cls` built from the JSON object `doc`; ValueError otherwise.
 
     Values are checked against the field annotations, never coerced: a bool is no number, a
     number is finite, an int in a float field stays an int, `tuple[...]` takes a JSON list, a
@@ -70,36 +66,34 @@ def build_config(cls, doc, what: str, path: str = "", seed: int | None = None):
     if `cls` has none. Messages name the command `what` and the field's dotted path (at `path`).
     """
     if not isinstance(doc, dict):
-        raise ConfigError(f"{what} {path or 'config'} {doc!r} is not an object")
+        raise ValueError(f"{what} {path or 'config'} {doc!r} is not an object")
     fields, hints = dataclasses.fields(cls), typing.get_type_hints(cls)
     if seed is not None and "seed" not in hints:
-        raise ConfigError(f"{what} takes no --seed: this config draws no random numbers")
+        raise ValueError(f"{what} takes no --seed: this config draws no random numbers")
     doc = doc if seed is None else doc | {"seed": seed}
     where = f"{path}." if path else ""
     unknown = sorted(doc.keys() - {f.name for f in fields})
     if unknown:
-        raise ConfigError(f"{what} config has unknown field '{where}{unknown[0]}'")
+        raise ValueError(f"{what} config has unknown field '{where}{unknown[0]}'")
     missing = [f.name for f in fields if f.name not in doc
                and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     if missing:
-        raise ConfigError(f"{what} config lacks '{where}{missing[0]}'")
+        raise ValueError(f"{what} config lacks '{where}{missing[0]}'")
     kw = {name: _checked(hints[name], value, what, where + name) for name, value in doc.items()}
     try:
         return cls(**kw)
-    except ConfigError:
-        raise
     except ValueError as exc:  # a range check of the dataclass itself
-        raise ConfigError(f"{what} {path}: {exc}" if path else f"{what}: {exc}") from exc
+        raise ValueError(f"{what} {path}: {exc}" if path else f"{what}: {exc}") from exc
 
 
 def build_variant(configs: dict, key: str, doc, what: str, seed: int | None = None):
     """build_config of the class `configs[doc[key]]`: a field of another variant is unknown."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{what} config {doc!r} is not an object")
+        raise ValueError(f"{what} config {doc!r} is not an object")
     if key not in doc:
-        raise ConfigError(f"{what} config lacks '{key}'")
+        raise ValueError(f"{what} config lacks '{key}'")
     if type(doc[key]) is not str or doc[key] not in configs:  # the type first: a list is unhashable
-        raise ConfigError(f"unknown {what} {key} {doc[key]!r}")
+        raise ValueError(f"unknown {what} {key} {doc[key]!r}")
     return build_config(configs[doc[key]], doc, what, seed=seed)
 
 
@@ -118,7 +112,7 @@ def _checked(hint, value, what: str, path: str):
         items = args[:1] * len(value) if variadic and isinstance(value, list) else args
         if not isinstance(value, list) or len(value) != len(items):
             size = "" if variadic else f" of {len(args)}"
-            raise ConfigError(f"{what} {path} {value!r} is not a list{size}")
+            raise ValueError(f"{what} {path} {value!r} is not a list{size}")
         return tuple(_checked(h, v, what, f"{path}[{i}]") for i, (h, v) in enumerate(zip(items, value)))
     seed = path.rsplit(".", 1)[-1] == "seed"
     if hint is float:  # finite: JSON has no infinity, yet 1e400 parses as one
@@ -127,7 +121,7 @@ def _checked(hint, value, what: str, path: str):
         ok = type(value) is hint and not (seed and value < 0)
     if not ok:
         kind = "a non-negative integer" if seed else _KINDS[hint]
-        raise ConfigError(f"{what} {path} {value!r} is not {kind}")
+        raise ValueError(f"{what} {path} {value!r} is not {kind}")
     return value
 
 
@@ -161,22 +155,22 @@ def dataset_from_spec(spec: dict, *splits: str) -> tuple[Dataset, ...]:
     s = build_variant({"synthetic": SyntheticSpec, "idx": IdxSpec}, "kind", spec, "dataset")
     for split in splits:
         if split not in ("train", "test"):
-            raise ConfigError(f"dataset split {split!r} is not 'train' or 'test'")
+            raise ValueError(f"dataset split {split!r} is not 'train' or 'test'")
     if s.kind == "synthetic":
         test_per_class = s.per_class if s.test_per_class is None else s.test_per_class
         try:
             train_ds, test_ds = split_blobs(
                 s.num_classes, s.per_class, test_per_class, s.dim, s.spread, s.seed)
         except ValueError as exc:
-            raise ConfigError(f"synthetic dataset spec: {exc}") from exc
+            raise ValueError(f"synthetic dataset spec: {exc}") from exc
         return tuple(test_ds if split == "test" else train_ds for split in splits)
     loaded = {}
     for split in splits:
         if getattr(s, f"{split}_images") is None:
-            raise ConfigError(f"dataset config lacks '{split}_images'")
+            raise ValueError(f"dataset config lacks '{split}_images'")
         loaded[split] = load_idx(getattr(s, f"{split}_images"), getattr(s, f"{split}_labels"))
         if not len(loaded[split]):
-            raise ConfigError(f"dataset split {split!r} has no rows")
+            raise ValueError(f"dataset split {split!r} has no rows")
     classes = [ds.num_classes for ds in loaded.values()]
     unread = [getattr(s, f"{split}_labels") for split in ("train", "test") if split not in loaded]
     if unread:
@@ -205,24 +199,22 @@ class RunConfig:
 
     def __post_init__(self):
         if self.method not in TRAIN_METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
+            raise ValueError(f"unknown method {self.method!r}")
         if self.epochs < 0 or self.lr <= 0 or min(self.batch_size, self.eval_subset, *self.hidden) < 1:
-            raise ConfigError("epochs must be >= 0, lr > 0, batch_size, eval_subset, hidden >= 1")
+            raise ValueError("epochs must be >= 0, lr > 0, batch_size, eval_subset, hidden >= 1")
         if not 0 <= self.momentum < 1 or self.weight_decay < 0:
-            raise ConfigError("momentum in [0,1), weight_decay >= 0")
+            raise ValueError("momentum in [0,1), weight_decay >= 0")
         if self.method != "standard" and self.attack_train is None:
-            raise ConfigError(f"method {self.method!r} needs attack_train")
+            raise ValueError(f"method {self.method!r} needs attack_train")
         if self.method.startswith("trades") and self.trades_lambda <= 0:
-            raise ConfigError("trades methods need trades_lambda > 0")
+            raise ValueError("trades methods need trades_lambda > 0")
+        if self.method.endswith("_decorr") and self.penalty.alpha <= 0:
+            raise ValueError("decorr methods need penalty.alpha > 0")
 
     @classmethod
     def from_dict(cls, doc: dict, seed: int | None = None) -> "RunConfig":
-        """A CLI config, whose decorr methods need penalty.alpha > 0; in process,
-        alpha = 0 reduces them to their base method bit for bit."""
-        config = build_config(cls, doc, "train", seed=seed)
-        if config.method.endswith("_decorr") and config.penalty.alpha <= 0:
-            raise ConfigError("decorr methods need penalty.alpha > 0")
-        return config
+        """The `train` command's config from its JSON object `doc` (see build_config)."""
+        return build_config(cls, doc, "train", seed=seed)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -254,7 +246,7 @@ class LaplaceStatsConfig(StatsConfig):
 
     def __post_init__(self):
         if self.damping <= 0:
-            raise ConfigError(f"stats damping {self.damping!r} is not a finite number > 0")
+            raise ValueError(f"damping {self.damping!r} is not a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -332,7 +324,7 @@ def _step_gradients(net, xb, yb, config: RunConfig, attack_seed: int):
         loss = cross_entropy(tape.logits, yb)
         return loss, backward(net, tape, cross_entropy_grad(tape.logits, yb))
 
-    penalty = config.penalty if method.endswith("_decorr") and config.penalty.alpha > 0 else None
+    penalty = config.penalty if method.endswith("_decorr") else None
     spec = config.attack_train
     if method.startswith("at"):
         x_adv = pgd(net, xb, yb, spec, seed=attack_seed)

@@ -256,7 +256,9 @@ def sample_weight_perturbations(
             accepted.append([rw - w if on else zero for rw, w, on, zero
                              in zip(refined.weights, net.weights, active, zeros)])
     if len(accepted) < cfg.num_samples:
-        raise ValueError(f"accepted {len(accepted)}/{cfg.num_samples} after {max_draws} draws")
+        raise ValueError(f"accepted {len(accepted)}/{cfg.num_samples} after {max_draws} draws: a draw "
+                         f"needs its loss within loss_tolerance {cfg.loss_tolerance:g} of the base "
+                         f"loss {base_loss:.6g}")
     return accepted
 
 

@@ -83,7 +83,7 @@ def test_criterion_1_gradient_suite():
     y = rng.integers(0, 3, size=8)
     x_adv = np.clip(x + rng.uniform(-0.04, 0.04, x.shape), 0, 1)
     assert away_from_relu_kinks(net, x) and away_from_relu_kinks(net, x_adv)
-    cfg = DecorrConfig(alpha=0.3, damping=1e-2, damping_mode="absolute")
+    cfg = DecorrConfig(alpha=0.3, damping=1e-2)
 
     def augmented(n):
         t_clean, t_adv = forward(n, x), forward(n, x_adv)

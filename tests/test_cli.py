@@ -114,6 +114,14 @@ class TestTrainCommand:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_config_exits_4(self, tmp_path, capsys, where):
+        path = tmp_path / "nope.json" if where == "missing" else tmp_path
+        assert run(["train", "--config", path, "--out", tmp_path / "x"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert str(path) in err
+
     def test_inconsistent_config_exits_2(self, tmp_path):
         doc = dict(TRAIN_CONFIG, method="trades", trades_lambda=0.0)
         config = write_config(tmp_path, doc)
@@ -369,8 +377,8 @@ class TestBoundCommand:
          "all-zero weight samples"),
         ("stats", {"method": "sampling", "sampling": {"num_samples": 2, "noise_sigma": -0.5}},
          "stats sampling: noise_sigma -0.5 is below 0"),
-        ("stats", {"method": "laplace", "damping": 0}, "stats damping 0 is not"),
-        ("stats", {"method": "laplace", "damping": -1}, "stats damping -1 is not"),
+        ("stats", {"method": "laplace", "damping": 0}, "stats: damping 0 is not a finite number > 0"),
+        ("stats", {"method": "laplace", "damping": -1}, "stats: damping -1 is not a finite number > 0"),
         ("stats", {"method": "laplace", "damping": 1e400}, "stats damping inf is not"),
         ("stats", {"method": "laplace", "damping": "x"}, "stats damping 'x' is not"),
         ("stats", {"method": "laplace", "damping": 1e-30}, "stats damping 1e-30 is too small"),
@@ -421,8 +429,11 @@ OVERFLOW = "non-finite logits: the weights or inputs exceed float64 range"
         ("stats", {"method": "laplace"}, 1e200, OVERFLOW),
         ("stats", {"method": "laplace"}, 1e150,
          "smallest diagonal entry 1.1e-299 is not above the floor 1e-12"),
+        ("stats", {"method": "sampling", "sampling": {"num_samples": 2, "refine_epochs": 0}}, 1e150,
+         "accepted 0/2 after 200 draws: a draw needs its loss within loss_tolerance 0.05 of the "
+         "base loss 1.49954e+299"),
     ],
-    ids=["evaluate-1e200", "laplace-1e200", "laplace-1e150"],
+    ids=["evaluate-1e200", "laplace-1e200", "laplace-1e150", "sampling-1e150"],
 )
 def test_overflowing_checkpoint_exits_2_with_one_line(tmp_path, trained, capsys, command, extra, scale,
                                                       message):

@@ -51,7 +51,7 @@ TRAIN = {
     "dataset": DATASET, "hidden": [8, 8], "method": "at_decorr", "epochs": 1, "batch_size": 20,
     "lr": 0.2, "momentum": 0.9, "weight_decay": 0.0005, "seed": 4,
     "attack_train": ATTACK, "attack_eval": ATTACK,
-    "penalty": {"alpha": 0.3, "damping": 0.001, "damping_mode": "scaled", "layer_policy": "last"},
+    "penalty": {"alpha": 0.3, "damping": 0.001},
     "trades_lambda": 0.5, "eval_subset": 100,
 }
 SAMPLING = {
@@ -263,6 +263,10 @@ def _is_open(fd: int) -> bool:
         ("bound", ("inputs", "m"), 2.5, "bound inputs.m 2.5 is not an integer"),
         ("bound", ("kind",), "pac", "unknown bound kind 'pac'"),
         ("train", ("penalty", "colour"), 1, "train config has unknown field 'penalty.colour'"),
+        ("train", ("penalty", "damping_mode"), "absolute",
+         "train config has unknown field 'penalty.damping_mode'"),
+        ("train", ("penalty", "layer_policy"), "all",
+         "train config has unknown field 'penalty.layer_policy'"),
     ],
     ids=["random-start-string", "hidden-fraction", "epochs-bool", "lr-bool", "trades-lambda-string",
          "train-seed-string", "evaluate-seed-negative", "sampling-seed", "attack-seed-bool",
@@ -271,7 +275,7 @@ def _is_open(fd: int) -> bool:
          "sampling-damping", "laplace-sampling", "family-list", "method-object",
          "sampling-layers-above-depth",
          "unknown-split", "dataset-size-string", "attack-epsilon-null", "bound-m-fraction",
-         "unknown-bound-kind", "unknown-nested-field"],
+         "unknown-bound-kind", "unknown-nested-field", "removed-damping-mode", "removed-layer-policy"],
 )
 def test_misfit_value_exits_2_naming_the_field(tmp_path, capsys, bases, name, path, value, message):
     command, base = bases[name]
@@ -347,8 +351,7 @@ SECOND = {
         "method": ("at_decorr", "trades_decorr"), "epochs": (1, 2), "batch_size": (20, 16),
         "lr": (0.2, 0.15), "momentum": (0.9, 0.5), "weight_decay": (0.0005, 0.001), "seed": (4, 5),
         **_under("attack_train", ATTACK_SECOND), **_under("attack_eval", ATTACK_SECOND),
-        **_under("penalty", {"alpha": (0.3, 0.2), "damping": (0.001, 0.01),
-                             "damping_mode": ("scaled", "absolute"), "layer_policy": ("last", "all")}),
+        **_under("penalty", {"alpha": (0.3, 0.2), "damping": (0.001, 0.01)}),
         "trades_lambda": (0.5, 0.25), "eval_subset": (100, 90),
     },
     "evaluate": {

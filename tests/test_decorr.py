@@ -87,7 +87,7 @@ class TestPenalty:
         net = identity_passthrough_net(dim)
         x = 0.7 * np.eye(dim)  # orthogonal rows: diagonal covariance
         tape = forward(net, x)
-        cfg = DecorrConfig(alpha=1.0, layer_policy="last")
+        cfg = DecorrConfig(alpha=1.0)
         assert decorr_penalty(tape, tape, cfg) == 2.0 * dim
 
     def test_rank_one_activations_exceed_floor(self):
@@ -95,7 +95,7 @@ class TestPenalty:
         net = identity_passthrough_net(dim)
         x = np.tile([[0.9, 0.8, 0.7, 0.6]], (6, 1))
         tape = forward(net, x)
-        cfg = DecorrConfig(alpha=1.0, damping=1e-3, damping_mode="absolute")
+        cfg = DecorrConfig(alpha=1.0, damping=1e-3)
         assert decorr_penalty(tape, tape, cfg) > 2.0 * dim
 
     def test_permutation_invariance(self):
@@ -120,10 +120,11 @@ class TestDeadUnitFloor:
     """A unit that is 0 on every row costs exactly the penalty's per-unit floor, 1.
 
     Its row and column of the second moment are zero, so its row of the ridged
-    precision is e_i / ridge and its row of the normalized precision is e_i. In
-    `absolute` mode the ridge ignores the activations, so the dead unit leaves the
-    live units' block as it is and adds exactly 1. `scaled` mode divides trace(cov)
-    by the wider h, which moves the live units' ridge: there the +1 does not hold.
+    precision is e_i / ridge and its row of the normalized precision is e_i. The
+    ridge damping * trace(cov)/h divides by the wider h, so the live units' block
+    is the normalized precision of their own covariance under the full matrix's
+    ridge, and the dead unit adds 1 to its squared norm. A layer with no live unit
+    has zero trace and falls back to the absolute ridge `damping`.
     """
 
     def live_and_dead(self, seed):
@@ -131,23 +132,31 @@ class TestDeadUnitFloor:
         return live, np.hstack([live, np.zeros((16, 1))])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_adds_exactly_one_under_absolute_damping(self, seed):
+    def test_adds_exactly_one_to_the_live_block(self, seed):
         live, dead = self.live_and_dead(seed)
-        cfg = DecorrConfig(damping=0.05, damping_mode="absolute")
-        value, grad = penalty_and_grad(live, cfg)
+        cfg = DecorrConfig(damping=0.05)
+        ridge, _ = resolve_ridge(_second_moment(dead), cfg)
+        live_block = normalized_precision(_second_moment(live), ridge)
         value_dead, grad_dead = penalty_and_grad(dead, cfg)
-        assert abs(value_dead - (value + 1.0)) <= 1e-12 * (value + 1.0)
-        assert np.abs(grad_dead[:, :-1] - grad).max() <= 1e-12 * np.abs(grad).max()
+        expect = 1.0 + float((live_block ** 2).sum())
+        assert abs(value_dead - expect) <= 1e-15 * expect
         assert np.array_equal(grad_dead[:, -1], np.zeros(16))
 
-    @pytest.mark.parametrize("mode", ["absolute", "scaled"])
-    def test_normalized_precision_row_is_the_unit_vector(self, mode):
+    def test_normalized_precision_row_is_the_unit_vector(self):
         _, dead = self.live_and_dead(3)
         cov = _second_moment(dead)
-        ridge, _ = resolve_ridge(cov, DecorrConfig(damping=0.05, damping_mode=mode))
+        ridge, _ = resolve_ridge(cov, DecorrConfig(damping=0.05))
         p = normalized_precision(cov, ridge)
         unit = np.eye(dead.shape[1])[-1]
         assert np.array_equal(p[-1], unit) and np.array_equal(p[:, -1], unit)
+
+    def test_dead_layer_gets_the_absolute_ridge(self):
+        a = np.zeros((16, 7))
+        cfg = DecorrConfig(damping=0.05)
+        assert resolve_ridge(_second_moment(a), cfg) == (0.05, 0.0)
+        value, grad = penalty_and_grad(a, cfg)
+        assert value == 7.0
+        assert np.array_equal(grad, np.zeros_like(a))
 
 
 def penalty_weight_gradients(net, tape_clean, tape_adv, cfg):
@@ -158,10 +167,9 @@ def penalty_weight_gradients(net, tape_clean, tape_adv, cfg):
 
 
 class TestActivationGradient:
-    @pytest.mark.parametrize("mode", ["absolute", "scaled"])
-    def test_matches_finite_differences(self, mode):
+    def test_matches_finite_differences(self):
         a = np.random.default_rng(14).uniform(0, 1, (7, 5))
-        cfg = DecorrConfig(alpha=1.0, damping=1e-2, damping_mode=mode)
+        cfg = DecorrConfig(alpha=1.0, damping=1e-2)
         analytic = penalty_and_grad(a, cfg)[1]
         oracle = fd_input_gradient(lambda b: penalty_and_grad(b, cfg)[0], a, step=1e-6)
         assert max_rel_error([analytic], [oracle]) < 1e-4
@@ -181,25 +189,13 @@ class TestGradient:
 
         return fd_weight_gradients(scalar, net, step=1e-6)
 
-    @pytest.mark.parametrize("mode", ["absolute", "scaled"])
-    def test_matches_finite_differences(self, mode):
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         net = Network.he_init([4, 6, 3], seed=11)
         x_clean = rng.uniform(0, 1, (8, 4))
         x_adv = np.clip(x_clean + rng.uniform(-0.1, 0.1, x_clean.shape), 0, 1)
         assert away_from_relu_kinks(net, x_clean) and away_from_relu_kinks(net, x_adv)
-        cfg = DecorrConfig(alpha=1.0, damping=1e-2, damping_mode=mode, layer_policy="last")
-        analytic = penalty_weight_gradients(net, forward(net, x_clean), forward(net, x_adv), cfg)
-        oracle = self.fd_reference(net, x_clean, x_adv, cfg)
-        assert max_rel_error(analytic, oracle) < 1e-4
-
-    def test_all_layer_policy_matches_finite_differences(self):
-        rng = np.random.default_rng(6)
-        net = Network.he_init([3, 5, 4, 2], seed=13)
-        x_clean = rng.uniform(0, 1, (6, 3))
-        x_adv = np.clip(x_clean + rng.uniform(-0.05, 0.05, x_clean.shape), 0, 1)
-        assert away_from_relu_kinks(net, x_clean) and away_from_relu_kinks(net, x_adv)
-        cfg = DecorrConfig(alpha=0.7, damping=1e-2, damping_mode="absolute", layer_policy="all")
+        cfg = DecorrConfig(alpha=1.0, damping=1e-2)
         analytic = penalty_weight_gradients(net, forward(net, x_clean), forward(net, x_adv), cfg)
         oracle = self.fd_reference(net, x_clean, x_adv, cfg)
         assert max_rel_error(analytic, oracle) < 1e-4
@@ -212,6 +208,12 @@ class TestGradient:
         grads = penalty_weight_gradients(net, tape, tape, DecorrConfig(alpha=1.0))
         assert np.array_equal(grads[-1], np.zeros_like(net.layers[-1].weight))
         assert np.any(grads[0] != 0.0)
+
+    def test_one_layer_net_has_no_penalty_gradient(self):
+        # the last layer's input is the data batch, which no weight moves
+        net = Network.he_init([4, 3], seed=19)
+        tape = forward(net, np.random.default_rng(9).uniform(0, 1, (5, 4)))
+        assert penalty_dacts(tape, DecorrConfig(alpha=1.0)) == {}
 
     def test_alpha_linearity(self):
         rng = np.random.default_rng(8)

@@ -228,15 +228,18 @@ class TestBackward:
         x = rng.uniform(0, 1, (3, 4))
         assert away_from_relu_kinks(net, x)
 
-        def scalar(n):
-            # quadratic in the second hidden activation
-            return float((forward(n, x).activations[2] ** 2).sum())
-
         tape = forward(net, x)
-        analytic = backward(net, tape, np.zeros_like(tape.logits), {2: 2.0 * tape.activations[2]})
-        oracle = fd_weight_gradients(scalar, net)
-        assert max_rel_error(analytic, oracle) < 1e-4
-        assert np.array_equal(analytic[2], np.zeros_like(net.layers[2].weight))
+        for indices in ((2,), (1, 2)):  # one inner activation, and two in one pass
+
+            def scalar(n):
+                # quadratic in the chosen hidden activations
+                return float(sum((forward(n, x).activations[i] ** 2).sum() for i in indices))
+
+            dacts = {i: 2.0 * tape.activations[i] for i in indices}
+            analytic = backward(net, tape, np.zeros_like(tape.logits), dacts)
+            oracle = fd_weight_gradients(scalar, net)
+            assert max_rel_error(analytic, oracle) < 1e-4
+            assert np.array_equal(analytic[2], np.zeros_like(net.layers[2].weight))
 
     def test_activation_gradients_add_to_the_logit_pass(self):
         rng = np.random.default_rng(14)
