@@ -19,9 +19,8 @@ import dataclasses
 
 import numpy as np
 
-from .linalg import as_matrix
-from .network import (LOSS_KINDS, Network, _as_input, _augmented_buffer, _forward, _input_gradient,
-                      forward)
+from .network import (LOSS_KINDS, Network, _as_input, _empty_tape, _forward, _input_gradient,
+                      _logit_gradient, forward)
 
 NORMS = ("linf", "l2")
 
@@ -51,15 +50,27 @@ class AttackSpec:
             raise ValueError("step_size must not exceed 2*epsilon")
 
 
-def _project_l2(x: np.ndarray, origin: np.ndarray, epsilon: float) -> np.ndarray:
+def _row_norms(a: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The rows' l2 norms into the (rows, 1) `out`, as `np.linalg.norm(a, axis=1)`
+    computes them: squares (into `scratch`), their sum, its square root."""
+    np.add.reduce(np.multiply(a, a, out=scratch), axis=1, keepdims=True, out=out)
+    return np.sqrt(out, out=out)
+
+
+def _project_l2(x, origin, epsilon: float, delta, scratch, scale, outside) -> np.ndarray:
     """Project `x` in place onto the l2 epsilon ball around origin, then the [0,1] box.
 
-    Box clipping moves coordinates toward the (in-box) origin, so it never
-    re-violates the ball constraint.
+    `delta` takes x - origin and `scratch` is overwritten (both x's shape);
+    `scale` and `outside` ((rows, 1), float and bool) take the rows' factors
+    and which rows leave the ball. Box clipping moves coordinates toward the
+    (in-box) origin, so it never re-violates the ball constraint.
     """
-    delta = x - origin
-    norms = np.linalg.norm(delta, axis=1, keepdims=True)
-    delta *= np.where(norms > epsilon, epsilon / np.maximum(norms, 1e-300), 1.0)
+    np.subtract(x, origin, out=delta)
+    norms = _row_norms(delta, scratch, scale)
+    np.greater(norms, epsilon, out=outside)
+    np.divide(epsilon, np.maximum(norms, 1e-300, out=scale), out=scale)
+    np.copyto(scale, 1.0, where=np.logical_not(outside, out=outside))
+    delta *= scale
     np.add(origin, delta, out=x)
     return np.clip(x, 0.0, 1.0, out=x)
 
@@ -104,45 +115,60 @@ def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=No
     fixed across steps; they default to the network's output on `batch`.
     `seed` names the random start's stream; it is read only with `spec.random_start`.
 
-    The buffers a step writes are made once per call: the iterate, held in
-    a bias-augmented buffer that the forward pass reads as it is, the input
-    gradient, its sign, and the l-inf bounds. The result is a view of the
-    iterate's buffer without its bias column.
+    The working set is made once per call and every step writes into it: a
+    tape whose input buffer holds the iterate, each hidden layer's GEMM
+    output (which the reverse pass reuses for its product) and ReLU mask,
+    the logit gradient, the input gradient, and by norm the gradient's sign
+    and the l-inf bounds, or the offset from the origin and its row norms.
+    The labels are checked, and the kl reference softmax formed, once. The
+    result is a view of the iterate's buffer without its bias column.
     """
     if spec is None:
         raise ValueError("an AttackSpec is required")
     origin = _as_input(net, batch)
+    rows = len(origin)
     if spec.loss == "kl" and ref_logits is None:
         ref_logits = forward(net, origin).logits
-    xa = _augmented_buffer(*origin.shape)
-    x = xa[:, :-1]
+    logit_gradient = _logit_gradient(spec.loss, (rows, net.output_dim), labels, ref_logits)
+    tape = _empty_tape(net, rows)
+    hidden = [np.empty((rows, layer.out_dim)) for layer in net.layers[:-1]]
+    masks = [np.empty(a.shape, dtype=bool) for a in tape.augmented[1:]]
+    x = tape.activations[0]
+    if spec.random_start:
+        np.add(_random_offset(origin.shape, spec, seed), origin, out=x)  # projected below
+    else:
+        x[...] = origin
+    finite = np.empty(origin.shape, dtype=bool)
+    step = np.empty(origin.shape)
+    # l-inf: the step's sign, never formed in place: on numpy 2.4 np.sign(a, out=a)
+    # on float64 is about 4.5x slower than into another buffer ((1000, 784):
+    # 7.6 vs 1.7 ms); l2: the offset from the origin
+    other = np.empty(origin.shape)
     if spec.norm == "linf":
         lo, hi = _linf_bounds(origin, spec.epsilon)
-    if not spec.random_start:
-        x[...] = origin
+
+        def project():
+            np.clip(x, lo, hi, out=x)
     else:
-        np.add(_random_offset(origin.shape, spec, seed), origin, out=x)
-        if spec.norm == "linf":
-            np.clip(x, lo, hi, out=x)
-        else:
-            _project_l2(x, origin, spec.epsilon)
-    step = np.empty(origin.shape)
-    if spec.norm == "linf":
-        # never in place: on numpy 2.4 np.sign(a, out=a) on float64 is about
-        # 4.5x slower than into another buffer ((1000, 784): 7.6 vs 1.7 ms)
-        sign = np.empty(origin.shape)
+        scale, outside = np.empty((rows, 1)), np.empty((rows, 1), dtype=bool)
+
+        def project():
+            _project_l2(x, origin, spec.epsilon, other, step, scale, outside)
+    if spec.random_start:
+        project()
     for _ in range(spec.steps):
-        as_matrix(x, "batch")  # the iterate must stay finite
-        _input_gradient(_forward(net, xa), spec.loss, labels, ref_logits, out=step)
+        if not np.isfinite(x, out=finite).all():  # the iterate must stay finite
+            raise ValueError("batch contains non-finite entries")
+        _forward(tape, hidden)
+        _input_gradient(tape, logit_gradient(tape.logits), hidden, masks, out=step)
         if spec.norm == "linf":
-            np.sign(step, out=sign)
-            sign *= spec.step_size
-            x += sign
-            np.clip(x, lo, hi, out=x)
+            np.sign(step, out=other)
+            other *= spec.step_size
+            x += other
         else:
-            norms = np.linalg.norm(step, axis=1, keepdims=True)
+            norms = _row_norms(step, other, scale)
             step *= spec.step_size
-            step /= np.maximum(norms, 1e-300)
+            step /= np.maximum(norms, 1e-300, out=norms)
             x += step
-            _project_l2(x, origin, spec.epsilon)
+        project()
     return x

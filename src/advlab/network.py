@@ -131,41 +131,46 @@ def _as_input(net: Network, batch) -> np.ndarray:
     return x
 
 
+def _empty_tape(net: Network, rows: int) -> ForwardTape:
+    """A tape of uninitialised buffers for `rows` inputs; only the bias columns are set."""
+    augmented = [_augmented_buffer(rows, layer.in_dim) for layer in net.layers]
+    activations = [a[:, :-1] for a in augmented] + [np.empty((rows, net.output_dim))]
+    return ForwardTape(net=net, augmented=augmented, activations=activations)
+
+
 def forward(net: Network, batch) -> ForwardTape:
     """Run the network on a batch (rows = samples), recording a tape."""
     x = _as_input(net, batch)
-    xa = _augmented_buffer(*x.shape)
-    xa[:, :-1] = x
-    return _forward(net, xa)
+    tape = _empty_tape(net, len(x))
+    tape.activations[0][...] = x
+    return _forward(tape)
 
 
-def _forward(net: Network, xa: np.ndarray) -> ForwardTape:
-    """`forward` on a validated input held in an augmented buffer.
+def _forward(tape: ForwardTape, gemm=None) -> ForwardTape:
+    """Refill `tape` from the input it holds, `tape.activations[0]`.
 
-    Each hidden layer writes its output straight into the next layer's
-    augmented buffer, so no input is copied to append the bias column.
+    Hidden layer l's GEMM writes into the contiguous `gemm[l]` when given
+    (a fresh matrix otherwise), and its ReLU into the next augmented
+    buffer, whose bias column stays 1; the last GEMM writes into the logits.
     """
-    tape = ForwardTape(net=net, augmented=[xa], activations=[xa[:, :-1]])
-    for layer in net.layers[:-1]:
-        z = tape.augmented[-1] @ layer.weight.T
-        buf = _augmented_buffer(*z.shape)
-        np.maximum(z, 0.0, out=buf[:, :-1])
-        tape.augmented.append(buf)
-        tape.activations.append(buf[:, :-1])
-    logits = tape.augmented[-1] @ net.layers[-1].weight.T  # the final layer is identity
-    tape.activations.append(logits)
+    layers = tape.net.layers
+    for idx, layer in enumerate(layers[:-1]):
+        z = np.matmul(tape.augmented[idx], layer.weight.T, out=None if gemm is None else gemm[idx])
+        np.maximum(z, 0.0, out=tape.activations[idx + 1])
+    logits = np.matmul(tape.augmented[-1], layers[-1].weight.T, out=tape.logits)
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits: the weights or inputs exceed float64 range")
     return tape
 
 
-def _relu_mask(tape: ForwardTape, idx: int) -> np.ndarray:
+def _relu_mask(tape: ForwardTape, idx: int, out=None) -> np.ndarray:
     """`tape.activations[idx] > 0`, the ReLU derivative of hidden layer idx.
 
-    Compared on the contiguous augmented buffer (its bias column is 1) and
-    then sliced, which numpy does several times faster than on the view.
+    Compared on the contiguous augmented buffer (its bias column is 1),
+    into the boolean `out` of that shape when given, and then sliced,
+    which numpy does several times faster than on the view.
     """
-    return (tape.augmented[idx] > 0.0)[:, :-1]
+    return np.greater(tape.augmented[idx], 0.0, out=out)[:, :-1]
 
 
 def _check_tape(net: Network, tape: ForwardTape):
@@ -206,6 +211,10 @@ def backward(net: Network, tape: ForwardTape, dlogits: np.ndarray, dacts=None) -
 
 # ---------------------------------------------------------------------------
 # losses
+#
+# Every logit gradient here is (a - b) / rows: the softmax less the one-hot
+# labels for cross-entropy, the softmax less the reference softmax for kl,
+# and the best other class's indicator less the labels' for cw_margin.
 
 
 def _check_labels(labels, num_classes: int) -> np.ndarray:
@@ -217,30 +226,51 @@ def _check_labels(labels, num_classes: int) -> np.ndarray:
     return y
 
 
+def _one_hot(y: np.ndarray, shape) -> np.ndarray:
+    """Checked labels `y` for a (rows, classes) logit matrix as a boolean one-hot matrix."""
+    if len(y) != shape[0]:
+        raise ValueError(f"labels must hold one entry per logit row: {len(y)} for {shape[0]}")
+    return np.arange(shape[1]) == y[:, None]
+
+
+def _log_softmax(z, out, scratch, col) -> np.ndarray:
+    """log_softmax(z) written into `out`; `scratch` (z's shape) and `col` (rows, 1) are overwritten."""
+    np.max(z, axis=1, keepdims=True, out=col)
+    np.subtract(z, col, out=out)
+    np.add.reduce(np.exp(out, out=scratch), axis=1, keepdims=True, out=col)
+    out -= np.log(col, out=col)
+    return out
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return _log_softmax(logits, np.empty(logits.shape), np.empty(logits.shape),
+                        np.empty((len(logits), 1)))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
+def _row_mean_difference(a, b, out=None) -> np.ndarray:
+    """(a - b) / rows, into `out` when given: the form of every logit gradient here."""
+    out = np.subtract(a, b, out=out, dtype=np.float64)
+    out /= len(out)
+    return out
+
+
+def _cross_entropy(logp: np.ndarray, y: np.ndarray) -> float:
+    return float(-logp[np.arange(len(y)), y].mean())
+
+
 def cross_entropy(logits, labels) -> float:
     """Mean softmax cross-entropy."""
     z = as_matrix(logits, "logits")
-    y = _check_labels(labels, z.shape[1])
-    logp = log_softmax(z)
-    return float(-logp[np.arange(len(y)), y].mean())
+    return _cross_entropy(log_softmax(z), _check_labels(labels, z.shape[1]))
 
 
 def cross_entropy_grad(logits, labels) -> np.ndarray:
     """Gradient of mean cross-entropy w.r.t. the logits: (softmax - onehot)/B."""
-    z = as_matrix(logits, "logits")
-    y = _check_labels(labels, z.shape[1])
-    g = softmax(z)
-    g[np.arange(len(y)), y] -= 1.0
-    return g / len(y)
+    return loss_logit_grad("cross_entropy", logits, labels)
 
 
 def _mask_true_class(logits, labels):
@@ -266,32 +296,56 @@ def accuracy(logits, labels) -> float:
     return 1.0 - margin_loss(logits, labels, 0.0)
 
 
-def kl_softmax(logits_p, logits_q) -> float:
-    """Mean rowwise KL divergence between softmax(logits_p) and softmax(logits_q)."""
+def _kl_logits(logits_p, logits_q):
     zp = as_matrix(logits_p, "logits_p")
     zq = as_matrix(logits_q, "logits_q")
     if zp.shape != zq.shape:
         raise ValueError("logit shapes differ")
-    logp, logq = log_softmax(zp), log_softmax(zq)
-    return float((np.exp(logp) * (logp - logq)).sum(axis=1).mean())
+    return zp, zq
+
+
+def _kl_rows(logp: np.ndarray, logq: np.ndarray):
+    """softmax p = exp(logp), logp - logq, and each row's KL(p || q) as a (rows, 1) column."""
+    p = np.exp(logp)
+    diff = logp - logq
+    return p, diff, (p * diff).sum(axis=1, keepdims=True)
+
+
+def _kl_grad_p(p: np.ndarray, diff: np.ndarray, row_kl: np.ndarray) -> np.ndarray:
+    return p * (diff - row_kl) / len(p)
+
+
+def kl_softmax(logits_p, logits_q) -> float:
+    """Mean rowwise KL divergence between softmax(logits_p) and softmax(logits_q)."""
+    zp, zq = _kl_logits(logits_p, logits_q)
+    return float(_kl_rows(log_softmax(zp), log_softmax(zq))[2].mean())
 
 
 def kl_softmax_grad_q(logits_p, logits_q) -> np.ndarray:
     """Gradient of the mean KL w.r.t. logits_q: (softmax(q) - softmax(p))/B."""
-    zp = as_matrix(logits_p, "logits_p")
-    zq = as_matrix(logits_q, "logits_q")
-    return (softmax(zq) - softmax(zp)) / zp.shape[0]
+    return loss_logit_grad("kl", logits_q, ref_logits=logits_p)
 
 
 def kl_softmax_grad_p(logits_p, logits_q) -> np.ndarray:
     """Gradient of the mean KL w.r.t. logits_p."""
-    zp = as_matrix(logits_p, "logits_p")
-    zq = as_matrix(logits_q, "logits_q")
-    logp, logq = log_softmax(zp), log_softmax(zq)
-    p = np.exp(logp)
-    diff = logp - logq
-    row_kl = (p * diff).sum(axis=1, keepdims=True)
-    return p * (diff - row_kl) / zp.shape[0]
+    zp, zq = _kl_logits(logits_p, logits_q)
+    return _kl_grad_p(*_kl_rows(log_softmax(zp), log_softmax(zq)))
+
+
+def _cross_entropy_and_kl(logits_p, logits_q, labels):
+    """Mean cross-entropy of logits_p, mean KL(softmax p || softmax q), and the
+    logit gradients of the cross-entropy, of the KL w.r.t. p and of the KL
+    w.r.t. q, from one log-softmax per matrix.
+
+    Bit for bit `cross_entropy`, `kl_softmax`, `cross_entropy_grad`,
+    `kl_softmax_grad_p` and `kl_softmax_grad_q` of the same arguments.
+    """
+    y = _check_labels(labels, logits_p.shape[1])
+    logp, logq = log_softmax(logits_p), log_softmax(logits_q)
+    p, diff, row_kl = _kl_rows(logp, logq)
+    return (_cross_entropy(logp, y), float(row_kl.mean()),
+            _row_mean_difference(p, _one_hot(y, p.shape)), _kl_grad_p(p, diff, row_kl),
+            _row_mean_difference(np.exp(logq), p))
 
 
 def cw_margin(logits, labels) -> float:
@@ -302,25 +356,52 @@ def cw_margin(logits, labels) -> float:
 
 def cw_margin_grad(logits, labels) -> np.ndarray:
     """Gradient of the mean logit margin w.r.t. the logits."""
-    z, y, rows, masked = _mask_true_class(logits, labels)
-    best_other = masked.argmax(axis=1)
-    g = np.zeros_like(z)
-    g[rows, best_other] += 1.0
-    g[rows, y] -= 1.0
-    return g / len(y)
+    return loss_logit_grad("cw_margin", logits, labels)
 
 
 LOSS_KINDS = ("cross_entropy", "cw_margin", "kl")
 
 
-def loss_logit_grad(kind: str, logits, labels=None, ref_logits=None) -> np.ndarray:
-    if kind == "cross_entropy":
-        return cross_entropy_grad(logits, labels)
-    if kind == "cw_margin":
-        return cw_margin_grad(logits, labels)
+def _logit_gradient(kind: str, shape, labels=None, ref_logits=None):
+    """A function from a `shape` logit matrix to the gradient of the mean
+    `kind` loss w.r.t. it, written into one buffer made here.
+
+    The labels are checked, and for kl the reference softmax is formed,
+    once, here; a call allocates nothing, and its result holds until the
+    next call.
+    """
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    g, scratch, col = np.empty(shape), np.empty(shape), np.empty((shape[0], 1))
+
+    def softmax_into_g(z):
+        return np.exp(_log_softmax(z, g, scratch, col), out=g)
+
     if kind == "kl":
-        return kl_softmax_grad_q(ref_logits, logits)
-    raise ValueError(f"unknown loss kind {kind!r}")
+        zp = as_matrix(ref_logits, "logits_p")
+        if zp.shape != shape:
+            raise ValueError("logit shapes differ")
+        p = np.exp(_log_softmax(zp, np.empty(shape), scratch, col))
+        return lambda z: _row_mean_difference(softmax_into_g(z), p, g)
+    onehot = _one_hot(_check_labels(labels, shape[1]), shape)
+    if kind == "cross_entropy":
+        return lambda z: _row_mean_difference(softmax_into_g(z), onehot, g)
+    classes = np.arange(shape[1])
+    best = np.empty((shape[0], 1), dtype=np.intp)
+    best_other = np.empty(shape, dtype=bool)
+
+    def cw_margin_gradient(z):
+        np.copyto(scratch, z)
+        np.copyto(scratch, -np.inf, where=onehot)  # the true class is never the best other one
+        np.argmax(scratch, axis=1, keepdims=True, out=best)
+        return _row_mean_difference(np.equal(classes, best, out=best_other), onehot, g)
+
+    return cw_margin_gradient
+
+
+def loss_logit_grad(kind: str, logits, labels=None, ref_logits=None) -> np.ndarray:
+    z = as_matrix(logits, "logits")
+    return _logit_gradient(kind, z.shape, labels, ref_logits)(z)
 
 
 def input_gradient(net: Network, batch, kind: str, labels=None, ref_logits=None) -> np.ndarray:
@@ -330,16 +411,22 @@ def input_gradient(net: Network, batch, kind: str, labels=None, ref_logits=None)
     the bias column and forms no weight gradient. Its result is bit-identical
     to the input gradient of a full reverse pass, `(dz @ weight)[:, :-1]`.
     """
-    return _input_gradient(forward(net, batch), kind, labels, ref_logits)
+    tape = forward(net, batch)
+    return _input_gradient(tape, loss_logit_grad(kind, tape.logits, labels, ref_logits))
 
 
-def _input_gradient(tape: ForwardTape, kind: str, labels, ref_logits, out=None) -> np.ndarray:
-    """`input_gradient` on a recorded tape; the last GEMM writes into `out` when given."""
+def _input_gradient(tape: ForwardTape, dlogits: np.ndarray, hidden=None, masks=None,
+                    out=None) -> np.ndarray:
+    """`input_gradient` from the logit gradient `dlogits` on a recorded tape.
+
+    With buffers, layer l's product writes into `hidden[l - 1]`, its ReLU
+    mask into `masks[l - 1]` and the last GEMM into `out`.
+    """
     layers = tape.net.layers
-    dz = loss_logit_grad(kind, tape.logits, labels, ref_logits)
+    dz = dlogits
     for idx in range(len(layers) - 1, 0, -1):
-        dz = dz @ layers[idx].weight[:, :-1]
-        dz *= _relu_mask(tape, idx)
+        dz = np.matmul(dz, layers[idx].weight[:, :-1], out=None if hidden is None else hidden[idx - 1])
+        dz *= _relu_mask(tape, idx, None if masks is None else masks[idx - 1])
     return np.matmul(dz, layers[0].weight[:, :-1], out=out)
 
 

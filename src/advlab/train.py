@@ -32,14 +32,12 @@ from .io import write_csv, write_json
 from .linalg import DegenerateDiagonal, NotPositiveDefinite
 from .network import (
     Network,
+    _cross_entropy_and_kl,
     accuracy,
     backward,
     cross_entropy,
     cross_entropy_grad,
     forward,
-    kl_softmax,
-    kl_softmax_grad_p,
-    kl_softmax_grad_q,
     save_checkpoint,
 )
 from .weight_stats import SamplingConfig
@@ -351,15 +349,14 @@ def trades_gradients(net, tape_clean, tape_adv, labels, trades_lambda: float, pe
     The tapes hold the clean and the (fixed) adversarial forward passes;
     the gradient flows through both. With a `penalty` DecorrConfig the
     gradient also holds alpha times `decorr_penalty` of the two tapes; the
-    value stays the clean+KL objective.
+    value stays the clean+KL objective. Each tape's log-softmax is formed
+    once (`network._cross_entropy_and_kl`).
     """
-    ref_logits = tape_clean.logits
+    ce, kl, d_ce, d_kl_clean, d_kl_adv = _cross_entropy_and_kl(tape_clean.logits, tape_adv.logits, labels)
     inv_lambda = 1.0 / trades_lambda
-    loss = cross_entropy(ref_logits, labels) + inv_lambda * kl_softmax(ref_logits, tape_adv.logits)
-    d_clean = cross_entropy_grad(ref_logits, labels) + inv_lambda * kl_softmax_grad_p(
-        ref_logits, tape_adv.logits
-    )
-    d_adv = inv_lambda * kl_softmax_grad_q(ref_logits, tape_adv.logits)
+    loss = ce + inv_lambda * kl
+    d_clean = d_ce + inv_lambda * d_kl_clean
+    d_adv = inv_lambda * d_kl_adv
     return loss, _tape_pair_gradients(net, tape_clean, d_clean, tape_adv, d_adv, penalty)
 
 

@@ -5,8 +5,11 @@ import pytest
 
 from conftest import full_reverse_input_gradient
 
+from advlab import attacks, network
 from advlab.attacks import AttackSpec, _random_offset, pgd
 from advlab.network import (
+    LOSS_KINDS,
+    ForwardTape,
     Layer,
     Network,
     cross_entropy,
@@ -142,8 +145,18 @@ def reference_pgd(net, x, labels, spec, ref_logits=None):
     return adv
 
 
+def check_against_reference(spec, dims, rows):
+    rng = np.random.default_rng(30)
+    net = random_net(seed=31, dims=dims)
+    x = rng.uniform(0, 1, (rows, dims[0]))
+    x[:, :3] = [0.0, 1.0, 0.05]  # the box binds on these columns
+    labels = rng.integers(0, dims[-1], size=rows)
+    got = pgd(net, x, labels, spec)
+    assert got.tobytes() == reference_pgd(net, x, labels, spec).tobytes()
+
+
 class TestPgdMatchesReferenceLoop:
-    @pytest.mark.parametrize("spec", [
+    SPECS = pytest.mark.parametrize("spec", [
         AttackSpec(0.15, 0.15, 1),
         AttackSpec(0.15, 0.0375, 20),
         AttackSpec(0.15, 0.0375, 20, loss="cw_margin"),
@@ -151,15 +164,17 @@ class TestPgdMatchesReferenceLoop:
         AttackSpec(0.75, 0.1875, 20, norm="l2"),
         AttackSpec(0.75, 0.1875, 10, norm="l2", loss="kl"),
     ], ids=["fgsm", "linf", "cw_margin", "kl", "l2", "l2-kl"])
-    @pytest.mark.parametrize("dims", [(32, 96, 96, 10), (784, 64, 10)])
+
+    @SPECS
+    # one layer has no hidden buffer; four layers chain three
+    @pytest.mark.parametrize("dims", [(32, 96, 96, 10), (784, 64, 10), (32, 10), (16, 24, 20, 12, 6)])
     def test_bit_identical(self, spec, dims):
-        rng = np.random.default_rng(30)
-        net = random_net(seed=31, dims=dims)
-        x = rng.uniform(0, 1, (50, dims[0]))
-        x[:, :3] = [0.0, 1.0, 0.05]  # the box binds on these columns
-        labels = rng.integers(0, dims[-1], size=50)
-        got = pgd(net, x, labels, spec)
-        assert got.tobytes() == reference_pgd(net, x, labels, spec).tobytes()
+        check_against_reference(spec, dims, rows=50)
+
+    @SPECS
+    @pytest.mark.parametrize("dims", [(32, 96, 96, 10), (32, 10)])
+    def test_one_row_batch_is_bit_identical(self, spec, dims):
+        check_against_reference(spec, dims, rows=1)
 
 
 class TestPgdBuffers:
@@ -183,6 +198,52 @@ class TestPgdBuffers:
         # made once per call; a step allocates no further (200, 784) array
         assert peak <= 6 * x.nbytes, f"peak {peak / x.nbytes:.2f} batches"
         assert adv.shape == x.shape
+
+    @pytest.mark.parametrize("loss", LOSS_KINDS)
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_every_step_writes_the_same_buffers(self, monkeypatch, norm, loss):
+        steps, seen, alive = 4, {}, []
+
+        def arrays(*values):
+            # every array reachable from call arguments and results: tapes, lists, outputs
+            for v in values:
+                if isinstance(v, ForwardTape):
+                    yield from arrays(*v.augmented, v.logits)
+                elif isinstance(v, (list, tuple)):
+                    yield from arrays(*v)
+                elif isinstance(v, np.ndarray):
+                    yield v
+
+        def recorded(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kw):
+                result = fn(*args, **kw)
+                found = list(arrays(*args, *kw.values(), result))
+                alive.extend(found)  # a buffer made in one step can not be reused at its address
+                seen.setdefault(name, []).append([a.__array_interface__["data"][0] for a in found])
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((attacks, "_forward"), (attacks, "_input_gradient"), (attacks, "_project_l2"),
+                             (network, "_relu_mask"), (np, "matmul"), (np, "sign")):
+            recorded(module, name)
+        rng = np.random.default_rng(36)
+        net = random_net(seed=37, dims=(6, 12, 10, 4))
+        x = rng.uniform(0, 1, (9, 6))
+        eps = 0.2 if norm == "linf" else 0.8
+        ref = rng.standard_normal((9, 4))
+        adv = pgd(net, x, rng.integers(0, 4, size=9), AttackSpec(eps, eps / 4, steps, norm=norm, loss=loss),
+                  ref_logits=ref)
+        per_step = {"_forward": 1, "_input_gradient": 1, "_relu_mask": 2, "matmul": 6,
+                    "_project_l2" if norm == "l2" else "sign": 1}
+        assert {name: len(calls) for name, calls in seen.items()} == {k: steps * n for k, n in per_step.items()}
+        for name, calls in seen.items():
+            n = per_step[name]
+            assert all(calls[i:i + n] == calls[:n] for i in range(0, len(calls), n)), f"{name} saw new buffers"
+        # the forward pass reads the iterate from the buffer that pgd returns
+        assert adv.__array_interface__["data"][0] == seen["_forward"][0][0]
 
     @pytest.mark.parametrize("norm", ["linf", "l2"])
     def test_sign_never_writes_over_its_input(self, monkeypatch, norm):

@@ -178,6 +178,29 @@ class TestLosses:
             assert np.allclose(analytic, fd, atol=1e-8)
 
 
+    def test_gradients_reject_mismatched_labels_and_logits(self):
+        z = np.random.default_rng(9).standard_normal((6, 3))
+        for labels in ([0], [0, 1, 2, 0, 1, 2, 0]):
+            for grad in (cross_entropy_grad, cw_margin_grad):
+                with pytest.raises(ValueError, match=f"one entry per logit row: {len(labels)} for 6"):
+                    grad(z, labels)
+        for grad in (kl_softmax_grad_p, kl_softmax_grad_q):
+            with pytest.raises(ValueError, match="logit shapes differ"):
+                grad(z, z[:1])
+
+    @pytest.mark.parametrize("rows, classes, spread", [(1, 3, 1.0), (6, 4, 1.0), (100, 10, 5.0), (64, 2, 30.0)])
+    def test_cross_entropy_and_kl_from_one_log_softmax_each(self, rows, classes, spread):
+        # trades_gradients' value and logit gradients, bit for bit the five public functions
+        rng = np.random.default_rng(rows)
+        zp = spread * rng.standard_normal((rows, classes))
+        zq = zp + rng.standard_normal((rows, classes))
+        y = rng.integers(0, classes, size=rows)
+        got = network._cross_entropy_and_kl(zp, zq, y)
+        expect = (cross_entropy(zp, y), kl_softmax(zp, zq), cross_entropy_grad(zp, y),
+                  kl_softmax_grad_p(zp, zq), kl_softmax_grad_q(zp, zq))
+        assert [np.asarray(a).tobytes() for a in got] == [np.asarray(b).tobytes() for b in expect]
+
+
 class TestBackward:
     def test_zero_weight_single_layer_closed_form(self):
         net = single_layer(np.zeros((3, 5)))

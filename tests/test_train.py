@@ -8,8 +8,19 @@ from conftest import away_from_relu_kinks, fd_weight_gradients, max_rel_error
 from advlab import data
 from advlab.attacks import AttackSpec, pgd
 from advlab.data import epoch_seed_from, synth_blobs, write_idx_images, write_idx_labels
-from advlab.decorr import DecorrConfig, decorr_penalty
-from advlab.network import Network, accuracy, forward, load_checkpoint
+from advlab.decorr import DecorrConfig, decorr_penalty, penalty_dacts
+from advlab.network import (
+    Network,
+    accuracy,
+    backward,
+    cross_entropy,
+    cross_entropy_grad,
+    forward,
+    kl_softmax,
+    kl_softmax_grad_p,
+    kl_softmax_grad_q,
+    load_checkpoint,
+)
 from advlab.train import (
     DivergedTraining,
     METRICS_HEADER,
@@ -237,13 +248,34 @@ class TestTradesGradient:
         oracle = fd_weight_gradients(objective, net, step=1e-6)
         assert max_rel_error(analytic, oracle) < 1e-4
 
+    @pytest.mark.parametrize("penalty", [None, DecorrConfig(alpha=0.3)], ids=["plain", "decorr"])
+    @pytest.mark.parametrize("dims, rows", [((5, 8, 3), 6), ((32, 96, 96, 10), 100), ((4, 2), 1)])
+    def test_bit_identical_to_the_public_losses(self, dims, rows, penalty):
+        # the value and both logit gradients come from one log-softmax per tape,
+        # bit for bit the composition of the five public loss functions
+        rng = np.random.default_rng(4)
+        net = Network.he_init(list(dims), seed=11)
+        xb = rng.uniform(0, 1, (rows, dims[0]))
+        yb = rng.integers(0, dims[-1], size=rows)
+        x_adv = np.clip(xb + rng.uniform(-0.1, 0.1, xb.shape), 0, 1)
+        tape_clean, tape_adv = forward(net, xb), forward(net, x_adv)
+        zp, zq, lam = tape_clean.logits, tape_adv.logits, 1.0 / 6.0
+        loss, grads = trades_gradients(net, tape_clean, tape_adv, yb, lam, penalty)
+
+        expect_loss = cross_entropy(zp, yb) + (1.0 / lam) * kl_softmax(zp, zq)
+        d_clean = cross_entropy_grad(zp, yb) + (1.0 / lam) * kl_softmax_grad_p(zp, zq)
+        d_adv = (1.0 / lam) * kl_softmax_grad_q(zp, zq)
+        dacts = [None if penalty is None else penalty_dacts(t, penalty) for t in (tape_clean, tape_adv)]
+        expect = [a + b for a, b in zip(backward(net, tape_clean, d_clean, dacts[0]),
+                                        backward(net, tape_adv, d_adv, dacts[1]))]
+        assert np.float64(loss).tobytes() == np.float64(expect_loss).tobytes()
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in expect]
+
     def test_loss_reduces_to_ce_when_adversary_is_clean(self):
         rng = np.random.default_rng(2)
         net = Network.he_init([4, 6, 3], seed=8)
         xb = rng.uniform(0, 1, (5, 4))
         yb = rng.integers(0, 3, size=5)
-        from advlab.network import cross_entropy
-
         loss, _ = trades_on_inputs(net, xb, yb, xb, 1.0 / 6.0)
         assert loss == pytest.approx(cross_entropy(forward(net, xb).logits, yb), abs=1e-12)
 
