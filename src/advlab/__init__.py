@@ -10,10 +10,12 @@ terms. Everything is seeded and reproducible down to the emitted bytes.
 import os as _os
 
 # The matrices here are tiny; BLAS thread pools only add scheduler noise
-# (and wreck wall-clock comparisons on small machines). Pin them to one
-# thread before numpy loads, with a runtime fallback if it already has.
+# (and wreck wall-clock comparisons on small machines), and a pool's
+# summation order moves the Laplace stats' low-order bits. Pin them to one
+# thread before numpy loads, whatever the environment says, with a runtime
+# fallback if it already has.
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-    _os.environ.setdefault(_var, "1")
+    _os.environ[_var] = "1"
 
 import sys as _sys
 
@@ -25,7 +27,7 @@ if "numpy" in _sys.modules:
     except ImportError:
         pass
 
-from .attacks import AttackSpec, pgd
+from .attacks import NEVER, AttackSpec, first_flips, pgd
 from .bounds import BOUND_KINDS, BoundInputs, BoundReport, evaluate_bound
 from .data import Dataset, batches, load_idx, split_blobs, synth_blobs
 from .decorr import (

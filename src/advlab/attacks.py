@@ -2,7 +2,9 @@
 
 Supports l-inf and l2 threat models with per-step projection onto the
 epsilon ball and the box. sign(0) = 0, so coordinates with zero gradient are
-left untouched by sign-based steps.
+left untouched by sign-based steps. `pgd` returns the last iterate, which
+training uses; `first_flips` runs the same step loop and returns each row's
+first misclassified iterate, which evaluation reduces to robust accuracy.
 
 The optional random start is drawn for the whole batch at once from
 sub-streams of the caller's `seed`, each read row after row in C order:
@@ -16,13 +18,16 @@ exactly as a k-row batch does.
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import numpy as np
 
-from .network import (LOSS_KINDS, Network, _as_input, _empty_tape, _forward, _input_gradient,
-                      _logit_gradient, forward)
+from .linalg import as_matrix
+from .network import (LOSS_KINDS, ForwardTape, Network, _as_input, _check_labels, _empty_tape, _forward,
+                      _input_gradient, _logit_gradient, _one_hot, forward)
 
 NORMS = ("linf", "l2")
+NEVER = -1  # first_flips' entry for a row that no iterate misclassifies
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,22 +119,80 @@ def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=No
     PGD is `loss="cw_margin"`. For the KL loss, `ref_logits` are the reference (clean) logits held
     fixed across steps; they default to the network's output on `batch`.
     `seed` names the random start's stream; it is read only with `spec.random_start`.
+    Returns the last iterate, a view of the iterate's buffer without its bias column.
+    """
+    if spec is None:
+        raise ValueError("an AttackSpec is required")
+    origin = _as_input(net, batch)
+    if spec.loss == "kl" and ref_logits is None:
+        ref_logits = forward(net, origin).logits
+    return _ascend(net, origin, labels, spec, ref_logits, seed)
+
+
+def first_flips(net: Network, batch, labels, spec: AttackSpec, seed: int = 0,
+                clean_logits=None, compact: bool = True) -> np.ndarray:
+    """Each row's first misclassified iterate of `pgd(net, batch, labels, spec, seed=seed)`,
+    or NEVER: the per-row record that robust accuracy reduces.
+
+    Iterate 0 is the start and iterate t the point after t steps. A row
+    whose clean logits (`clean_logits`, by default the network's output on
+    `batch`) are wrong is broken at 0 and never attacked, and so is a row
+    whose random start is wrong. Wrong means `accuracy`'s rule: the true
+    class's logit does not beat every other one, so a tie is wrong. For the
+    kl loss, the clean logits are the reference.
+
+    Each step's forward pass scores the iterate it starts from. With
+    `compact`, a broken row leaves the attack: the rows still unbroken are
+    moved, in their order, to the front of the working set, and the step
+    then runs on that prefix only. The loss gradient keeps the whole
+    batch's 1/rows scale, so an unbroken row takes `pgd`'s steps. Its
+    iterates may still differ from `pgd`'s in the last bits: a GEMM's row
+    can depend on how many rows it is given. Without `compact`, every row
+    takes every step, clean-wrong rows included: the iterates are `pgd`'s
+    bit for bit, and the cost is `pgd`'s whatever the net's robustness.
+    """
+    origin = _as_input(net, batch)
+    rows, classes = len(origin), net.output_dim
+    truth = _one_hot(_check_labels(labels, classes), (rows, classes))
+    clean_logits = forward(net, origin).logits if clean_logits is None else as_matrix(clean_logits, "logits")
+    if clean_logits.shape != truth.shape:
+        raise ValueError("logit shapes differ")
+    record = np.where(_misclassified(clean_logits, truth), 0, NEVER)
+    _ascend(net, origin, labels, spec, clean_logits if spec.loss == "kl" else None, seed, record, truth,
+            compact)
+    return record
+
+
+def _misclassified(logits: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Rows whose true-class logit (where the boolean one-hot `truth` is set)
+    does not beat every other one: `margin_loss`'s rule at gamma 0."""
+    return logits[truth] <= np.where(truth, -np.inf, logits).max(axis=1)
+
+
+def _ascend(net, origin, labels, spec, ref_logits, seed, record=None, truth=None,
+            compact=True) -> np.ndarray:
+    """The step loop of `pgd` and, given a `record`, of `first_flips`; returns the iterate.
 
     The working set is made once per call and every step writes into it: a
     tape whose input buffer holds the iterate, each hidden layer's GEMM
     output (which the reverse pass reuses for its product) and ReLU mask,
     the logit gradient, the input gradient, and by norm the gradient's sign
     and the l-inf bounds, or the offset from the origin and its row norms.
-    The labels are checked, and the kl reference softmax formed, once. The
-    result is a view of the iterate's buffer without its bias column.
+    The labels are checked, and the kl reference softmax formed, once.
+
+    With a `record`, the rows whose entry is NEVER are scored against the
+    boolean one-hot `truth`. Each forward pass scores the iterate it was
+    given (but not iterate 0 without a random start: that is the clean row,
+    which the caller scored); the rows it finds wrong take the iterate's
+    index in `record`, and a last forward pass scores the last iterate.
+    With `compact`, only those rows are attacked: a row found wrong leaves,
+    and the rows still unbroken sit in their order at the front of every
+    per-row buffer: the tape, the loss target, `truth`, and the l-inf
+    bounds or (a copy of) the origin. A row's random start is drawn, as in
+    `pgd`, for the whole batch.
     """
-    if spec is None:
-        raise ValueError("an AttackSpec is required")
-    origin = _as_input(net, batch)
     rows = len(origin)
-    if spec.loss == "kl" and ref_logits is None:
-        ref_logits = forward(net, origin).logits
-    logit_gradient = _logit_gradient(spec.loss, (rows, net.output_dim), labels, ref_logits)
+    logit_gradient, target = _logit_gradient(spec.loss, (rows, net.output_dim), labels, ref_logits)
     tape = _empty_tape(net, rows)
     hidden = [np.empty((rows, layer.out_dim)) for layer in net.layers[:-1]]
     masks = [np.empty(a.shape, dtype=bool) for a in tape.augmented[1:]]
@@ -138,37 +201,79 @@ def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=No
         np.add(_random_offset(origin.shape, spec, seed), origin, out=x)  # projected below
     else:
         x[...] = origin
-    finite = np.empty(origin.shape, dtype=bool)
-    step = np.empty(origin.shape)
-    # l-inf: the step's sign, never formed in place: on numpy 2.4 np.sign(a, out=a)
-    # on float64 is about 4.5x slower than into another buffer ((1000, 784):
-    # 7.6 vs 1.7 ms); l2: the offset from the origin
-    other = np.empty(origin.shape)
+    # l-inf: `other` takes the step's sign, never formed in place: on numpy 2.4
+    # np.sign(a, out=a) on float64 is about 4.5x slower than into another
+    # buffer ((1000, 784): 7.6 vs 1.7 ms); l2: the offset from the origin
+    rowwise = {"x": x, "finite": np.empty(origin.shape, dtype=bool), "step": np.empty(origin.shape),
+               "other": np.empty(origin.shape)}
     if spec.norm == "linf":
-        lo, hi = _linf_bounds(origin, spec.epsilon)
+        bounds = dict(zip(("lo", "hi"), _linf_bounds(origin, spec.epsilon)))
 
-        def project():
-            np.clip(x, lo, hi, out=x)
+        def project(v):
+            np.clip(v.x, v.lo, v.hi, out=v.x)
     else:
-        scale, outside = np.empty((rows, 1)), np.empty((rows, 1), dtype=bool)
+        # a compacting first_flips moves the origin's rows with the iterate's
+        bounds = {"origin": origin.copy() if record is not None and compact else origin}
+        rowwise |= {"scale": np.empty((rows, 1)), "outside": np.empty((rows, 1), dtype=bool)}
 
-        def project():
-            _project_l2(x, origin, spec.epsilon, other, step, scale, outside)
+        def project(v):
+            _project_l2(v.x, v.origin, spec.epsilon, v.other, v.step, v.scale, v.outside)
+    rowwise |= bounds
+
+    def prefix(k):
+        """Views of the first k rows of the working set, made once per row count,
+        and the logit gradient's function for them."""
+        v = types.SimpleNamespace(**{name: a[:k] for name, a in rowwise.items()})
+        v.tape = ForwardTape(net, [a[:k] for a in tape.augmented], [a[:k] for a in tape.activations])
+        v.hidden, v.masks, v.gradient = [a[:k] for a in hidden], [a[:k] for a in masks], logit_gradient(k)
+        return v
+
+    v = prefix(rows)
     if spec.random_start:
-        project()
-    for _ in range(spec.steps):
-        if not np.isfinite(x, out=finite).all():  # the iterate must stay finite
+        project(v)
+    k = rows
+    if record is not None and compact:
+        order = np.arange(rows)  # the batch row at each position
+        per_row = [*tape.augmented, tape.logits, target, truth, order, *bounds.values()]
+
+        def keep(kept):
+            """Move the rows of the boolean prefix mask `kept` to the front, one
+            temporary at a time; their number."""
+            first = int(np.argmin(kept))  # the rows before the first dropped one stay
+            moved = first + np.flatnonzero(kept[first:])
+            m = first + len(moved)
+            for a in per_row:
+                a[first:m] = a[moved]
+            return m
+
+        if not (record == NEVER).all():
+            k = keep(record == NEVER)
+            v = prefix(k)
+    for t in range(spec.steps + (record is not None)):
+        if not k:
+            break
+        if not np.isfinite(v.x, out=v.finite).all():  # the iterate must stay finite
             raise ValueError("batch contains non-finite entries")
-        _forward(tape, hidden)
-        _input_gradient(tape, logit_gradient(tape.logits), hidden, masks, out=step)
+        _forward(v.tape, v.hidden)
+        if record is not None and (t or spec.random_start):  # without one, iterate 0 was scored clean
+            wrong = _misclassified(v.tape.logits, truth[:k])
+            if not compact:
+                record[wrong & (record == NEVER)] = t
+            elif wrong.any():
+                record[order[:k][wrong]] = t
+                k = keep(~wrong)
+                v = prefix(k)
+            if t == spec.steps or not k:
+                break
+        _input_gradient(v.tape, v.gradient(v.tape.logits), v.hidden, v.masks, out=v.step)
         if spec.norm == "linf":
-            np.sign(step, out=other)
-            other *= spec.step_size
-            x += other
+            np.sign(v.step, out=v.other)
+            v.other *= spec.step_size
+            v.x += v.other
         else:
-            norms = _row_norms(step, other, scale)
-            step *= spec.step_size
-            step /= np.maximum(norms, 1e-300, out=norms)
-            x += step
-        project()
+            norms = _row_norms(v.step, v.other, v.scale)
+            v.step *= spec.step_size
+            v.step /= np.maximum(norms, 1e-300, out=norms)
+            v.x += v.step
+        project(v)
     return x

@@ -251,10 +251,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
-def _row_mean_difference(a, b, out=None) -> np.ndarray:
-    """(a - b) / rows, into `out` when given: the form of every logit gradient here."""
+def _row_mean_difference(a, b, out=None, rows=None) -> np.ndarray:
+    """(a - b) / rows, into `out` when given: the form of every logit gradient here.
+
+    `rows` defaults to the rows of the difference; an attack that steps on a
+    prefix of its batch passes the whole batch's.
+    """
     out = np.subtract(a, b, out=out, dtype=np.float64)
-    out /= len(out)
+    out /= len(out) if rows is None else rows
     return out
 
 
@@ -363,45 +367,53 @@ LOSS_KINDS = ("cross_entropy", "cw_margin", "kl")
 
 
 def _logit_gradient(kind: str, shape, labels=None, ref_logits=None):
-    """A function from a `shape` logit matrix to the gradient of the mean
-    `kind` loss w.r.t. it, written into one buffer made here.
+    """The gradient of a `shape` batch's mean `kind` loss w.r.t. the logits of
+    its first k rows, and the (rows, classes) `target` it reads: the labels'
+    one-hot, or kl's reference softmax.
 
-    The labels are checked, and for kl the reference softmax is formed,
-    once, here; a call allocates nothing, and its result holds until the
-    next call.
+    The gradient comes as `gradient(k)`, a function of the first k rows'
+    logits that writes into the first k rows of one buffer made here. The
+    scale stays 1/rows of the whole batch for any k, and a caller that
+    moves its rows moves the rows of `target` with them. The labels are
+    checked, and for kl the reference softmax is formed, once, here; a call
+    of a gradient function allocates nothing, and its result holds until
+    the next call.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
-    g, scratch, col = np.empty(shape), np.empty(shape), np.empty((shape[0], 1))
-
-    def softmax_into_g(z):
-        return np.exp(_log_softmax(z, g, scratch, col), out=g)
-
+    rows = shape[0]
+    g, scratch, col = np.empty(shape), np.empty(shape), np.empty((rows, 1))
     if kind == "kl":
         zp = as_matrix(ref_logits, "logits_p")
         if zp.shape != shape:
             raise ValueError("logit shapes differ")
-        p = np.exp(_log_softmax(zp, np.empty(shape), scratch, col))
-        return lambda z: _row_mean_difference(softmax_into_g(z), p, g)
-    onehot = _one_hot(_check_labels(labels, shape[1]), shape)
-    if kind == "cross_entropy":
-        return lambda z: _row_mean_difference(softmax_into_g(z), onehot, g)
-    classes = np.arange(shape[1])
-    best = np.empty((shape[0], 1), dtype=np.intp)
-    best_other = np.empty(shape, dtype=bool)
+        target = np.exp(_log_softmax(zp, np.empty(shape), scratch, col))
+    else:
+        target = _one_hot(_check_labels(labels, shape[1]), shape)
+    if kind == "cw_margin":
+        classes, best, best_other = np.arange(shape[1]), np.empty((rows, 1), dtype=np.intp), np.empty(shape, bool)
 
-    def cw_margin_gradient(z):
-        np.copyto(scratch, z)
-        np.copyto(scratch, -np.inf, where=onehot)  # the true class is never the best other one
-        np.argmax(scratch, axis=1, keepdims=True, out=best)
-        return _row_mean_difference(np.equal(classes, best, out=best_other), onehot, g)
+    def gradient(k):
+        g_k, scratch_k, col_k, target_k = g[:k], scratch[:k], col[:k], target[:k]
+        if kind != "cw_margin":  # the softmax less the one-hot or the reference softmax
+            return lambda z: _row_mean_difference(
+                np.exp(_log_softmax(z, g_k, scratch_k, col_k), out=g_k), target_k, g_k, rows)
+        best_k, best_other_k = best[:k], best_other[:k]
 
-    return cw_margin_gradient
+        def cw_margin_gradient(z):
+            np.copyto(scratch_k, z)
+            np.copyto(scratch_k, -np.inf, where=target_k)  # the true class is never the best other one
+            np.argmax(scratch_k, axis=1, keepdims=True, out=best_k)
+            return _row_mean_difference(np.equal(classes, best_k, out=best_other_k), target_k, g_k, rows)
+
+        return cw_margin_gradient
+
+    return gradient, target
 
 
 def loss_logit_grad(kind: str, logits, labels=None, ref_logits=None) -> np.ndarray:
     z = as_matrix(logits, "logits")
-    return _logit_gradient(kind, z.shape, labels, ref_logits)(z)
+    return _logit_gradient(kind, z.shape, labels, ref_logits)[0](len(z))(z)
 
 
 def input_gradient(net: Network, batch, kind: str, labels=None, ref_logits=None) -> np.ndarray:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackSpec, pgd
+from .attacks import NEVER, AttackSpec, first_flips, pgd
 from .bounds import BoundInputs
 from .data import Dataset, batches, epoch_seed_from, idx_num_classes, load_idx, split_blobs
 from .decorr import DecorrConfig, penalty_and_grad, penalty_dacts
@@ -379,19 +379,24 @@ def _eval_indices(n: int, cap: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).choice(n, size=cap, replace=False)
 
 
+def _accuracies(net, x, y, clean_logits, attacks, seeds, compact) -> list[float]:
+    """Clean accuracy from `clean_logits`, then each attack's robust accuracy:
+    the share of rows that are right on the clean input and on every
+    iterate (`first_flips`), in `accuracy`'s arithmetic."""
+    records = (first_flips(net, x, y, spec, seed, clean_logits, compact) for spec, seed in zip(attacks, seeds))
+    return [accuracy(clean_logits, y), *(1.0 - float(np.mean(r != NEVER)) for r in records)]
+
+
 def _epoch_metrics(net, train, test, idx_train, idx_test, config: RunConfig, master: int):
     rows = {}
+    attacks = () if config.attack_eval is None else (config.attack_eval,)
     eval_seed = epoch_seed_from(master, _EVAL, 1)
     tapes = {}
     for tag, ds, idx in (("train", train, idx_train), ("test", test, idx_test)):
         x, y = ds.inputs[idx], ds.labels[idx]
         tapes[tag] = forward(net, x)
-        rows[f"clean_{tag}"] = accuracy(tapes[tag].logits, y)
-        if config.attack_eval is not None:
-            adv = pgd(net, x, y, config.attack_eval, seed=eval_seed)
-            rows[f"pgd_{tag}"] = accuracy(forward(net, adv).logits, y)
-        else:
-            rows[f"pgd_{tag}"] = rows[f"clean_{tag}"]
+        clean, *robust = _accuracies(net, x, y, tapes[tag].logits, attacks, (eval_seed,), compact=True)
+        rows[f"clean_{tag}"], rows[f"pgd_{tag}"] = clean, robust[0] if robust else clean
     # clean-side penalty of the last layer, comparable across methods
     try:
         rows["penalty"] = penalty_and_grad(tapes["train"].activations[-2], config.penalty)[0]
@@ -488,20 +493,24 @@ def train(config: RunConfig, out_dir) -> RunRecord:
 def evaluate(net: Network, ds: Dataset, attacks: list[AttackSpec], seed: int = 0) -> list[dict]:
     """Clean accuracy plus robust accuracy under each attack spec.
 
-    Attack i starts from the eval sub-stream (seed, _EVAL, i), so random-start
-    attacks listed more than once are independent restarts.
+    A row counts as robust to an attack only if it is right on the clean
+    input and on every iterate (`first_flips`). Every row takes every step
+    (no compaction), so a call costs the same whatever the net's
+    robustness. Attack i starts from the eval sub-stream (seed, _EVAL, i),
+    so random-start attacks listed more than once are independent restarts.
     """
+    seeds = [epoch_seed_from(seed, _EVAL, i) for i in range(len(attacks))]
+    clean, *robust = _accuracies(net, ds.inputs, ds.labels, forward(net, ds.inputs).logits, attacks, seeds,
+                                 compact=False)
     rows = [{
         "attack": "clean", "norm": "", "epsilon": 0.0, "steps": 0, "step_size": 0.0,
-        "loss": "", "accuracy": accuracy(forward(net, ds.inputs).logits, ds.labels),
+        "loss": "", "accuracy": clean,
     }]
-    for i, spec in enumerate(attacks):
-        adv = pgd(net, ds.inputs, ds.labels, spec, seed=epoch_seed_from(seed, _EVAL, i))
+    for spec, acc in zip(attacks, robust):
         rows.append({
             "attack": "pgd" if spec.loss == "cross_entropy" else spec.loss,
             "norm": spec.norm, "epsilon": spec.epsilon, "steps": spec.steps,
-            "step_size": spec.step_size, "loss": spec.loss,
-            "accuracy": accuracy(forward(net, adv).logits, ds.labels),
+            "step_size": spec.step_size, "loss": spec.loss, "accuracy": acc,
         })
     return rows
 

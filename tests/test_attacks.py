@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,12 +8,13 @@ import pytest
 from conftest import full_reverse_input_gradient
 
 from advlab import attacks, network
-from advlab.attacks import AttackSpec, _random_offset, pgd
+from advlab.attacks import NEVER, AttackSpec, _random_offset, first_flips, pgd
 from advlab.network import (
     LOSS_KINDS,
     ForwardTape,
     Layer,
     Network,
+    accuracy,
     cross_entropy,
     cw_margin,
     forward,
@@ -199,6 +202,27 @@ class TestPgdBuffers:
         assert peak <= 6 * x.nbytes, f"peak {peak / x.nbytes:.2f} batches"
         assert adv.shape == x.shape
 
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    @pytest.mark.parametrize("random_start", [False, True])
+    def test_first_flips_adds_at_most_a_batch(self, norm, random_start):
+        # pgd's working set, plus one prefix-sized temporary while rows move
+        # and, for l2, first_flips' own copy of the origin
+        rng = np.random.default_rng(32)
+        net = random_net(seed=33, dims=(784, 64, 10))
+        x = rng.uniform(0, 1, (200, 784))
+        labels = rng.integers(0, 10, size=200)
+        clean = forward(net, x).logits
+        eps = 0.3 if norm == "linf" else 2.0
+        spec = AttackSpec(eps, eps / 4, 20, norm=norm, random_start=random_start)
+        tracemalloc.start()
+        try:
+            record = first_flips(net, x, labels, spec, seed=3, clean_logits=clean)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * x.nbytes, f"peak {peak / x.nbytes:.2f} batches"
+        assert 0 < (record > 0).sum() < len(x)  # rows moved
+
     @pytest.mark.parametrize("loss", LOSS_KINDS)
     @pytest.mark.parametrize("norm", ["linf", "l2"])
     def test_every_step_writes_the_same_buffers(self, monkeypatch, norm, loss):
@@ -307,6 +331,172 @@ class TestRandomStart:
         spec = AttackSpec(epsilon, epsilon, norm=norm, random_start=True)
         a, b = (pgd_start(origin, spec, s) for s in (1, 2))
         assert np.all((a != b).any(axis=1))
+
+
+def misclassified(logits, labels):
+    """`accuracy`'s rule row by row: the true class's logit does not beat every other one."""
+    others = np.where(np.arange(logits.shape[1]) == labels[:, None], -np.inf, logits).max(axis=1)
+    wrong = logits[np.arange(len(labels)), labels] <= others
+    assert accuracy(logits, labels) == 1.0 - np.mean(wrong)
+    return wrong
+
+
+def reference_first_flips(net, x, labels, spec, seed):
+    """Each row's first misclassified iterate, from `pgd` with steps=1..S on the
+    whole batch; iterate 0 is the clean row and, after a random start, the start."""
+    record = np.where(misclassified(forward(net, x).logits, labels), 0, NEVER)
+    if spec.random_start:
+        record[(record == NEVER) & misclassified(forward(net, pgd_start(x, spec, seed)).logits, labels)] = 0
+    for t in range(1, spec.steps + 1):
+        adv = pgd(net, x, labels, dataclasses.replace(spec, steps=t), seed=seed)
+        record[(record == NEVER) & misclassified(forward(net, adv).logits, labels)] = t
+    return record
+
+
+def traced_first_flips(monkeypatch, net, x, labels, spec, seed):
+    """first_flips' record, and per forward pass of its attack the batch rows it
+    held and their iterates.
+
+    Rows leave in order and only when scored, so the pass that reads
+    iterate t holds the attacked (clean-right) rows whose record is NEVER
+    or at least t, in batch order.
+    """
+    iterates = []
+    original = attacks._forward
+
+    def spy(tape, *args, **kw):
+        iterates.append(tape.activations[0].copy())
+        return original(tape, *args, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(attacks, "_forward", spy)
+        record = first_flips(net, x, labels, spec, seed=seed)
+    attacked = ~misclassified(forward(net, x).logits, labels)
+    held = [np.flatnonzero(attacked & ((record == NEVER) | (record >= t))) for t in range(spec.steps + 1)]
+    held = [rows for rows in held if len(rows)]  # the attack stops when no row is left
+    assert [len(a) for a in iterates] == [len(rows) for rows in held]
+    return record, list(zip(held, iterates))
+
+
+def flip_case(dims, rows, seed=50):
+    """A fixed-seed net, a batch, and labels that are its predictions except on every fourth row."""
+    rng = np.random.default_rng(seed + rows)
+    net = random_net(seed=seed + len(dims), dims=dims)
+    x = rng.uniform(0, 1, (rows, dims[0]))
+    labels = forward(net, x).logits.argmax(axis=1)
+    labels[::4] = rng.integers(0, dims[-1], size=len(labels[::4]))  # some rows are clean-wrong
+    return net, x, labels
+
+
+FLIP_SPECS = [AttackSpec(eps, eps / 4, 8, norm=norm, loss=loss, random_start=start)
+              for norm, eps in (("linf", 0.1), ("l2", 0.5)) for loss in LOSS_KINDS for start in (False, True)]
+FLIP_IDS = [f"{s.norm}-{s.loss}-{'start' if s.random_start else 'origin'}" for s in FLIP_SPECS]
+
+
+class TestFirstFlips:
+    @pytest.mark.parametrize("spec", FLIP_SPECS, ids=FLIP_IDS)
+    @pytest.mark.parametrize("dims", [(32, 10), (32, 96, 96, 10), (16, 24, 20, 12, 6)])
+    @pytest.mark.parametrize("rows", [1, 300])
+    def test_matches_pgd_scored_at_every_step(self, spec, dims, rows):
+        net, x, labels = flip_case(dims, rows)
+        got = first_flips(net, x, labels, spec, seed=7)
+        assert got.tobytes() == reference_first_flips(net, x, labels, spec, seed=7).tobytes()
+
+    def test_the_cases_flip_at_every_kind_of_step(self):
+        # the comparison above is not vacuous: rows break at 0, at a step and never
+        seen = set()
+        for spec in FLIP_SPECS:
+            record = first_flips(*flip_case((32, 96, 96, 10), 300), spec, seed=7)
+            seen |= {"start" if r == 0 else "never" if r == NEVER else "step" for r in record}
+        assert seen == {"start", "step", "never"}
+
+    @pytest.mark.parametrize("spec", FLIP_SPECS, ids=FLIP_IDS)
+    @pytest.mark.parametrize("dims", [(32, 10), (16, 24, 20, 12, 6)])
+    def test_every_iterate_stays_in_the_ball_and_the_box(self, monkeypatch, spec, dims):
+        net, x, labels = flip_case(dims, 300)
+        x[:, :3] = [0.0, 1.0, 0.05]  # the box binds on these columns
+        _, passes = traced_first_flips(monkeypatch, net, x, labels, spec, seed=8)
+        for rows, iterate in passes:
+            assert np.all(iterate >= 0.0) and np.all(iterate <= 1.0)
+            delta = iterate - x[rows]
+            if spec.norm == "linf":
+                assert np.abs(delta).max() <= spec.epsilon * (1 + 1e-12)
+            else:
+                assert np.linalg.norm(delta, axis=1).max() <= spec.epsilon * (1 + 1e-12)
+
+    @pytest.mark.parametrize("spec", FLIP_SPECS, ids=FLIP_IDS)
+    @pytest.mark.parametrize("dims", [(32, 10), (32, 96, 96, 10), (16, 24, 20, 12, 6)])
+    def test_without_a_drop_the_last_iterate_is_pgds(self, monkeypatch, spec, dims):
+        net, x, _ = flip_case(dims, 300)
+        labels = forward(net, x).logits.argmax(axis=1)
+        tiny = dataclasses.replace(spec, epsilon=1e-9, step_size=2.5e-10)
+        adv = pgd(net, x, labels, tiny, seed=9)
+        record, passes = traced_first_flips(monkeypatch, net, x, labels, tiny, seed=9)
+        assert (record == NEVER).all()
+        rows, last = passes[-1]
+        assert len(passes) == tiny.steps + 1 and len(rows) == len(x)
+        assert last.tobytes() == adv.tobytes()
+
+    @pytest.mark.parametrize("spec", FLIP_SPECS, ids=FLIP_IDS)
+    @pytest.mark.parametrize("dims", [(32, 10), (32, 96, 96, 10), (16, 24, 20, 12, 6)])
+    def test_after_drops_the_last_iterate_is_pgds_within_rounding(self, monkeypatch, spec, dims):
+        # a GEMM's row can depend on how many rows it is given, so the
+        # iterates of a shorter working set may move in the last bits
+        net, x, labels = flip_case(dims, 300)
+        adv = pgd(net, x, labels, spec, seed=10)
+        record, passes = traced_first_flips(monkeypatch, net, x, labels, spec, seed=10)
+        rows, last = passes[-1]
+        survivors = record[rows] == NEVER
+        assert 0 < survivors.sum() < len(x)
+        assert np.abs(last[survivors] - adv[rows[survivors]]).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("spec", FLIP_SPECS, ids=FLIP_IDS)
+    @pytest.mark.parametrize("dims", [(32, 10), (32, 96, 96, 10), (16, 24, 20, 12, 6)])
+    def test_without_compaction_every_row_takes_pgds_steps(self, monkeypatch, spec, dims):
+        net, x, labels = flip_case(dims, 300)
+        iterates = []
+        original = attacks._forward
+        with monkeypatch.context() as patch:
+            patch.setattr(attacks, "_forward", lambda tape, *a: iterates.append(tape.activations[0].copy())
+                          or original(tape, *a))
+            record = first_flips(net, x, labels, spec, seed=11, compact=False)
+        assert record.tobytes() == reference_first_flips(net, x, labels, spec, seed=11).tobytes()
+        assert [len(a) for a in iterates] == [len(x)] * (spec.steps + 1)
+        assert iterates[-1].tobytes() == pgd(net, x, labels, spec, seed=11).tobytes()
+
+    @pytest.mark.parametrize("batch, labels", [
+        ([[0.5, np.nan]], [0]), ([[0.5, np.inf]], [0]),
+        ([[0.5, 0.5], [0.2, 0.1]], [0]), ([[0.5, 0.5]], [0, 1]), ([[0.5, 0.5]], [2]),
+        ([[0.5, 0.5]], [-1]), ([[0.5, 0.5]], [[0]]), ([0.5, 0.5], [0]), ([[0.5, 0.5, 0.5]], [0]),
+    ], ids=["nan", "inf", "short-labels", "long-labels", "label-too-big", "negative-label",
+            "2d-labels", "1d-batch", "wide-batch"])
+    @pytest.mark.parametrize("loss", ["cross_entropy", "cw_margin"])
+    def test_bad_inputs_raise_pgds_errors(self, batch, labels, loss):
+        net = linear_two_class()
+        spec = AttackSpec(0.1, 0.05, 2, loss=loss)
+        with pytest.raises(ValueError) as expected:
+            pgd(net, batch, labels, spec)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            first_flips(net, batch, labels, spec)
+
+    def test_a_non_finite_iterate_raises_pgds_error(self):
+        # an l2 step along an infinite cw_margin gradient leaves the iterate nan
+        net = Network([Layer(np.array([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]]))])
+        spec = AttackSpec(0.1, 0.05, 3, norm="l2", loss="cw_margin")
+        for attack in (pgd, first_flips):
+            with (np.errstate(over="ignore", invalid="ignore"),
+                  pytest.raises(ValueError, match="^batch contains non-finite entries$")):
+                attack(net, np.array([[0.5, 0.5]]), [0], spec)
+
+    def test_clean_wrong_rows_are_broken_at_zero_and_never_attacked(self, monkeypatch):
+        net = linear_two_class()
+        x = np.array([[0.2, 0.8], [0.8, 0.2], [0.5, 0.5]])  # row 2 ties: wrong under either label
+        passes = []
+        original = attacks._forward
+        monkeypatch.setattr(attacks, "_forward", lambda tape, *a: passes.append(len(tape.logits)) or original(tape, *a))
+        record = first_flips(net, x, [0, 0, 0], AttackSpec(0.01, 0.005, 4))
+        assert record.tolist() == [0, NEVER, 0]
+        assert passes == [1] * 5  # row 1 alone: the four steps and the last iterate's scoring
 
 
 class TestAttackStrengthOrdering:

@@ -15,7 +15,7 @@ from advlab import cli
 from advlab.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from advlab.data import write_idx_images, write_idx_labels
 from advlab.io import FormatError
-from advlab.network import load_checkpoint, save_checkpoint
+from advlab.network import Network, load_checkpoint, save_checkpoint
 from advlab.train import DivergedTraining
 
 DATASET = {
@@ -62,10 +62,10 @@ SRC = Path(advlab.__file__).resolve().parents[1]
 REPO = SRC.parent
 
 
-def fresh_python(*args):
-    """Run a new interpreter that imports advlab from this source tree."""
+def fresh_python(*args, **env):
+    """Run a new interpreter that imports advlab from this source tree, with `env` added."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], env=os.environ | {"PYTHONPATH": path},
+    return subprocess.run([sys.executable, *args], env=os.environ | env | {"PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
 
 
@@ -234,6 +234,19 @@ class TestStatsCommand:
         out = tmp_path / "stats-sampling-out"
         assert run(["stats", "--config", config, "--out", out]) == EXIT_OK
         assert (out / "stats_2_sampling_clean.csv").exists()
+
+    def test_laplace_bytes_ignore_an_exported_blas_thread_count(self, tmp_path):
+        # on the demo data two OpenBLAS threads sum the Kronecker factors in
+        # another order, so an exported thread count must not reach the pool
+        save_checkpoint(Network.he_init([32, 96, 96, 10], seed=0), tmp_path / "net.json")
+        doc = json.loads((REPO / "configs" / "stats_laplace.json").read_text())
+        doc.update(checkpoint=str(tmp_path / "net.json"), attack=None)
+        config = write_config(tmp_path, doc, "stats-laplace.json")
+        for threads in ("1", "2"):
+            fresh_python("-m", "advlab", "stats", "--config", config, "--out", str(tmp_path / threads),
+                         OPENBLAS_NUM_THREADS=threads)
+        one, two = ((tmp_path / threads / "stats_3_laplace_clean.csv").read_bytes() for threads in "12")
+        assert one == two
 
     def test_bad_method_exits_2(self, tmp_path, trained):
         doc = {"checkpoint": str(trained / "checkpoint.json"), "dataset": DATASET, "method": "mcmc"}

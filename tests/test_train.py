@@ -5,9 +5,9 @@ import pytest
 
 from conftest import away_from_relu_kinks, fd_weight_gradients, max_rel_error
 
-from advlab import data
-from advlab.attacks import AttackSpec, pgd
-from advlab.data import epoch_seed_from, synth_blobs, write_idx_images, write_idx_labels
+from advlab import attacks, data
+from advlab.attacks import AttackSpec, first_flips
+from advlab.data import Dataset, epoch_seed_from, synth_blobs, write_idx_images, write_idx_labels
 from advlab.decorr import DecorrConfig, decorr_penalty, penalty_dacts
 from advlab.network import (
     Network,
@@ -25,6 +25,7 @@ from advlab.train import (
     DivergedTraining,
     METRICS_HEADER,
     RunConfig,
+    _epoch_metrics,
     _lr_at,
     dataset_from_spec,
     evaluate,
@@ -309,19 +310,64 @@ class TestEvaluate:
         assert med[0] >= med[1] >= med[2]  # clean >= single-step >= pgd-20
 
     def test_random_starts_in_one_list_are_restarts(self, monkeypatch):
-        batches = []
-        recorded = lambda *a, **kw: batches.append(pgd(*a, **kw)) or batches[-1]  # noqa: E731
-        monkeypatch.setattr(sys.modules["advlab.train"], "pgd", recorded)
+        calls = []
+
+        def recorded(net, x, y, spec, seed, clean_logits, compact):
+            assert not compact
+            calls.append((spec, seed, first_flips(net, x, y, spec, seed, clean_logits, compact)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(sys.modules["advlab.train"], "first_flips", recorded)
         ds = synth_blobs(3, 10, 5, 0.1, seed=9)
         net = Network.he_init([5, 8, 3], seed=10)
         start = AttackSpec(epsilon=0.1, step_size=0.02, steps=2, random_start=True)
         plain = AttackSpec(epsilon=0.1, step_size=0.02, steps=2)
         evaluate(net, ds, [start, start, plain, plain], seed=4)
-        assert not np.array_equal(batches[0], batches[1])
-        for i in (0, 1):  # attack i draws from the eval sub-stream (seed, 3, i)
-            expected = pgd(net, ds.inputs, ds.labels, start, seed=epoch_seed_from(4, 3, i))
-            assert batches[i].tobytes() == expected.tobytes()
-        assert batches[2].tobytes() == batches[3].tobytes() == pgd(net, ds.inputs, ds.labels, plain).tobytes()
+        assert [spec for spec, _, _ in calls] == [start, start, plain, plain]
+        for i, (spec, seed, record) in enumerate(calls):  # attack i draws from the eval sub-stream (seed, 3, i)
+            assert seed == epoch_seed_from(4, 3, i)
+            assert record.tobytes() == first_flips(net, ds.inputs, ds.labels, spec, seed=seed, compact=False).tobytes()
+        assert calls[0][1] != calls[1][1]
+        assert calls[2][2].tobytes() == calls[3][2].tobytes()
+
+    def test_every_row_takes_every_step_whatever_the_net(self, monkeypatch):
+        # evaluate's cost is fixed by rows and steps: broken rows stay in the attack
+        ds = synth_blobs(4, 40, 6, 0.3, seed=15)
+        net = Network.he_init([6, 10, 4], seed=16)
+        specs = [AttackSpec(0.3, 0.15, 5), AttackSpec(1.0, 0.5, 3, norm="l2", random_start=True)]
+        passes = []
+        original = attacks._forward
+        monkeypatch.setattr(attacks, "_forward", lambda tape, *a: passes.append(len(tape.logits)) or original(tape, *a))
+        clean, *robust = evaluate(net, ds, specs, seed=2)
+        assert all(row["accuracy"] < clean["accuracy"] for row in robust)  # rows did break
+        assert passes == [len(ds.inputs)] * sum(spec.steps + 1 for spec in specs)
+
+    def test_epoch_metrics_equal_evaluate_on_the_same_rows(self):
+        config = tiny_config(attack_eval=AttackSpec(epsilon=0.15, step_size=0.05, steps=4, random_start=True))
+        train_ds, test_ds = dataset_from_spec(DATASET, "train", "test")
+        net = Network.he_init([6, 8, 3], seed=12)
+        idx_train, idx_test = np.arange(0, 36, 2), np.arange(18)
+        metrics = _epoch_metrics(net, train_ds, test_ds, idx_train, idx_test, config, master=5)
+        for tag, ds, idx in (("train", train_ds, idx_train), ("test", test_ds, idx_test)):
+            rows = Dataset(ds.inputs[idx], ds.labels[idx], ds.num_classes, ds.name)
+            # the epoch eval attacks from (master, 3, 1): attack 1 of an evaluate list
+            clean, _, robust = evaluate(net, rows, [config.attack_eval] * 2, seed=5)
+            assert (metrics[f"clean_{tag}"], metrics[f"pgd_{tag}"]) == (clean["accuracy"], robust["accuracy"])
+
+    @pytest.mark.parametrize("loss", ["cross_entropy", "cw_margin", "kl"])
+    def test_robust_accuracy_never_exceeds_clean(self, loss):
+        # a kl attack ignores the labels, so it can move a clean-wrong row to
+        # the right class; that row is still broken at iterate 0
+        ds = synth_blobs(4, 40, 6, 0.3, seed=15)
+        net = Network.he_init([6, 10, 4], seed=16)
+        specs = [AttackSpec(0.3, 0.15, steps, loss=loss, random_start=start)
+                 for steps in (1, 5) for start in (False, True)]
+        clean, *robust = evaluate(net, ds, specs, seed=2)
+        assert 0.0 < clean["accuracy"] < 1.0
+        assert all(row["accuracy"] <= clean["accuracy"] for row in robust)
+        wrong = forward(net, ds.inputs).logits.argmax(axis=1) != ds.labels
+        for spec in specs:
+            assert (first_flips(net, ds.inputs, ds.labels, spec, seed=2)[wrong] == 0).all()
 
     def test_chance_level_for_untrained_net(self):
         ds = synth_blobs(10, 60, 8, 0.05, seed=11)
