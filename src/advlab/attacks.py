@@ -22,9 +22,8 @@ import types
 
 import numpy as np
 
-from .linalg import as_matrix
-from .network import (LOSS_KINDS, ForwardTape, Network, _as_input, _check_labels, _empty_tape, _forward,
-                      _input_gradient, _logit_gradient, _one_hot, forward)
+from .network import (LOSS_KINDS, ForwardTape, Network, _as_input, _empty_tape, _forward, _input_gradient,
+                      _logit_gradient, _logits_of_shape, _true_class, _wrong_rows, forward)
 
 NORMS = ("linf", "l2")
 NEVER = -1  # first_flips' entry for a row that no iterate misclassifies
@@ -137,9 +136,10 @@ def first_flips(net: Network, batch, labels, spec: AttackSpec, seed: int = 0,
     Iterate 0 is the start and iterate t the point after t steps. A row
     whose clean logits (`clean_logits`, by default the network's output on
     `batch`) are wrong is broken at 0 and never attacked, and so is a row
-    whose random start is wrong. Wrong means `accuracy`'s rule: the true
-    class's logit does not beat every other one, so a tie is wrong. For the
-    kl loss, the clean logits are the reference.
+    whose random start is wrong. Wrong means `accuracy`'s rule
+    (`network._wrong_rows`): the true class's logit does not beat every
+    other one, so a tie is wrong. For the kl loss, the clean logits are the
+    reference.
 
     Each step's forward pass scores the iterate it starts from. With
     `compact`, a broken row leaves the attack: the rows still unbroken are
@@ -152,21 +152,13 @@ def first_flips(net: Network, batch, labels, spec: AttackSpec, seed: int = 0,
     bit for bit, and the cost is `pgd`'s whatever the net's robustness.
     """
     origin = _as_input(net, batch)
-    rows, classes = len(origin), net.output_dim
-    truth = _one_hot(_check_labels(labels, classes), (rows, classes))
-    clean_logits = forward(net, origin).logits if clean_logits is None else as_matrix(clean_logits, "logits")
-    if clean_logits.shape != truth.shape:
-        raise ValueError("logit shapes differ")
-    record = np.where(_misclassified(clean_logits, truth), 0, NEVER)
+    truth = _true_class(labels, (len(origin), net.output_dim))
+    clean_logits = (forward(net, origin).logits if clean_logits is None
+                    else _logits_of_shape(clean_logits, truth.shape))
+    record = np.where(_wrong_rows(clean_logits, truth), 0, NEVER)
     _ascend(net, origin, labels, spec, clean_logits if spec.loss == "kl" else None, seed, record, truth,
             compact)
     return record
-
-
-def _misclassified(logits: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Rows whose true-class logit (where the boolean one-hot `truth` is set)
-    does not beat every other one: `margin_loss`'s rule at gamma 0."""
-    return logits[truth] <= np.where(truth, -np.inf, logits).max(axis=1)
 
 
 def _ascend(net, origin, labels, spec, ref_logits, seed, record=None, truth=None,
@@ -256,7 +248,7 @@ def _ascend(net, origin, labels, spec, ref_logits, seed, record=None, truth=None
             raise ValueError("batch contains non-finite entries")
         _forward(v.tape, v.hidden)
         if record is not None and (t or spec.random_start):  # without one, iterate 0 was scored clean
-            wrong = _misclassified(v.tape.logits, truth[:k])
+            wrong = _wrong_rows(v.tape.logits, truth[:k])
             if not compact:
                 record[wrong & (record == NEVER)] = t
             elif wrong.any():

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import FormatError
+from .network import _as_labels
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -21,17 +22,15 @@ IDX_LABEL_MAGIC = 0x00000801
 @dataclass
 class Dataset:
     inputs: np.ndarray  # (m, d), values in [0, 1]
-    labels: np.ndarray  # (m,), ints in [0, num_classes)
+    labels: np.ndarray  # (m,), ints in [0, num_classes): `network._as_labels`' rule
     num_classes: int
     name: str
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2 or self.inputs.shape[0] != self.labels.shape[0]:
-            raise ValueError("inputs and labels disagree on the sample count")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise ValueError(f"labels must lie in [0, {self.num_classes})")
+        if self.inputs.ndim != 2:
+            raise ValueError(f"inputs must be 2-D, got ndim={self.inputs.ndim}")
+        self.labels = _as_labels(self.labels, (len(self.inputs), self.num_classes))
         if self.inputs.size and (self.inputs.min() < 0.0 or self.inputs.max() > 1.0):
             raise ValueError("inputs must lie in [0, 1]")
 

@@ -36,8 +36,8 @@ from .network import (
     accuracy,
     backward,
     cross_entropy,
-    cross_entropy_grad,
     forward,
+    loss_logit_grad,
     save_checkpoint,
 )
 from .weight_stats import SamplingConfig
@@ -320,7 +320,7 @@ def _step_gradients(net, xb, yb, config: RunConfig, attack_seed: int):
     if method == "standard":
         tape = forward(net, xb)
         loss = cross_entropy(tape.logits, yb)
-        return loss, backward(net, tape, cross_entropy_grad(tape.logits, yb))
+        return loss, backward(net, tape, loss_logit_grad("cross_entropy", tape.logits, yb))
 
     penalty = config.penalty if method.endswith("_decorr") else None
     spec = config.attack_train
@@ -328,7 +328,7 @@ def _step_gradients(net, xb, yb, config: RunConfig, attack_seed: int):
         x_adv = pgd(net, xb, yb, spec, seed=attack_seed)
         tape_adv = forward(net, x_adv)
         loss = cross_entropy(tape_adv.logits, yb)
-        d_adv = cross_entropy_grad(tape_adv.logits, yb)
+        d_adv = loss_logit_grad("cross_entropy", tape_adv.logits, yb)
         if penalty is None:
             return loss, backward(net, tape_adv, d_adv)
         tape_clean = forward(net, xb)  # enters through the penalty alone: zero logits gradient

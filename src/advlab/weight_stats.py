@@ -27,9 +27,10 @@ from .data import Dataset, batches, epoch_seed_from
 from .decorr import hessian_kron_factors, normalized_precision
 from .io import FormatError, write_csv
 from .linalg import TOL_PSD, det_lower_bound, logdet_lower_bound, normalize_to_correlation
-from .network import Layer, Network, backward, cross_entropy, cross_entropy_grad, forward
+from .network import Layer, Network, backward, cross_entropy, forward, loss_logit_grad
 
 STUDY_BLOCK = 1024  # matrices per batch of the random study: a few MB of working set
+LAPLACE_CHUNK = 2048  # rows per forward pass of `corr_from_laplace`
 
 SOURCES = ("sampling", "laplace")
 DATA_TAGS = ("clean", "adversarial")
@@ -199,7 +200,7 @@ def _refine(net: Network, ds: Dataset, cfg: SamplingConfig, active: list[bool], 
     for epoch in range(cfg.refine_epochs):
         for xb, yb in batches(ds, cfg.refine_batch_size, epoch_seed_from(cfg.seed, draw, epoch)):
             tape = forward(net, xb)
-            grads = backward(net, tape, cross_entropy_grad(tape.logits, yb))
+            grads = backward(net, tape, loss_logit_grad("cross_entropy", tape.logits, yb))
             net = net.with_weights(
                 [w - cfg.refine_lr * g if on else w
                  for w, g, on in zip(net.weights, grads, active)]
@@ -315,9 +316,7 @@ def laplace_stats_from_factors(
     return _layer_stats(layer, rc, rr, eig_c, eig_r, eig, "laplace", sample_count)
 
 
-def corr_from_laplace(
-    net: Network, ds: Dataset, layer: int, damping: float = 1e-3, chunk: int = 2048
-) -> LayerCorrStats:
+def corr_from_laplace(net: Network, ds: Dataset, layer: int, damping: float = 1e-3) -> LayerCorrStats:
     """Laplace-approximation statistics for the output layer.
 
     The expected Hessian factorizes over the layer input second moment and
@@ -331,8 +330,8 @@ def corr_from_laplace(
     a_dim = net.layers[-1].in_dim + 1
     a_hat = np.zeros((a_dim, a_dim))
     h_hat = np.zeros((net.output_dim, net.output_dim))
-    for start in range(0, len(ds), chunk):
-        xb = ds.inputs[start : start + chunk]
+    for start in range(0, len(ds), LAPLACE_CHUNK):
+        xb = ds.inputs[start : start + LAPLACE_CHUNK]
         tape = forward(net, xb)
         a_part, h_part = hessian_kron_factors(tape, layer)
         a_hat += a_part * len(xb)

@@ -28,9 +28,9 @@ from advlab.network import (
     Network,
     backward,
     cross_entropy,
-    cross_entropy_grad,
     forward,
     load_checkpoint,
+    loss_logit_grad,
 )
 from advlab.train import RunConfig, dataset_from_spec, train, trades_gradients
 from advlab.weight_stats import (
@@ -60,7 +60,7 @@ def test_criterion_1_gradient_suite():
     y = rng.integers(0, 4, size=6)
     assert away_from_relu_kinks(net, x)
     tape = forward(net, x)
-    analytic = backward(net, tape, cross_entropy_grad(tape.logits, y))
+    analytic = backward(net, tape, loss_logit_grad("cross_entropy", tape.logits, y))
     oracle = fd_weight_gradients(lambda n: cross_entropy(forward(n, x).logits, y), net)
     worst["cross_entropy"] = max_rel_error(analytic, oracle)
 
@@ -93,7 +93,7 @@ def test_criterion_1_gradient_suite():
         return cross_entropy(t_adv.logits, y) + cfg.alpha * penalty
 
     t_clean, t_adv = forward(net, x), forward(net, x_adv)
-    d_adv = cross_entropy_grad(t_adv.logits, y)
+    d_adv = loss_logit_grad("cross_entropy", t_adv.logits, y)
     adv = backward(net, t_adv, d_adv, penalty_dacts(t_adv, cfg))
     clean = backward(net, t_clean, np.zeros_like(d_adv), penalty_dacts(t_clean, cfg))
     analytic = [a + b for a, b in zip(adv, clean)]

@@ -235,18 +235,34 @@ class TestStatsCommand:
         assert run(["stats", "--config", config, "--out", out]) == EXIT_OK
         assert (out / "stats_2_sampling_clean.csv").exists()
 
-    def test_laplace_bytes_ignore_an_exported_blas_thread_count(self, tmp_path):
-        # on the demo data two OpenBLAS threads sum the Kronecker factors in
-        # another order, so an exported thread count must not reach the pool
+    @staticmethod
+    def demo_laplace_config(tmp_path):
+        """The demo's Laplace stats config, without its attack, on a He-init 32-96-96-10 net.
+
+        On the demo data two OpenBLAS threads sum the Kronecker factors in
+        another order than one, so the CSV bytes show the pool's size.
+        """
         save_checkpoint(Network.he_init([32, 96, 96, 10], seed=0), tmp_path / "net.json")
         doc = json.loads((REPO / "configs" / "stats_laplace.json").read_text())
         doc.update(checkpoint=str(tmp_path / "net.json"), attack=None)
-        config = write_config(tmp_path, doc, "stats-laplace.json")
+        return write_config(tmp_path, doc, "stats-laplace.json")
+
+    def test_laplace_bytes_ignore_an_exported_blas_thread_count(self, tmp_path):
+        config = self.demo_laplace_config(tmp_path)
         for threads in ("1", "2"):
             fresh_python("-m", "advlab", "stats", "--config", config, "--out", str(tmp_path / threads),
                          OPENBLAS_NUM_THREADS=threads)
         one, two = ((tmp_path / threads / "stats_3_laplace_clean.csv").read_bytes() for threads in "12")
         assert one == two
+
+    def test_laplace_bytes_in_process_match_a_one_thread_interpreter(self, tmp_path):
+        # the suite runs the one-thread pool that advlab pins, because conftest imports advlab first
+        config = self.demo_laplace_config(tmp_path)
+        assert run(["stats", "--config", config, "--out", tmp_path / "here"]) == EXIT_OK
+        fresh_python("-m", "advlab", "stats", "--config", config, "--out", str(tmp_path / "fresh"),
+                     OPENBLAS_NUM_THREADS="1")
+        here, fresh = ((tmp_path / out / "stats_3_laplace_clean.csv").read_bytes() for out in ("here", "fresh"))
+        assert here == fresh
 
     def test_bad_method_exits_2(self, tmp_path, trained):
         doc = {"checkpoint": str(trained / "checkpoint.json"), "dataset": DATASET, "method": "mcmc"}

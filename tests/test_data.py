@@ -123,13 +123,13 @@ class TestSynthBlobs:
 
     def test_far_centers_are_linearly_separable(self):
         # two tight, well-separated blobs: a one-layer net fits them fast
-        from advlab.network import Network, cross_entropy_grad, forward, accuracy, backward
+        from advlab.network import Network, forward, accuracy, backward, loss_logit_grad
 
         ds = synth_blobs(2, 40, 8, spread=0.02, seed=9)
         net = Network.he_init([8, 2], seed=0)
         for _ in range(100):
             tape = forward(net, ds.inputs)
-            grads = backward(net, tape, cross_entropy_grad(tape.logits, ds.labels))
+            grads = backward(net, tape, loss_logit_grad("cross_entropy", tape.logits, ds.labels))
             net = net.with_weights([w - 0.5 * g for w, g in zip(net.weights, grads)])
         assert accuracy(forward(net, ds.inputs).logits, ds.labels) >= 0.99
 

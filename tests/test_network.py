@@ -15,29 +15,29 @@ from conftest import (
 )
 
 from advlab import network
-from advlab.attacks import NORMS, AttackSpec, pgd
+from advlab.attacks import NORMS, AttackSpec, first_flips, pgd
+from advlab.data import Dataset
 from advlab.io import FormatError
 from advlab.network import (
     LOSS_KINDS,
     Layer,
     Network,
+    accuracy,
     backward,
     checkpoint_text,
     cross_entropy,
-    cross_entropy_grad,
     cw_margin,
-    cw_margin_grad,
     forward,
     input_gradient,
     kl_softmax,
     kl_softmax_grad_p,
-    kl_softmax_grad_q,
     load_checkpoint,
     loss_logit_grad,
     margin_loss,
     save_checkpoint,
     softmax,
 )
+from advlab.train import trades_gradients
 
 
 def single_layer(weight):
@@ -95,7 +95,7 @@ class TestForward:
         runs = []
         for _ in range(2):
             tape = forward(net, x)
-            grads = backward(net, tape, cross_entropy_grad(tape.logits, y))
+            grads = backward(net, tape, loss_logit_grad("cross_entropy", tape.logits, y))
             runs.append((tape.logits.copy(), [g.copy() for g in grads]))
         assert np.array_equal(runs[0][0], runs[1][0])
         for g0, g1 in zip(runs[0][1], runs[1][1]):
@@ -166,7 +166,8 @@ class TestLosses:
         zp = rng.standard_normal((3, 4))
         zq = rng.standard_normal((3, 4))
         step = 1e-6
-        for grad_fn, which in ((kl_softmax_grad_p, 0), (kl_softmax_grad_q, 1)):
+        grad_q = (lambda p, q: loss_logit_grad("kl", q, ref_logits=p), 1)  # the gradient w.r.t. q
+        for grad_fn, which in ((kl_softmax_grad_p, 0), grad_q):
             analytic = grad_fn(zp, zq)
             fd = np.zeros_like(analytic)
             for idx in np.ndindex(fd.shape):
@@ -181,24 +182,81 @@ class TestLosses:
     def test_gradients_reject_mismatched_labels_and_logits(self):
         z = np.random.default_rng(9).standard_normal((6, 3))
         for labels in ([0], [0, 1, 2, 0, 1, 2, 0]):
-            for grad in (cross_entropy_grad, cw_margin_grad):
+            for kind in ("cross_entropy", "cw_margin"):
                 with pytest.raises(ValueError, match=f"one entry per logit row: {len(labels)} for 6"):
-                    grad(z, labels)
-        for grad in (kl_softmax_grad_p, kl_softmax_grad_q):
+                    loss_logit_grad(kind, z, labels)
+        for grad in (kl_softmax_grad_p, lambda zp, zq: loss_logit_grad("kl", zq, ref_logits=zp)):
             with pytest.raises(ValueError, match="logit shapes differ"):
                 grad(z, z[:1])
 
     @pytest.mark.parametrize("rows, classes, spread", [(1, 3, 1.0), (6, 4, 1.0), (100, 10, 5.0), (64, 2, 30.0)])
     def test_cross_entropy_and_kl_from_one_log_softmax_each(self, rows, classes, spread):
-        # trades_gradients' value and logit gradients, bit for bit the five public functions
+        # trades_gradients' value and logit gradients, bit for bit the public functions
         rng = np.random.default_rng(rows)
         zp = spread * rng.standard_normal((rows, classes))
         zq = zp + rng.standard_normal((rows, classes))
         y = rng.integers(0, classes, size=rows)
         got = network._cross_entropy_and_kl(zp, zq, y)
-        expect = (cross_entropy(zp, y), kl_softmax(zp, zq), cross_entropy_grad(zp, y),
-                  kl_softmax_grad_p(zp, zq), kl_softmax_grad_q(zp, zq))
+        expect = (cross_entropy(zp, y), kl_softmax(zp, zq), loss_logit_grad("cross_entropy", zp, y),
+                  kl_softmax_grad_p(zp, zq), loss_logit_grad("kl", zq, ref_logits=zp))
         assert [np.asarray(a).tobytes() for a in got] == [np.asarray(b).tobytes() for b in expect]
+
+
+# every entry that takes labels, on a 6-row batch of a 3-class net; each returns an array
+LABEL_NET = Network.he_init([4, 5, 3], seed=23)
+LABEL_X = np.random.default_rng(24).uniform(0, 1, (6, 4))
+LABEL_TAPE = forward(LABEL_NET, LABEL_X)
+LABEL_Z = LABEL_TAPE.logits
+LABEL_SPEC = AttackSpec(0.1, 0.05, steps=2)
+
+
+def trades_flat(labels):
+    loss, grads = trades_gradients(LABEL_NET, LABEL_TAPE, LABEL_TAPE, labels, 1.0)
+    return np.concatenate([[loss], *(g.ravel() for g in grads)])
+
+
+LABEL_ENTRIES = {
+    "cross_entropy": lambda y: cross_entropy(LABEL_Z, y),
+    "margin_loss": lambda y: margin_loss(LABEL_Z, y, 0.5),
+    "accuracy": lambda y: accuracy(LABEL_Z, y),
+    "cw_margin": lambda y: cw_margin(LABEL_Z, y),
+    "loss_logit_grad cross_entropy": lambda y: loss_logit_grad("cross_entropy", LABEL_Z, y),
+    "loss_logit_grad cw_margin": lambda y: loss_logit_grad("cw_margin", LABEL_Z, y),
+    "input_gradient": lambda y: input_gradient(LABEL_NET, LABEL_X, "cross_entropy", y),
+    "pgd": lambda y: pgd(LABEL_NET, LABEL_X, y, LABEL_SPEC),
+    "first_flips": lambda y: first_flips(LABEL_NET, LABEL_X, y, LABEL_SPEC),
+    "trades_gradients": trades_flat,
+    "Dataset": lambda y: Dataset(LABEL_X, y, 3, "labels").labels,
+}
+# bad label set for 6 rows of 3 classes -> the pattern of the label rule's message
+BAD_LABELS = {
+    "too few": ([0, 1], "labels must hold one entry per logit row: 2 for 6"),
+    "too many": ([0, 1, 2] * 3, "labels must hold one entry per logit row: 9 for 6"),
+    "None": (None, "labels must be a flat integer list"),
+    "non-integer": ([0.5] * 6, "labels must be a flat integer list"),
+    "2-D": ([[0], [1], [2]] * 2, "labels must be a flat integer list"),
+    "out of range": ([0, 1, 2, 3, 1, 0], r"labels must lie in \[0, 3\)"),
+}
+
+
+class TestLabelRule:
+    @pytest.mark.parametrize("bad", BAD_LABELS)
+    @pytest.mark.parametrize("entry", LABEL_ENTRIES)
+    def test_every_entry_rejects_a_bad_label_set(self, entry, bad):
+        labels, message = BAD_LABELS[bad]
+        with pytest.raises(ValueError, match=message):
+            LABEL_ENTRIES[entry](labels)
+
+    @pytest.mark.parametrize("entry", LABEL_ENTRIES)
+    def test_integer_valued_floats_are_integers(self, entry):
+        y = [0, 1, 2, 2, 1, 0]
+        expect = np.asarray(LABEL_ENTRIES[entry](y))
+        assert np.asarray(LABEL_ENTRIES[entry](np.array(y, dtype=float))).tobytes() == expect.tobytes()
+
+    def test_a_tie_is_wrong(self):
+        logits = np.array([[2.0, 2.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 0.0]])
+        assert accuracy(logits, [0, 1, 0]) == pytest.approx(2.0 / 3.0)
+        assert margin_loss(logits, [1, 1, 0], gamma=1.0) == pytest.approx(2.0 / 3.0)
 
 
 class TestBackward:
@@ -207,7 +265,7 @@ class TestBackward:
         x = np.random.default_rng(7).uniform(0, 1, (6, 4))
         y = np.array([0, 1, 2, 0, 1, 2])
         tape = forward(net, x)
-        got = backward(net, tape, cross_entropy_grad(tape.logits, y))[0]
+        got = backward(net, tape, loss_logit_grad("cross_entropy", tape.logits, y))[0]
 
         p = softmax(tape.logits)
         p[np.arange(6), y] -= 1.0
@@ -222,7 +280,7 @@ class TestBackward:
         assert away_from_relu_kinks(net, x)
 
         tape = forward(net, x)
-        analytic = backward(net, tape, cross_entropy_grad(tape.logits, y))
+        analytic = backward(net, tape, loss_logit_grad("cross_entropy", tape.logits, y))
         oracle = fd_weight_gradients(
             lambda n: cross_entropy(forward(n, x).logits, y), net
         )
@@ -235,7 +293,7 @@ class TestBackward:
         x = np.random.default_rng(9).uniform(0.1, 1.0, (5, 2))
         tape = forward(net, x)
         assert np.all((tape.augmented[0] @ w1.T)[:, 0] < 0)
-        grads = backward(net, tape, cross_entropy_grad(tape.logits, [0] * 5))
+        grads = backward(net, tape, loss_logit_grad("cross_entropy", tape.logits, [0] * 5))
         assert np.array_equal(grads[0][0], np.zeros(3))
 
     def test_stale_tape(self):
@@ -270,7 +328,7 @@ class TestBackward:
         x = rng.uniform(0, 1, (5, 4))
         y = rng.integers(0, 3, size=5)
         tape = forward(net, x)
-        dlogits = cross_entropy_grad(tape.logits, y)
+        dlogits = loss_logit_grad("cross_entropy", tape.logits, y)
         dacts = {1: rng.standard_normal((5, 7)), 2: rng.standard_normal((5, 6))}
         got = backward(net, tape, dlogits, dacts)
         # reference: a logits-only pass plus a zero-logits pass holding only dacts
@@ -350,7 +408,7 @@ class TestInputGradient:
         x = np.random.default_rng(18).uniform(0, 1, (4, 8))
         y = [0, 1, 2, 0]
         tape = forward(net, x)
-        backward(net, tape, cross_entropy_grad(tape.logits, y), {1: np.ones((4, 6))})
+        backward(net, tape, loss_logit_grad("cross_entropy", tape.logits, y), {1: np.ones((4, 6))})
         counted(network, "backward")
         input_gradient(net, x, "cross_entropy", y)
         for norm in NORMS:

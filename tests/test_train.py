@@ -14,12 +14,11 @@ from advlab.network import (
     accuracy,
     backward,
     cross_entropy,
-    cross_entropy_grad,
     forward,
     kl_softmax,
     kl_softmax_grad_p,
-    kl_softmax_grad_q,
     load_checkpoint,
+    loss_logit_grad,
 )
 from advlab.train import (
     DivergedTraining,
@@ -253,7 +252,7 @@ class TestTradesGradient:
     @pytest.mark.parametrize("dims, rows", [((5, 8, 3), 6), ((32, 96, 96, 10), 100), ((4, 2), 1)])
     def test_bit_identical_to_the_public_losses(self, dims, rows, penalty):
         # the value and both logit gradients come from one log-softmax per tape,
-        # bit for bit the composition of the five public loss functions
+        # bit for bit the composition of the public loss functions
         rng = np.random.default_rng(4)
         net = Network.he_init(list(dims), seed=11)
         xb = rng.uniform(0, 1, (rows, dims[0]))
@@ -264,8 +263,8 @@ class TestTradesGradient:
         loss, grads = trades_gradients(net, tape_clean, tape_adv, yb, lam, penalty)
 
         expect_loss = cross_entropy(zp, yb) + (1.0 / lam) * kl_softmax(zp, zq)
-        d_clean = cross_entropy_grad(zp, yb) + (1.0 / lam) * kl_softmax_grad_p(zp, zq)
-        d_adv = (1.0 / lam) * kl_softmax_grad_q(zp, zq)
+        d_clean = loss_logit_grad("cross_entropy", zp, yb) + (1.0 / lam) * kl_softmax_grad_p(zp, zq)
+        d_adv = (1.0 / lam) * loss_logit_grad("kl", zq, ref_logits=zp)
         dacts = [None if penalty is None else penalty_dacts(t, penalty) for t in (tape_clean, tape_adv)]
         expect = [a + b for a, b in zip(backward(net, tape_clean, d_clean, dacts[0]),
                                         backward(net, tape_adv, d_adv, dacts[1]))]

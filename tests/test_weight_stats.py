@@ -17,7 +17,7 @@ from advlab.linalg import (
     random_correlation,
     spectral_norm,
 )
-from advlab.network import Layer, Network, backward, cross_entropy, cross_entropy_grad, forward
+from advlab.network import Layer, Network, backward, cross_entropy, forward, loss_logit_grad
 from advlab.weight_stats import (
     CorrelationStudy,
     LayerCorrStats,
@@ -39,7 +39,7 @@ def small_trained_net(ds, seed=1, steps=300, lr=0.5):
     net = Network.he_init([ds.dim, 6, ds.num_classes], seed=seed)
     for _ in range(steps):
         tape = forward(net, ds.inputs)
-        grads = backward(net, tape, cross_entropy_grad(tape.logits, ds.labels))
+        grads = backward(net, tape, loss_logit_grad("cross_entropy", tape.logits, ds.labels))
         net = net.with_weights([w - lr * g for w, g in zip(net.weights, grads)])
     return net
 
@@ -75,7 +75,7 @@ def deep_trained_net(ds, seed=11, steps=200, lr=0.3):
     net = Network.he_init([ds.dim, 7, 6, ds.num_classes], seed=seed)
     for _ in range(steps):
         tape = forward(net, ds.inputs)
-        grads = backward(net, tape, cross_entropy_grad(tape.logits, ds.labels))
+        grads = backward(net, tape, loss_logit_grad("cross_entropy", tape.logits, ds.labels))
         net = net.with_weights([w - lr * g for w, g in zip(net.weights, grads)])
     return net
 
@@ -328,11 +328,14 @@ class TestLaplace:
         with pytest.raises(ValueError, match="covers the softmax output layer only"):
             corr_from_laplace(net, ds, 1)
 
-    def test_chunking_does_not_change_result(self):
+    def test_chunking_does_not_change_result(self, monkeypatch):
         ds = synth_blobs(3, 30, 5, 0.1, seed=16)
         net = small_trained_net(ds)
-        a = corr_from_laplace(net, ds, 2, damping=1e-3, chunk=7)
-        b = corr_from_laplace(net, ds, 2, damping=1e-3, chunk=1000)
+        results = []
+        for chunk in (7, 1000):
+            monkeypatch.setattr(weight_stats, "LAPLACE_CHUNK", chunk)
+            results.append(corr_from_laplace(net, ds, 2, damping=1e-3))
+        a, b = results
         # lamc_max and lamr_max are the fields the correlations rc and rr each determine alone
         assert a.lamc_max == pytest.approx(b.lamc_max, abs=1e-12)
         assert a.lamr_max == pytest.approx(b.lamr_max, abs=1e-12)
@@ -355,7 +358,7 @@ def flat_feature_case(k_flat, seed, d=6, classes=3, n=120):
     net = Network([Layer(np.zeros((classes, d + 1)))])
     for _ in range(4000):
         tape = forward(net, ds.inputs)
-        g = backward(net, tape, cross_entropy_grad(tape.logits, ds.labels))
+        g = backward(net, tape, loss_logit_grad("cross_entropy", tape.logits, ds.labels))
         net = net.with_weights([net.weights[0] - 0.2 * g[0]])
     return net, ds
 
