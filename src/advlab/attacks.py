@@ -213,11 +213,10 @@ def _ascend(net, origin, labels, spec, ref_logits, seed, record=None, truth=None
     rowwise |= bounds
 
     def prefix(k):
-        """Views of the first k rows of the working set, made once per row count,
-        and the logit gradient's function for them."""
+        """Views of the first k rows of the working set, made once per row count."""
         v = types.SimpleNamespace(**{name: a[:k] for name, a in rowwise.items()})
         v.tape = ForwardTape(net, [a[:k] for a in tape.augmented], [a[:k] for a in tape.activations])
-        v.hidden, v.masks, v.gradient = [a[:k] for a in hidden], [a[:k] for a in masks], logit_gradient(k)
+        v.hidden, v.masks = [a[:k] for a in hidden], [a[:k] for a in masks]
         return v
 
     v = prefix(rows)
@@ -257,7 +256,7 @@ def _ascend(net, origin, labels, spec, ref_logits, seed, record=None, truth=None
                 v = prefix(k)
             if t == spec.steps or not k:
                 break
-        _input_gradient(v.tape, v.gradient(v.tape.logits), v.hidden, v.masks, out=v.step)
+        _input_gradient(v.tape, logit_gradient(v.tape.logits), v.hidden, v.masks, out=v.step)
         if spec.norm == "linf":
             np.sign(v.step, out=v.other)
             v.other *= spec.step_size

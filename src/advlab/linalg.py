@@ -23,10 +23,6 @@ class NotPositiveDefinite(ValueError):
     """Matrix is not positive definite within tolerance."""
 
 
-class DegenerateDiagonal(ValueError):
-    """Correlation normalization needs strictly positive diagonal entries."""
-
-
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a 2-D float64 array with finite entries."""
     m = np.asarray(a, dtype=np.float64)
@@ -99,8 +95,7 @@ def normalize_to_correlation(m) -> np.ndarray:
     s = _as_symmetric(m)
     d = np.diag(s)
     if np.any(d <= TOL_DIAG):
-        raise DegenerateDiagonal(f"smallest diagonal entry {d.min():.3g} "
-                                 f"is not above the floor {TOL_DIAG:g}")
+        raise ValueError(f"smallest diagonal entry {d.min():.3g} is not above the floor {TOL_DIAG:g}")
     inv_sqrt = 1.0 / np.sqrt(d)
     out = s * np.outer(inv_sqrt, inv_sqrt)
     np.fill_diagonal(out, 1.0)

@@ -348,9 +348,10 @@ def _cross_entropy_and_kl(logits_p, logits_q, labels):
     Bit for bit `cross_entropy`, `kl_softmax`, `kl_softmax_grad_p` and
     `loss_logit_grad` of kind cross_entropy (of logits_p) and kl (of
     logits_q, with logits_p as the reference) of the same arguments.
+    ValueError unless the two logit matrices have one shape.
     """
     truth = _true_class(labels, logits_p.shape)
-    logp, logq = log_softmax(logits_p), log_softmax(logits_q)
+    logp, logq = log_softmax(logits_p), log_softmax(_logits_of_shape(logits_q, logits_p.shape, "logits_q"))
     p, diff, row_kl = _kl_rows(logp, logq)
     return (float(-logp[truth].mean()), float(row_kl.mean()),
             _row_mean_difference(p, truth), _kl_grad_p(p, diff, row_kl),
@@ -369,16 +370,16 @@ LOSS_KINDS = ("cross_entropy", "cw_margin", "kl")
 
 def _logit_gradient(kind: str, shape, labels=None, ref_logits=None):
     """The gradient of a `shape` batch's mean `kind` loss w.r.t. the logits of
-    its first k rows, and the (rows, classes) `target` it reads: the labels'
+    its first rows, and the (rows, classes) `target` it reads: the labels'
     one-hot, or kl's reference softmax.
 
-    The gradient comes as `gradient(k)`, a function of the first k rows'
-    logits that writes into the first k rows of one buffer made here. The
-    scale stays 1/rows of the whole batch for any k, and a caller that
-    moves its rows moves the rows of `target` with them. The labels are
-    checked, and for kl the reference softmax is formed, once, here; a call
-    of a gradient function allocates nothing, and its result holds until
-    the next call.
+    The gradient comes as `gradient(z)`, a function of the first len(z)
+    rows' logits that writes into the first len(z) rows of one buffer made
+    here. The scale stays 1/rows of the whole batch for any len(z), and a
+    caller that moves its rows moves the rows of `target` with them. The
+    labels are checked, and for kl the reference softmax is formed, once,
+    here; a call of `gradient` slices these buffers and fills no new one,
+    and its result holds until the next call.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
@@ -392,20 +393,16 @@ def _logit_gradient(kind: str, shape, labels=None, ref_logits=None):
     if kind == "cw_margin":
         classes, best, best_other = np.arange(shape[1]), np.empty((rows, 1), dtype=np.intp), np.empty(shape, bool)
 
-    def gradient(k):
-        g_k, scratch_k, col_k, target_k = g[:k], scratch[:k], col[:k], target[:k]
+    def gradient(z):
+        k = len(z)
+        g_k, scratch_k, target_k = g[:k], scratch[:k], target[:k]
         if kind != "cw_margin":  # the softmax less the one-hot or the reference softmax
-            return lambda z: _row_mean_difference(
-                np.exp(_log_softmax(z, g_k, scratch_k, col_k), out=g_k), target_k, g_k, rows)
-        best_k, best_other_k = best[:k], best_other[:k]
-
-        def cw_margin_gradient(z):
-            np.copyto(scratch_k, z)
-            np.copyto(scratch_k, -np.inf, where=target_k)  # the true class is never the best other one
-            np.argmax(scratch_k, axis=1, keepdims=True, out=best_k)
-            return _row_mean_difference(np.equal(classes, best_k, out=best_other_k), target_k, g_k, rows)
-
-        return cw_margin_gradient
+            np.exp(_log_softmax(z, g_k, scratch_k, col[:k]), out=g_k)
+            return _row_mean_difference(g_k, target_k, g_k, rows)
+        np.copyto(scratch_k, z)
+        np.copyto(scratch_k, -np.inf, where=target_k)  # the true class is never the best other one
+        np.argmax(scratch_k, axis=1, keepdims=True, out=best[:k])
+        return _row_mean_difference(np.equal(classes, best[:k], out=best_other[:k]), target_k, g_k, rows)
 
     return gradient, target
 
@@ -417,7 +414,7 @@ def loss_logit_grad(kind: str, logits, labels=None, ref_logits=None) -> np.ndarr
     || softmax(logits)), differentiated w.r.t. `logits`.
     """
     z = as_matrix(logits, "logits")
-    return _logit_gradient(kind, z.shape, labels, ref_logits)[0](len(z))(z)
+    return _logit_gradient(kind, z.shape, labels, ref_logits)[0](z)
 
 
 def input_gradient(net: Network, batch, kind: str, labels=None, ref_logits=None) -> np.ndarray:

@@ -29,7 +29,7 @@ from .bounds import BoundInputs
 from .data import Dataset, batches, epoch_seed_from, idx_num_classes, load_idx, split_blobs
 from .decorr import DecorrConfig, penalty_and_grad, penalty_dacts
 from .io import write_csv, write_json
-from .linalg import DegenerateDiagonal, NotPositiveDefinite
+from .linalg import NotPositiveDefinite
 from .network import (
     Network,
     _cross_entropy_and_kl,
@@ -317,30 +317,22 @@ def _lr_at(config: RunConfig, epoch: int) -> float:
 def _step_gradients(net, xb, yb, config: RunConfig, attack_seed: int):
     """Loss value and weight gradients for one minibatch under the method."""
     method = config.method
-    if method == "standard":
-        tape = forward(net, xb)
-        loss = cross_entropy(tape.logits, yb)
-        return loss, backward(net, tape, loss_logit_grad("cross_entropy", tape.logits, yb))
-
     penalty = config.penalty if method.endswith("_decorr") else None
     spec = config.attack_train
-    if method.startswith("at"):
-        x_adv = pgd(net, xb, yb, spec, seed=attack_seed)
-        tape_adv = forward(net, x_adv)
-        loss = cross_entropy(tape_adv.logits, yb)
-        d_adv = loss_logit_grad("cross_entropy", tape_adv.logits, yb)
-        if penalty is None:
-            return loss, backward(net, tape_adv, d_adv)
-        tape_clean = forward(net, xb)  # enters through the penalty alone: zero logits gradient
-        d_clean = np.zeros_like(d_adv)
-        return loss, _tape_pair_gradients(net, tape_clean, d_clean, tape_adv, d_adv, penalty)
+    if method.startswith("trades"):  # clean CE plus KL to the attacked input, both sides live
+        tape_clean = forward(net, xb)
+        kl_spec = dataclasses.replace(spec, loss="kl", random_start=True)  # KL gradient vanishes at x
+        x_adv = pgd(net, xb, None, kl_spec, ref_logits=tape_clean.logits, seed=attack_seed)
+        return trades_gradients(net, tape_clean, forward(net, x_adv), yb, config.trades_lambda, penalty)
 
-    # trades family: clean CE plus KL to the attacked input, both sides live
-    tape_clean = forward(net, xb)
-    kl_spec = dataclasses.replace(spec, loss="kl", random_start=True)  # KL gradient vanishes at x
-    x_adv = pgd(net, xb, None, kl_spec, ref_logits=tape_clean.logits, seed=attack_seed)
-    tape_adv = forward(net, x_adv)
-    return trades_gradients(net, tape_clean, tape_adv, yb, config.trades_lambda, penalty)
+    # cross-entropy on the attacked batch, or on the clean one for standard
+    tape = forward(net, xb if method == "standard" else pgd(net, xb, yb, spec, seed=attack_seed))
+    loss = cross_entropy(tape.logits, yb)
+    dlogits = loss_logit_grad("cross_entropy", tape.logits, yb)
+    if penalty is None:
+        return loss, backward(net, tape, dlogits)
+    # the clean tape enters through the penalty alone: zero logit gradient
+    return loss, _tape_pair_gradients(net, forward(net, xb), np.zeros_like(dlogits), tape, dlogits, penalty)
 
 
 def trades_gradients(net, tape_clean, tape_adv, labels, trades_lambda: float, penalty=None):
@@ -400,7 +392,7 @@ def _epoch_metrics(net, train, test, idx_train, idx_test, config: RunConfig, mas
     # clean-side penalty of the last layer, comparable across methods
     try:
         rows["penalty"] = penalty_and_grad(tapes["train"].activations[-2], config.penalty)[0]
-    except (NotPositiveDefinite, DegenerateDiagonal):
+    except NotPositiveDefinite:
         rows["penalty"] = float("nan")  # degenerate activations: metric undefined
     return rows
 

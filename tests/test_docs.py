@@ -1,11 +1,16 @@
-"""The README's config tables name exactly the fields of the config dataclasses."""
+"""The README's config tables name exactly the fields of the config dataclasses, and its
+exception paragraph exactly the exception classes of the package."""
 
+import builtins
 import dataclasses
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import advlab
 from advlab.attacks import AttackSpec
 from advlab.bounds import BoundInputs
 from advlab.decorr import DecorrConfig
@@ -79,3 +84,23 @@ def test_object_table_names_every_field_once():
         documented.setdefault(owner, []).extend(names(cell))
     assert {owner: sorted(fields) for owner, fields in documented.items()} == {
         owner: sorted(field_names(cls) - UNDOCUMENTED.get(owner, set())) for owner, cls in OBJECTS.items()}
+
+
+def exception_classes() -> set[str]:
+    """`advlab.<module>.<Class>` for each exception class defined in a module of the package."""
+    found = set()
+    for info in pkgutil.walk_packages(advlab.__path__, "advlab."):
+        module = importlib.import_module(info.name)
+        found |= {f"{module.__name__}.{name}" for name, obj in vars(module).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__}
+    return found
+
+
+def test_exception_paragraph_names_every_exception_class():
+    paragraph = next(p for p in README.read_text(encoding="utf-8").split("\n\n")
+                     if p.startswith("The Python API raises"))
+    quoted = re.findall(r"`([\w.]+)`", paragraph)
+    builtin = [name for name in quoted if "." not in name]
+    assert all(issubclass(getattr(builtins, name, object), BaseException) for name in builtin), builtin
+    assert {name if name.startswith("advlab.") else f"advlab.{name}" for name in quoted if "." in name} == (
+        exception_classes())

@@ -4,7 +4,6 @@ import pytest
 from advlab import linalg
 from advlab.decorr import normalized_precision
 from advlab.linalg import (
-    DegenerateDiagonal,
     NotPositiveDefinite,
     det_lower_bound,
     equicorrelation,
@@ -215,7 +214,7 @@ class TestNormalizeToCorrelation:
         assert np.array_equal(normalize_to_correlation(once), once)
 
     def test_rejects_nonpositive_diagonal(self):
-        with pytest.raises(DegenerateDiagonal):
+        with pytest.raises(ValueError, match="smallest diagonal entry"):
             normalize_to_correlation(np.diag([1.0, 0.0]))
 
 

@@ -11,6 +11,7 @@ from advlab.data import Dataset, epoch_seed_from, synth_blobs, write_idx_images,
 from advlab.decorr import DecorrConfig, decorr_penalty, penalty_dacts
 from advlab.network import (
     Network,
+    _cross_entropy_and_kl,
     accuracy,
     backward,
     cross_entropy,
@@ -26,6 +27,7 @@ from advlab.train import (
     RunConfig,
     _epoch_metrics,
     _lr_at,
+    _step_gradients,
     dataset_from_spec,
     evaluate,
     train,
@@ -271,6 +273,17 @@ class TestTradesGradient:
         assert np.float64(loss).tobytes() == np.float64(expect_loss).tobytes()
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in expect]
 
+    def test_logit_shapes_must_agree(self):
+        rng = np.random.default_rng(5)
+        net = Network.he_init([4, 5, 3], seed=2)
+        xb = rng.uniform(0, 1, (6, 4))
+        yb = rng.integers(0, 3, size=6)
+        tape_clean, tape_adv = forward(net, xb), forward(net, xb[:1])
+        with pytest.raises(ValueError, match="logit shapes differ"):
+            _cross_entropy_and_kl(tape_clean.logits, tape_adv.logits, yb)
+        with pytest.raises(ValueError, match="logit shapes differ"):
+            trades_gradients(net, tape_clean, tape_adv, yb, 1.0 / 6.0)
+
     def test_loss_reduces_to_ce_when_adversary_is_clean(self):
         rng = np.random.default_rng(2)
         net = Network.he_init([4, 6, 3], seed=8)
@@ -278,6 +291,37 @@ class TestTradesGradient:
         yb = rng.integers(0, 3, size=5)
         loss, _ = trades_on_inputs(net, xb, yb, xb, 1.0 / 6.0)
         assert loss == pytest.approx(cross_entropy(forward(net, xb).logits, yb), abs=1e-12)
+
+
+class TestStepGradients:
+    def test_at_on_an_unmoved_batch_is_the_standard_step(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        net = Network.he_init([6, 8, 3], seed=4)
+        xb = rng.uniform(0, 1, (12, 6))
+        yb = rng.integers(0, 3, size=12)
+        monkeypatch.setattr(sys.modules["advlab.train"], "pgd", lambda net, batch, *a, **k: batch)
+        loss_std, grads_std = _step_gradients(net, xb, yb, tiny_config(method="standard"), attack_seed=1)
+        loss_at, grads_at = _step_gradients(net, xb, yb, tiny_config(method="at"), attack_seed=1)
+        assert np.float64(loss_at).tobytes() == np.float64(loss_std).tobytes()
+        assert [g.tobytes() for g in grads_at] == [g.tobytes() for g in grads_std]
+
+    def test_at_decorr_is_ce_on_the_attack_plus_the_penalty_of_both_tapes(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        net = Network.he_init([6, 8, 6, 3], seed=6)
+        xb = rng.uniform(0, 1, (8, 6))
+        yb = rng.integers(0, 3, size=8)
+        x_adv = np.clip(xb + rng.uniform(-0.04, 0.04, xb.shape), 0, 1)
+        assert away_from_relu_kinks(net, xb) and away_from_relu_kinks(net, x_adv)
+        cfg = DecorrConfig(alpha=0.3, damping=1e-2)
+        monkeypatch.setattr(sys.modules["advlab.train"], "pgd", lambda *a, **k: x_adv)
+        loss, analytic = _step_gradients(net, xb, yb, tiny_config(method="at_decorr", hidden=(8, 6), penalty=cfg), 1)
+
+        def objective(n):
+            tape_clean, tape_adv = forward(n, xb), forward(n, x_adv)
+            return cross_entropy(tape_adv.logits, yb) + cfg.alpha * decorr_penalty(tape_clean, tape_adv, cfg)
+
+        assert loss == cross_entropy(forward(net, x_adv).logits, yb)
+        assert max_rel_error(analytic, fd_weight_gradients(objective, net, step=1e-6)) < 1e-4
 
 
 class TestEvaluate:
