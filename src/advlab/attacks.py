@@ -43,12 +43,12 @@ class AttackSpec:
             raise ValueError(f"unknown norm {self.norm!r}")
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"unknown attack loss {self.loss!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < np.inf:  # NaN fails too
+            raise ValueError("epsilon must be finite and >= 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < np.inf:
+            raise ValueError("step_size must be finite and positive")
         # epsilon = 0 is the degenerate no-op attack (projection pins the input)
         if self.epsilon > 0 and self.step_size > 2 * self.epsilon:
             raise ValueError("step_size must not exceed 2*epsilon")

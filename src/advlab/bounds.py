@@ -47,11 +47,11 @@ class BoundInputs:
     constant: float = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:  # NaN fails these checks
             raise ValueError("gamma must be > 0")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.m < 1 or self.input_bound <= 0 or self.epsilon < 0 or self.constant <= 0:
+        if self.m < 1 or not (self.input_bound > 0 and self.epsilon >= 0 and self.constant > 0):
             raise ValueError("m, input_bound, constant must be positive; epsilon >= 0")
 
 

@@ -149,8 +149,8 @@ def _cmd_bound(doc, out: Path, seed: int | None) -> int:
     return EXIT_OK
 
 
-def _rho_text(rho: float | None) -> str:
-    return "undefined" if rho is None else f"{rho:+.4f}"
+def _rho_text(rho: float) -> str:
+    return "undefined" if math.isnan(rho) else f"{rho:+.4f}"
 
 
 def _cmd_simulate(doc, out: Path, seed: int | None) -> int:
@@ -164,12 +164,10 @@ def _cmd_simulate(doc, out: Path, seed: int | None) -> int:
     else:
         study = simulate_correlation_study(**dataclasses.asdict(config))  # fields named as its parameters
         study.write_csv(out / "simulate.csv")
-        rho_lam, rho_det = (None if math.isnan(r) else r  # undefined: JSON null, not NaN
-                            for r in (study.rho_frob_lam, study.rho_frob_det))
         summary = {"family": study.family, "dim": study.dim, "n_samples": int(study.rows.shape[0]),
-                   "rho_frob_lam": rho_lam, "rho_frob_det": rho_det}
-        print(f"{config.family}: rho(frob, lam_proxy)={_rho_text(rho_lam)} "
-              f"rho(frob, det_lb)={_rho_text(rho_det)}")
+                   "rho_frob_lam": study.rho_frob_lam, "rho_frob_det": study.rho_frob_det}  # NaN: null
+        print(f"{config.family}: rho(frob, lam_proxy)={_rho_text(study.rho_frob_lam)} "
+              f"rho(frob, det_lb)={_rho_text(study.rho_frob_det)}")
     write_json(out / "simulate_summary.json", summary)
     return EXIT_OK
 

@@ -31,7 +31,7 @@ class Dataset:
         if self.inputs.ndim != 2:
             raise ValueError(f"inputs must be 2-D, got ndim={self.inputs.ndim}")
         self.labels = _as_labels(self.labels, (len(self.inputs), self.num_classes))
-        if self.inputs.size and (self.inputs.min() < 0.0 or self.inputs.max() > 1.0):
+        if self.inputs.size and not (self.inputs.min() >= 0.0 and self.inputs.max() <= 1.0):  # NaN fails both
             raise ValueError("inputs must lie in [0, 1]")
 
     def __len__(self) -> int:

@@ -2,14 +2,16 @@
 
 A float CSV cell is written with 17 significant digits, which round-trips
 any float64 exactly; every other cell is written with `str`. JSON
-documents use a one-space indent and end with a newline. Keeping both
-rules here is what makes the emitted bytes a stable contract.
+documents use a one-space indent and end with a newline, and a NaN float
+is written as `null`, since JSON has no NaN. Keeping both rules here is
+what makes the emitted bytes a stable contract.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -39,8 +41,16 @@ def write_csv(path, header, rows):
                         for row in rows)
 
 
+def _nan_as_null(doc):
+    if isinstance(doc, dict):
+        return {k: _nan_as_null(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_nan_as_null(v) for v in doc]
+    return None if isinstance(doc, float) and math.isnan(doc) else doc
+
+
 def json_text(doc) -> str:
-    return json.dumps(doc, indent=1) + "\n"
+    return json.dumps(_nan_as_null(doc), indent=1) + "\n"
 
 
 def write_json(path, doc):

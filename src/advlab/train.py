@@ -51,7 +51,7 @@ METRICS_HEADER = ("epoch", "train_loss", "clean_train", "clean_test", "pgd_train
 
 
 class DivergedTraining(RuntimeError):
-    """Training hit a non-finite loss; the last good checkpoint was kept."""
+    """Training hit a non-finite loss or logit; the last good checkpoint was kept."""
 
 
 def build_config(cls, doc, what: str, path: str = "", seed: int | None = None):
@@ -198,13 +198,13 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in TRAIN_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.epochs < 0 or self.lr <= 0 or min(self.batch_size, self.eval_subset, *self.hidden) < 1:
+        if self.epochs < 0 or not self.lr > 0 or min(self.batch_size, self.eval_subset, *self.hidden) < 1:
             raise ValueError("epochs must be >= 0, lr > 0, batch_size, eval_subset, hidden >= 1")
-        if not 0 <= self.momentum < 1 or self.weight_decay < 0:
+        if not 0 <= self.momentum < 1 or not self.weight_decay >= 0:  # NaN fails these checks
             raise ValueError("momentum in [0,1), weight_decay >= 0")
         if self.method != "standard" and self.attack_train is None:
             raise ValueError(f"method {self.method!r} needs attack_train")
-        if self.method.startswith("trades") and self.trades_lambda <= 0:
+        if self.method.startswith("trades") and not self.trades_lambda > 0:
             raise ValueError("trades methods need trades_lambda > 0")
         if self.method.endswith("_decorr") and self.penalty.alpha <= 0:
             raise ValueError("decorr methods need penalty.alpha > 0")
@@ -365,10 +365,12 @@ def _tape_pair_gradients(net, tape_clean, d_clean, tape_adv, d_adv, penalty):
     return [g1 + g2 for g1, g2 in zip(clean, adv)]
 
 
-def _eval_indices(n: int, cap: int, seed: int) -> np.ndarray:
-    if n <= cap:
-        return np.arange(n)
-    return np.random.default_rng(seed).choice(n, size=cap, replace=False)
+def _eval_rows(ds: Dataset, cap: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs and labels every epoch's eval scores: all rows, or `cap` drawn without replacement."""
+    if len(ds) <= cap:
+        return ds.inputs, ds.labels
+    idx = np.random.default_rng(seed).choice(len(ds), size=cap, replace=False)
+    return ds.inputs[idx], ds.labels[idx]
 
 
 def _accuracies(net, x, y, clean_logits, attacks, seeds, compact) -> list[float]:
@@ -379,13 +381,13 @@ def _accuracies(net, x, y, clean_logits, attacks, seeds, compact) -> list[float]
     return [accuracy(clean_logits, y), *(1.0 - float(np.mean(r != NEVER)) for r in records)]
 
 
-def _epoch_metrics(net, train, test, idx_train, idx_test, config: RunConfig, master: int):
+def _epoch_metrics(net, eval_rows: dict, config: RunConfig, master: int):
+    """Clean and robust accuracy on the "train" and "test" `(x, y)` of `eval_rows`, and the penalty."""
     rows = {}
     attacks = () if config.attack_eval is None else (config.attack_eval,)
     eval_seed = epoch_seed_from(master, _EVAL, 1)
     tapes = {}
-    for tag, ds, idx in (("train", train, idx_train), ("test", test, idx_test)):
-        x, y = ds.inputs[idx], ds.labels[idx]
+    for tag, (x, y) in eval_rows.items():
         tapes[tag] = forward(net, x)
         clean, *robust = _accuracies(net, x, y, tapes[tag].logits, attacks, (eval_seed,), compact=True)
         rows[f"clean_{tag}"], rows[f"pgd_{tag}"] = clean, robust[0] if robust else clean
@@ -401,9 +403,14 @@ def train(config: RunConfig, out_dir) -> RunRecord:
     """Run one training job and write its artifacts into out_dir.
 
     Writes metrics.csv, checkpoint.json, run.json (all deterministic given
-    the config) and timing.csv (wall-clock, not deterministic). On a
-    non-finite loss the last epoch-end checkpoint is kept and
-    DivergedTraining is raised after artifacts are flushed.
+    the config) and timing.csv (wall-clock, not deterministic), one row per
+    epoch in each CSV. Every epoch ends with an eval on the same rows,
+    drawn once. A zero-epoch run is one pass without steps: the He init's
+    eval, written as epoch 0 with a NaN train_loss and a wall_train_s of
+    0.0. A non-finite loss, or non-finite logits (FloatingPointError), in
+    an epoch's steps or eval drops that epoch: the last epoch-end
+    checkpoint is kept and DivergedTraining is raised after the artifacts
+    are written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -412,62 +419,40 @@ def train(config: RunConfig, out_dir) -> RunRecord:
     dims = [train_ds.dim, *config.hidden, train_ds.num_classes]
     net = Network.he_init(dims, seed=epoch_seed_from(master, _INIT))
     velocity = [np.zeros_like(w) for w in net.weights]
-
-    idx_train = _eval_indices(len(train_ds), config.eval_subset, epoch_seed_from(master, _EVAL, 0))
-    idx_test = _eval_indices(len(test_ds), config.eval_subset, epoch_seed_from(master, _EVAL, 0))
+    eval_rows = {tag: _eval_rows(ds, config.eval_subset, epoch_seed_from(master, _EVAL, 0))
+                 for tag, ds in (("train", train_ds), ("test", test_ds))}
 
     metrics: list[dict] = []
     wall_train: list[float] = []
     wall_eval: list[float] = []
     checkpoint_path = out / "checkpoint.json"
-    diverged = False
-
-    if config.epochs == 0:
-        t0 = time.perf_counter()
-        row = {"epoch": 0, "train_loss": float("nan")}
-        row.update(_epoch_metrics(net, train_ds, test_ds, idx_train, idx_test, config, master))
-        metrics.append(row)
-        wall_train.append(0.0)
-        wall_eval.append(time.perf_counter() - t0)
-
-    good_net = net
-    for epoch in range(config.epochs):
+    good_net, diverged = net, False
+    trained = config.epochs > 0  # else one pass without steps, numbered 0
+    for epoch in range(config.epochs or 1):
         lr = _lr_at(config, epoch)
         losses = []
-        t0 = time.perf_counter()
-        for step, (xb, yb) in enumerate(
-            batches(train_ds, config.batch_size, epoch_seed_from(master, _SHUFFLE, epoch))
-        ):
-            try:
-                loss, grads = _step_gradients(
-                    net, xb, yb, config, epoch_seed_from(master, _ATTACK, epoch, step)
-                )
-            except FloatingPointError:
-                diverged = True
-                break
-            if not np.isfinite(loss):
-                diverged = True
-                break
-            losses.append(loss)
-            new_weights = []
-            for w, g, v in zip(net.weights, grads, velocity):
-                v[...] = config.momentum * v + g + config.weight_decay * w
-                new_weights.append(w - lr * v)
-            net = net.with_weights(new_weights)
-        wall_train.append(time.perf_counter() - t0)
-        if diverged:
-            break
-
-        t1 = time.perf_counter()
         try:
-            row = {"epoch": epoch + 1, "train_loss": float(np.mean(losses))}
-            row.update(_epoch_metrics(net, train_ds, test_ds, idx_train, idx_test, config, master))
-        except FloatingPointError:
-            diverged = True  # weights blew up on the very last step of the epoch
-            wall_eval.append(time.perf_counter() - t1)
+            t0 = time.perf_counter()
+            shuffled = batches(train_ds, config.batch_size, epoch_seed_from(master, _SHUFFLE, epoch))
+            for step, (xb, yb) in enumerate(shuffled if trained else ()):
+                loss, grads = _step_gradients(net, xb, yb, config, epoch_seed_from(master, _ATTACK, epoch, step))
+                if not np.isfinite(loss):
+                    raise FloatingPointError("non-finite loss")
+                losses.append(loss)
+                new_weights = []
+                for w, g, v in zip(net.weights, grads, velocity):
+                    v[...] = config.momentum * v + g + config.weight_decay * w
+                    new_weights.append(w - lr * v)
+                net = net.with_weights(new_weights)
+            t1 = time.perf_counter()
+            row = {"epoch": epoch + trained, "train_loss": float(np.mean(losses)) if trained else float("nan")}
+            row |= _epoch_metrics(net, eval_rows, config, master)
+        except FloatingPointError:  # forward's on non-finite logits, or the loss check's
+            diverged = True
             break
-        metrics.append(row)
+        wall_train.append(t1 - t0 if trained else 0.0)
         wall_eval.append(time.perf_counter() - t1)
+        metrics.append(row)
         good_net = net
 
     save_checkpoint(good_net, checkpoint_path)
@@ -476,9 +461,9 @@ def train(config: RunConfig, out_dir) -> RunRecord:
                                   "final_metrics": metrics[-1] if metrics else None})
     # wall-clock is environment noise: kept out of the deterministic set
     write_csv(out / "timing.csv", ("epoch", "wall_train_s", "wall_eval_s"),
-              ((i + 1, f"{a:.6f}", f"{b:.6f}") for i, (a, b) in enumerate(zip(wall_train, wall_eval))))
+              ((r["epoch"], f"{a:.6f}", f"{b:.6f}") for r, a, b in zip(metrics, wall_train, wall_eval)))
     if diverged:
-        raise DivergedTraining(f"non-finite loss; last good checkpoint kept at {checkpoint_path}")
+        raise DivergedTraining(f"non-finite loss or logits; last good checkpoint kept at {checkpoint_path}")
     return RunRecord(config.to_dict(), metrics, str(checkpoint_path), wall_train, wall_eval)
 
 

@@ -174,12 +174,14 @@ class SamplingConfig:
     def __post_init__(self):
         if self.num_samples < 2:
             raise ValueError("num_samples must be >= 2")
-        if self.refine_epochs < 0 or min(self.loss_tolerance, self.refine_lr, self.refine_batch_size) <= 0:
+        # NaN fails these checks; an infinite loss_tolerance accepts every draw
+        positive = (self.loss_tolerance, self.refine_lr, self.refine_batch_size)
+        if self.refine_epochs < 0 or not all(v > 0 for v in positive):
             raise ValueError("need refine_epochs >= 0; loss_tolerance, refine_lr, refine_batch_size > 0")
         if self.layers == ():
             raise ValueError("layers must name at least one layer; omit it to perturb every layer")
-        if self.noise_sigma is not None and self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma {self.noise_sigma!r} is below 0")
+        if self.noise_sigma is not None and not self.noise_sigma >= 0:
+            raise ValueError(f"noise_sigma {self.noise_sigma!r} is not a number >= 0")
 
 
 def _active_mask(net: Network, cfg: SamplingConfig) -> list[bool]:

@@ -5,6 +5,7 @@
 import advlab  # noqa: F401  isort: skip
 
 import base64
+import json
 
 import numpy as np
 
@@ -78,6 +79,13 @@ def away_from_relu_kinks(net, batch, margin=1e-3):
         if np.abs(inputs @ layer.weight.T).min() < margin:
             return False
     return True
+
+
+def strict_json(path):
+    """A JSON document parsed without Python's NaN/Infinity extension."""
+    def reject(token):
+        raise ValueError(f"{path} holds {token}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def b64_weight(values) -> str:

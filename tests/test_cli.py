@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CHECKPOINT_CORRUPTION_MESSAGES, CHECKPOINT_CORRUPTIONS
+from conftest import CHECKPOINT_CORRUPTION_MESSAGES, CHECKPOINT_CORRUPTIONS, strict_json
 
 import advlab
 from advlab import cli
@@ -67,13 +67,6 @@ def fresh_python(*args, **env):
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], env=os.environ | env | {"PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
-
-
-def strict_json(path):
-    """A JSON document parsed without Python's NaN/Infinity extension."""
-    def reject(token):
-        raise ValueError(f"{path} holds {token}, which is not JSON")
-    return json.loads(path.read_text(), parse_constant=reject)
 
 
 @pytest.fixture()
@@ -405,7 +398,7 @@ class TestBoundCommand:
         ("stats", {"method": "sampling", "sampling": {"num_samples": 2, "noise_sigma": 0}},
          "all-zero weight samples"),
         ("stats", {"method": "sampling", "sampling": {"num_samples": 2, "noise_sigma": -0.5}},
-         "stats sampling: noise_sigma -0.5 is below 0"),
+         "stats sampling: noise_sigma -0.5 is not a number >= 0"),
         ("stats", {"method": "laplace", "damping": 0}, "stats: damping 0 is not a finite number > 0"),
         ("stats", {"method": "laplace", "damping": -1}, "stats: damping -1 is not a finite number > 0"),
         ("stats", {"method": "laplace", "damping": 1e400}, "stats damping inf is not"),

@@ -23,8 +23,10 @@ import typing
 import numpy as np
 import pytest
 
+from advlab.attacks import AttackSpec
+from advlab.bounds import BoundInputs
 from advlab.cli import EXIT_CONFIG, EXIT_OK, main
-from advlab.data import split_blobs, write_idx_images, write_idx_labels
+from advlab.data import Dataset, split_blobs, write_idx_images, write_idx_labels
 from advlab.train import (
     SIMULATE_CONFIGS,
     STATS_CONFIGS,
@@ -474,3 +476,32 @@ def test_every_field_acts_or_is_inert_by_design(tmp_path, capsys, bases, second_
             wrong.append(f"{dotted} = {second!r}: " + (f"acts, yet is inert by design ({inert})"
                                                         if inert else "has no effect"))
     assert not wrong, "\n".join(wrong)
+
+
+# The Python API's own range checks: the CLI refuses non-finite numbers before they reach them.
+RANGE_CHECKED = {
+    "AttackSpec.epsilon": lambda v: AttackSpec(v, 0.1),
+    "AttackSpec.step_size": lambda v: AttackSpec(0.0, v, norm="l2"),  # no 2*epsilon cap at epsilon 0
+    "RunConfig.lr": lambda v: RunConfig({}, method="standard", lr=v),
+    "RunConfig.weight_decay": lambda v: RunConfig({}, method="standard", weight_decay=v),
+    "RunConfig.trades_lambda": lambda v: RunConfig({}, method="trades", attack_train=AttackSpec(0.1, 0.1),
+                                                   trades_lambda=v),
+    "BoundInputs.gamma": lambda v: BoundInputs(v, 0.05, 10, 1.0),
+    "BoundInputs.input_bound": lambda v: BoundInputs(1.0, 0.05, 10, v),
+    "BoundInputs.epsilon": lambda v: BoundInputs(1.0, 0.05, 10, 1.0, epsilon=v),
+    "BoundInputs.constant": lambda v: BoundInputs(1.0, 0.05, 10, 1.0, constant=v),
+    "SamplingConfig.loss_tolerance": lambda v: SamplingConfig(loss_tolerance=v),
+    "SamplingConfig.refine_lr": lambda v: SamplingConfig(refine_lr=v),
+    "SamplingConfig.noise_sigma": lambda v: SamplingConfig(noise_sigma=v),
+    "Dataset.inputs": lambda v: Dataset([[0.5, v]], [0], 2, "one row"),
+}
+
+
+@pytest.mark.parametrize("field, value", [(field, float("nan")) for field in RANGE_CHECKED]
+                         + [("AttackSpec.epsilon", float("inf")), ("AttackSpec.step_size", float("inf"))])
+def test_range_checks_refuse_nan(field, value):
+    """NaN fails every range check, and an attack's radius and step are finite; the valid value
+    0.1 of each field builds."""
+    RANGE_CHECKED[field](0.1)
+    with pytest.raises(ValueError):
+        RANGE_CHECKED[field](value)

@@ -50,6 +50,8 @@ def test_rows_keep_their_order_and_width(tmp_path):
 
 def test_json_text_form():
     assert json_text({"a": [1, 2.5]}) == '{\n "a": [\n  1,\n  2.5\n ]\n}\n'
+    nan = {"a": (float("nan"), 2.5), "b": {"c": np.float64("nan")}, "d": float("inf")}
+    assert json_text(nan) == json_text({"a": [None, 2.5], "b": {"c": None}, "d": float("inf")})  # NaN: null
 
 
 

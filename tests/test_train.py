@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import away_from_relu_kinks, fd_weight_gradients, max_rel_error
+from conftest import away_from_relu_kinks, fd_weight_gradients, max_rel_error, strict_json
 
 from advlab import attacks, data
 from advlab.attacks import AttackSpec, first_flips
@@ -147,6 +147,15 @@ class TestConfig:
         assert _lr_at(config, 15) == pytest.approx(0.001)
 
 
+def assert_he_init_checkpoint(out, config):
+    """The checkpoint in `out` holds the He-init weights of a `tiny_config` run."""
+    loaded = load_checkpoint(out / "checkpoint.json")
+    (ds,) = dataset_from_spec(DATASET, "train")
+    init = Network.he_init([ds.dim, 8, 3], seed=epoch_seed_from(config.seed, 0))
+    for a, b in zip(loaded.weights, init.weights):
+        assert np.array_equal(a, b)
+
+
 class TestTraining:
     def test_synthetic_train_generates_blobs_once(self, tmp_path, monkeypatch):
         train_module = sys.modules["advlab.train"]  # the package's `train` is the function
@@ -161,11 +170,9 @@ class TestTraining:
         record = train(config, tmp_path)
         assert len(record.metrics) == 1
         assert record.metrics[0]["epoch"] == 0
-        loaded = load_checkpoint(tmp_path / "checkpoint.json")
-        (ds,) = dataset_from_spec(DATASET, "train")
-        init = Network.he_init([ds.dim, 8, 3], seed=epoch_seed_from(config.seed, 0))
-        for a, b in zip(loaded.weights, init.weights):
-            assert np.array_equal(a, b)
+        assert np.isnan(record.metrics[0]["train_loss"]) and record.wall_train_s == [0.0]
+        assert strict_json(tmp_path / "run.json")["final_metrics"]["train_loss"] is None
+        assert_he_init_checkpoint(tmp_path, config)
 
     def test_deterministic_artifacts(self, tmp_path):
         config = tiny_config(method="at_decorr", penalty=DecorrConfig(alpha=0.2))
@@ -193,6 +200,17 @@ class TestTraining:
             train(config, tmp_path)
         assert (tmp_path / "checkpoint.json").exists()
         load_checkpoint(tmp_path / "checkpoint.json")
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_divergence_in_the_eval_drops_the_epoch(self, tmp_path):
+        # one finite step, then weights near 1e300 overflow the epoch's eval
+        config = tiny_config(method="standard", attack_train=None, lr=1e300, epochs=1, batch_size=36)
+        with pytest.raises(DivergedTraining):
+            train(config, tmp_path)
+        for name in ("metrics.csv", "timing.csv"):
+            assert len((tmp_path / name).read_text().splitlines()) == 1  # the header alone
+        assert_he_init_checkpoint(tmp_path, config)
 
     def test_all_methods_run_one_epoch(self, tmp_path):
         for method in ("standard", "at", "trades", "at_decorr", "trades_decorr"):
@@ -390,7 +408,9 @@ class TestEvaluate:
         train_ds, test_ds = dataset_from_spec(DATASET, "train", "test")
         net = Network.he_init([6, 8, 3], seed=12)
         idx_train, idx_test = np.arange(0, 36, 2), np.arange(18)
-        metrics = _epoch_metrics(net, train_ds, test_ds, idx_train, idx_test, config, master=5)
+        eval_rows = {"train": (train_ds.inputs[idx_train], train_ds.labels[idx_train]),
+                     "test": (test_ds.inputs[idx_test], test_ds.labels[idx_test])}
+        metrics = _epoch_metrics(net, eval_rows, config, master=5)
         for tag, ds, idx in (("train", train_ds, idx_train), ("test", test_ds, idx_test)):
             rows = Dataset(ds.inputs[idx], ds.labels[idx], ds.num_classes, ds.name)
             # the epoch eval attacks from (master, 3, 1): attack 1 of an evaluate list

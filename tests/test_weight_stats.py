@@ -148,7 +148,7 @@ class TestSampling:
             SamplingConfig(layers=())
 
     def test_negative_noise_sigma_rejected(self):
-        with pytest.raises(ValueError, match="noise_sigma -0.5 is below 0"):
+        with pytest.raises(ValueError, match="noise_sigma -0.5 is not a number >= 0"):
             SamplingConfig(noise_sigma=-0.5)
         assert SamplingConfig(noise_sigma=0.0).noise_sigma == 0.0  # zero noise stays a valid request
 
