@@ -61,22 +61,24 @@ def _row_norms(a: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarra
     return np.sqrt(out, out=out)
 
 
-def _project_l2(x, origin, epsilon: float, delta, scratch, scale, outside) -> np.ndarray:
-    """Project `x` in place onto the l2 epsilon ball around origin, then the [0,1] box.
+def _project_l2(y, x, origin, epsilon: float, delta, scale, outside) -> np.ndarray:
+    """Project `y` onto the l2 epsilon ball around origin, then the [0,1] box, into `x`.
 
-    `delta` takes x - origin and `scratch` is overwritten (both x's shape);
-    `scale` and `outside` ((rows, 1), float and bool) take the rows' factors
-    and which rows leave the ball. Box clipping moves coordinates toward the
-    (in-box) origin, so it never re-violates the ball constraint.
+    `x` is written once, with clip(origin + delta * scale), and `y` (which
+    may be `x`) is not read after `delta` takes y - origin: it is
+    overwritten with the squares of the row norms. `scale` and `outside`
+    ((rows, 1), float and bool) take the rows' factors and which rows leave
+    the ball. Box clipping moves coordinates toward the (in-box) origin, so
+    it never re-violates the ball constraint.
     """
-    np.subtract(x, origin, out=delta)
-    norms = _row_norms(delta, scratch, scale)
+    np.subtract(y, origin, out=delta)
+    norms = _row_norms(delta, y, scale)
     np.greater(norms, epsilon, out=outside)
     np.divide(epsilon, np.maximum(norms, 1e-300, out=scale), out=scale)
     np.copyto(scale, 1.0, where=np.logical_not(outside, out=outside))
     delta *= scale
-    np.add(origin, delta, out=x)
-    return np.clip(x, 0.0, 1.0, out=x)
+    np.add(origin, delta, out=delta)
+    return np.clip(delta, 0.0, 1.0, out=x)
 
 
 def _linf_bounds(origin: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -172,6 +174,14 @@ def _ascend(net, origin, labels, spec, ref_logits, seed, record=None, truth=None
     and the l-inf bounds, or the offset from the origin and its row norms.
     The labels are checked, and the kl reference softmax formed, once.
 
+    A step reads the iterate from the tape's input buffer, a strided view
+    of its bias-augmented matrix, once, and writes it there once: the
+    unprojected iterate goes into a contiguous buffer (l-inf: the sign's,
+    l2: the gradient's), is checked there to be finite, and is projected
+    from there into the tape. So a non-finite iterate raises ValueError at
+    the step that makes it, the last step included. The random start is
+    projected in place in the tape, and needs no check: the batch is finite.
+
     With a `record`, the rows whose entry is NEVER are scored against the
     boolean one-hot `truth`. Each forward pass scores the iterate it was
     given (but not iterate 0 without a random start: that is the clean row,
@@ -189,27 +199,28 @@ def _ascend(net, origin, labels, spec, ref_logits, seed, record=None, truth=None
     hidden = [np.empty((rows, layer.out_dim)) for layer in net.layers[:-1]]
     masks = [np.empty(a.shape, dtype=bool) for a in tape.augmented[1:]]
     x = tape.activations[0]
-    if spec.random_start:
-        np.add(_random_offset(origin.shape, spec, seed), origin, out=x)  # projected below
+    if spec.random_start:  # projected in place below; its temporary is freed before the buffers are made
+        np.add(_random_offset(origin.shape, spec, seed), origin, out=x)
     else:
         x[...] = origin
-    # l-inf: `other` takes the step's sign, never formed in place: on numpy 2.4
-    # np.sign(a, out=a) on float64 is about 4.5x slower than into another
-    # buffer ((1000, 784): 7.6 vs 1.7 ms); l2: the offset from the origin
+    # l-inf: `other` takes the step's sign and then the unprojected iterate (the
+    # sign is never formed in place: on numpy 2.4 np.sign(a, out=a) on float64 is
+    # about 4.5x slower than into another buffer, (1000, 784): 7.6 vs 1.7 ms);
+    # l2: `step` takes the unprojected iterate, `other` its offset from the origin
     rowwise = {"x": x, "finite": np.empty(origin.shape, dtype=bool), "step": np.empty(origin.shape),
                "other": np.empty(origin.shape)}
     if spec.norm == "linf":
         bounds = dict(zip(("lo", "hi"), _linf_bounds(origin, spec.epsilon)))
 
-        def project(v):
-            np.clip(v.x, v.lo, v.hi, out=v.x)
+        def project(v, y):
+            np.clip(y, v.lo, v.hi, out=v.x)
     else:
         # a compacting first_flips moves the origin's rows with the iterate's
         bounds = {"origin": origin.copy() if record is not None and compact else origin}
         rowwise |= {"scale": np.empty((rows, 1)), "outside": np.empty((rows, 1), dtype=bool)}
 
-        def project(v):
-            _project_l2(v.x, v.origin, spec.epsilon, v.other, v.step, v.scale, v.outside)
+        def project(v, y):
+            _project_l2(y, v.x, v.origin, spec.epsilon, v.other, v.scale, v.outside)
     rowwise |= bounds
 
     def prefix(k):
@@ -221,7 +232,7 @@ def _ascend(net, origin, labels, spec, ref_logits, seed, record=None, truth=None
 
     v = prefix(rows)
     if spec.random_start:
-        project(v)
+        project(v, v.x)
     k = rows
     if record is not None and compact:
         order = np.arange(rows)  # the batch row at each position
@@ -243,8 +254,6 @@ def _ascend(net, origin, labels, spec, ref_logits, seed, record=None, truth=None
     for t in range(spec.steps + (record is not None)):
         if not k:
             break
-        if not np.isfinite(v.x, out=v.finite).all():  # the iterate must stay finite
-            raise ValueError("batch contains non-finite entries")
         _forward(v.tape, v.hidden)
         if record is not None and (t or spec.random_start):  # without one, iterate 0 was scored clean
             wrong = _wrong_rows(v.tape.logits, truth[:k])
@@ -258,13 +267,15 @@ def _ascend(net, origin, labels, spec, ref_logits, seed, record=None, truth=None
                 break
         _input_gradient(v.tape, logit_gradient(v.tape.logits), v.hidden, v.masks, out=v.step)
         if spec.norm == "linf":
-            np.sign(v.step, out=v.other)
-            v.other *= spec.step_size
-            v.x += v.other
+            y = np.sign(v.step, out=v.other)
+            y *= spec.step_size
         else:
             norms = _row_norms(v.step, v.other, v.scale)
-            v.step *= spec.step_size
-            v.step /= np.maximum(norms, 1e-300, out=norms)
-            v.x += v.step
-        project(v)
+            y = v.step
+            y *= spec.step_size
+            y /= np.maximum(norms, 1e-300, out=norms)
+        np.add(v.x, y, out=y)
+        if not np.isfinite(y, out=v.finite).all():  # projection keeps a finite iterate finite
+            raise ValueError("batch contains non-finite entries")
+        project(v, y)
     return x

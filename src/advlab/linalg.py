@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg.lapack
 
 TOL_SYM = 1e-9      # relative asymmetry tolerance
 TOL_PSD = 1e-10     # eigenvalues in [-TOL_PSD, 0) are treated as 0
@@ -77,12 +76,14 @@ def inverse_psd(m) -> np.ndarray:
     rejected like a non-positive one: the matrix is singular to working
     precision, and whether rounding leaves such a pivot positive is luck.
     """
+    from scipy.linalg import lapack  # on first use: it takes most of advlab's import time
+
     s = _as_symmetric(m, "inverse input")
-    chol, info = scipy.linalg.lapack.dpotrf(s, lower=1, clean=1)
+    chol, info = lapack.dpotrf(s, lower=1, clean=1)
     pivots = np.diag(chol)
     if info != 0 or (pivots * pivots).min() <= s.shape[0] * np.finfo(np.float64).eps * np.diag(s).max():
         raise NotPositiveDefinite("inverse input is not positive definite")
-    chol_inv, _ = scipy.linalg.lapack.dtrtri(chol, lower=1, overwrite_c=1)  # every pivot is nonzero
+    chol_inv, _ = lapack.dtrtri(chol, lower=1, overwrite_c=1)  # every pivot is nonzero
     return chol_inv.T @ chol_inv
 
 

@@ -198,14 +198,15 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in TRAIN_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.epochs < 0 or not self.lr > 0 or min(self.batch_size, self.eval_subset, *self.hidden) < 1:
-            raise ValueError("epochs must be >= 0, lr > 0, batch_size, eval_subset, hidden >= 1")
-        if not 0 <= self.momentum < 1 or not self.weight_decay >= 0:  # NaN fails these checks
-            raise ValueError("momentum in [0,1), weight_decay >= 0")
+        # NaN fails these checks, and so does infinity, which run.json could not hold
+        if self.epochs < 0 or not 0 < self.lr < np.inf or min(self.batch_size, self.eval_subset, *self.hidden) < 1:
+            raise ValueError("epochs must be >= 0, lr finite and > 0, batch_size, eval_subset, hidden >= 1")
+        if not 0 <= self.momentum < 1 or not 0 <= self.weight_decay < np.inf:
+            raise ValueError("momentum in [0,1), weight_decay finite and >= 0")
         if self.method != "standard" and self.attack_train is None:
             raise ValueError(f"method {self.method!r} needs attack_train")
-        if self.method.startswith("trades") and not self.trades_lambda > 0:
-            raise ValueError("trades methods need trades_lambda > 0")
+        if self.method.startswith("trades") and not 0 < self.trades_lambda < np.inf:
+            raise ValueError("trades methods need a finite trades_lambda > 0")
         if self.method.endswith("_decorr") and self.penalty.alpha <= 0:
             raise ValueError("decorr methods need penalty.alpha > 0")
 

@@ -126,36 +126,43 @@ class TestPgdProjection:
         assert not np.array_equal(a, b)
 
 
-def reference_pgd(net, x, labels, spec, ref_logits=None):
-    """Non-random-start PGD as separate steps: the full reverse pass, the
-    step, the clip to the ball, then the clip to the box."""
+def reference_pgd(net, x, labels, spec, ref_logits=None, seed=0):
+    """PGD as separate steps from the start: the full reverse pass, the step,
+    the clip to the ball, then the clip to the box. A random start is
+    `x + _random_offset(...)` put through the same two clips."""
     if spec.loss == "kl" and ref_logits is None:
         ref_logits = forward(net, x).logits
+
+    def clip_to_ball(adv):
+        if spec.norm == "linf":
+            return np.clip(adv, x - spec.epsilon, x + spec.epsilon)
+        delta = adv - x
+        norms = np.linalg.norm(delta, axis=1, keepdims=True)
+        return x + delta * np.where(norms > spec.epsilon, spec.epsilon / np.maximum(norms, 1e-300), 1.0)
+
     adv = x.copy()
+    if spec.random_start:
+        adv = np.clip(clip_to_ball(x + _random_offset(x.shape, spec, seed)), 0.0, 1.0)
     for _ in range(spec.steps):
         tape = forward(net, adv)
         dlogits = loss_logit_grad(spec.loss, tape.logits, labels, ref_logits)
         grad = full_reverse_input_gradient(net, tape, dlogits)
         if spec.norm == "linf":
             adv = adv + spec.step_size * np.sign(grad)
-            adv = np.clip(adv, x - spec.epsilon, x + spec.epsilon)
         else:
             adv = adv + spec.step_size * grad / np.maximum(np.linalg.norm(grad, axis=1, keepdims=True), 1e-300)
-            delta = adv - x
-            norms = np.linalg.norm(delta, axis=1, keepdims=True)
-            adv = x + delta * np.where(norms > spec.epsilon, spec.epsilon / np.maximum(norms, 1e-300), 1.0)
-        adv = np.clip(adv, 0.0, 1.0)
+        adv = np.clip(clip_to_ball(adv), 0.0, 1.0)
     return adv
 
 
-def check_against_reference(spec, dims, rows):
+def check_against_reference(spec, dims, rows, seed=0):
     rng = np.random.default_rng(30)
     net = random_net(seed=31, dims=dims)
     x = rng.uniform(0, 1, (rows, dims[0]))
     x[:, :3] = [0.0, 1.0, 0.05]  # the box binds on these columns
     labels = rng.integers(0, dims[-1], size=rows)
-    got = pgd(net, x, labels, spec)
-    assert got.tobytes() == reference_pgd(net, x, labels, spec).tobytes()
+    got = pgd(net, x, labels, spec, seed=seed)
+    assert got.tobytes() == reference_pgd(net, x, labels, spec, seed=seed).tobytes()
 
 
 class TestPgdMatchesReferenceLoop:
@@ -178,6 +185,14 @@ class TestPgdMatchesReferenceLoop:
     @pytest.mark.parametrize("dims", [(32, 96, 96, 10), (32, 10)])
     def test_one_row_batch_is_bit_identical(self, spec, dims):
         check_against_reference(spec, dims, rows=1)
+
+    @pytest.mark.parametrize("spec", [
+        AttackSpec(0.15, 0.0375, 20, random_start=True),
+        AttackSpec(0.75, 0.1875, 20, norm="l2", random_start=True),
+    ], ids=["linf-start", "l2-start"])
+    @pytest.mark.parametrize("dims", [(32, 96, 96, 10), (784, 64, 10)])
+    def test_random_start_is_bit_identical(self, spec, dims):
+        check_against_reference(spec, dims, rows=50, seed=7)
 
 
 class TestPgdBuffers:
@@ -287,12 +302,13 @@ class TestPgdBuffers:
         pgd(net, x, rng.integers(0, 4, size=8), AttackSpec(0.2, 0.05, 3, norm=norm))
         assert len(calls) == (3 if norm == "linf" else 0)
 
-    def test_non_finite_iterate_is_rejected(self):
+    @pytest.mark.parametrize("steps", [1, 3])  # the last step's iterate is checked too
+    def test_non_finite_iterate_is_rejected(self, steps):
         # an l2 step along an infinite gradient leaves the iterate nan
         net = Network([Layer(np.array([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]]))])
         with (np.errstate(over="ignore", invalid="ignore"),
               pytest.raises(ValueError, match="batch contains non-finite entries")):
-            pgd(net, np.array([[0.5, 0.5]]), [1], AttackSpec(0.1, 0.05, 3, norm="l2"))
+            pgd(net, np.array([[0.5, 0.5]]), [1], AttackSpec(0.1, 0.05, steps, norm="l2"))
 
 
 def pgd_start(origin, spec, seed):

@@ -497,11 +497,15 @@ RANGE_CHECKED = {
 }
 
 
+FINITE = ("AttackSpec.epsilon", "AttackSpec.step_size", "RunConfig.lr", "RunConfig.weight_decay",
+          "RunConfig.trades_lambda")  # run.json could not hold an infinite rate: JSON has no Infinity
+
+
 @pytest.mark.parametrize("field, value", [(field, float("nan")) for field in RANGE_CHECKED]
-                         + [("AttackSpec.epsilon", float("inf")), ("AttackSpec.step_size", float("inf"))])
+                         + [(field, float("inf")) for field in FINITE])
 def test_range_checks_refuse_nan(field, value):
-    """NaN fails every range check, and an attack's radius and step are finite; the valid value
-    0.1 of each field builds."""
+    """NaN fails every range check, and an attack's radius and step and a run's learning rate,
+    weight decay and TRADES lambda are finite; the valid value 0.1 of each field builds."""
     RANGE_CHECKED[field](0.1)
     with pytest.raises(ValueError):
         RANGE_CHECKED[field](value)
