@@ -35,13 +35,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import scipy
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from advlab.cli import main  # noqa: E402  (before numpy: advlab pins the BLAS pool to one thread)
-
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
+from advlab.cli import main  # noqa: E402
 
 MANIFEST = ROOT / "scripts" / "demo_manifest.txt"
 

@@ -209,6 +209,8 @@ class RunConfig:
             raise ValueError("trades methods need a finite trades_lambda > 0")
         if self.method.endswith("_decorr") and self.penalty.alpha <= 0:
             raise ValueError("decorr methods need penalty.alpha > 0")
+        if self.method.endswith("_decorr") and not self.hidden:  # else the penalty is the data's, which no weight moves
+            raise ValueError("decorr methods need a hidden layer")
 
     @classmethod
     def from_dict(cls, doc: dict, seed: int | None = None) -> "RunConfig":
@@ -244,7 +246,7 @@ class LaplaceStatsConfig(StatsConfig):
     damping: float = 1e-3
 
     def __post_init__(self):
-        if self.damping <= 0:
+        if not 0 < self.damping < np.inf:  # NaN fails too
             raise ValueError(f"damping {self.damping!r} is not a finite number > 0")
 
 

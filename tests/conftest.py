@@ -1,9 +1,3 @@
-# advlab before numpy: importing advlab pins the BLAS pools to one thread,
-# which only takes effect if numpy has not loaded its BLAS yet. Imported the
-# other way round, the suite ran numpy's default pool, and in-process
-# artifacts (the Laplace stats CSVs) carried another summation order's bytes.
-import advlab  # noqa: F401  isort: skip
-
 import base64
 import json
 

@@ -14,7 +14,6 @@ spec.loader.exec_module(artifact_manifest)
 
 
 def test_demo_artifacts_match_the_committed_manifest():
-    # a fresh interpreter: the BLAS pool is pinned only when advlab loads before numpy
     result = subprocess.run([sys.executable, str(SCRIPT), "--check"], capture_output=True, text=True)
     if result.returncode == 2:  # another numpy, scipy or BLAS may round differently
         pytest.skip(result.stdout.strip())

@@ -115,6 +115,13 @@ class TestTrainCommand:
         assert err.startswith("i/o error: ") and err.count("\n") == 1
         assert str(path) in err
 
+    @pytest.mark.parametrize("method", ["at_decorr", "trades_decorr"])
+    def test_decorr_without_a_hidden_layer_exits_2(self, tmp_path, capsys, method):
+        # with no hidden layer the penalty is the input data's, which no weight moves
+        config = write_config(tmp_path, dict(TRAIN_CONFIG, hidden=[], method=method))
+        assert run(["train", "--config", config, "--out", tmp_path / "x"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: train: decorr methods need a hidden layer\n"
+
     def test_inconsistent_config_exits_2(self, tmp_path):
         doc = dict(TRAIN_CONFIG, method="trades", trades_lambda=0.0)
         config = write_config(tmp_path, doc)
@@ -616,6 +623,40 @@ def test_python_dash_m_runs_a_demo_command(tmp_path):
     assert run(["simulate", "--config", config, "--out", in_process]) == EXIT_OK
     for name in ("simulate.csv", "simulate_summary.json"):
         assert (via_module / name).read_bytes() == (in_process / name).read_bytes()
+
+
+def test_import_loads_no_submodule():
+    # the package only pins the BLAS pools; numpy loads with the first submodule
+    probe = "import sys, advlab; print([m for m in sys.modules if m == 'numpy' or m.startswith('advlab.')])"
+    assert fresh_python("-c", probe).stdout == "[]\n"
+
+
+# He-init output-layer Laplace record on the demo shape: a net this wide threads in OpenBLAS
+LAPLACE_PROBE = """
+import sys
+if sys.argv[1] == "numpy-first":
+    import numpy, scipy.linalg
+import advlab
+from advlab.data import split_blobs
+from advlab.network import Network
+from advlab.weight_stats import corr_from_laplace
+train, _ = split_blobs(10, 60, 80, 32, 0.25, seed=100)
+corr_from_laplace(Network.he_init([32, 96, 96, 10], seed=7), train, 3).write_csv(sys.argv[2])
+import ctypes  # each bundled OpenBLAS's pool size, None where the wheels bundle another BLAS
+for module, getter in (("numpy._core._multiarray_umath", "scipy_openblas_get_num_threads64_"),
+                       ("scipy.linalg._flapack", "scipy_openblas_get_num_threads")):
+    get = getattr(ctypes.CDLL(sys.modules[module].__file__), getter, None)
+    print(get and get())
+"""
+
+
+def test_blas_pin_holds_in_any_import_order(tmp_path):
+    # numpy's OpenBLAS, loaded before advlab with two threads, moved the record's low-order bits;
+    # scipy's pool is too small a share of the record to move it, so its size is read directly
+    for order in ("numpy-first", "advlab-first"):
+        pools = fresh_python("-c", LAPLACE_PROBE, order, str(tmp_path / order), OPENBLAS_NUM_THREADS="2")
+        assert set(pools.stdout.split()) <= {"1", "None"}, order
+    assert (tmp_path / "numpy-first").read_bytes() == (tmp_path / "advlab-first").read_bytes()
 
 
 def test_import_loads_no_scipy_stats():

@@ -33,6 +33,7 @@ from advlab.train import (
     BoundConfig,
     EvaluateConfig,
     IdxSpec,
+    LaplaceStatsConfig,
     RunConfig,
     SyntheticSpec,
 )
@@ -486,6 +487,7 @@ RANGE_CHECKED = {
     "RunConfig.weight_decay": lambda v: RunConfig({}, method="standard", weight_decay=v),
     "RunConfig.trades_lambda": lambda v: RunConfig({}, method="trades", attack_train=AttackSpec(0.1, 0.1),
                                                    trades_lambda=v),
+    "LaplaceStatsConfig.damping": lambda v: LaplaceStatsConfig("net.json", "laplace", {}, damping=v),
     "BoundInputs.gamma": lambda v: BoundInputs(v, 0.05, 10, 1.0),
     "BoundInputs.input_bound": lambda v: BoundInputs(1.0, 0.05, 10, v),
     "BoundInputs.epsilon": lambda v: BoundInputs(1.0, 0.05, 10, 1.0, epsilon=v),
@@ -498,14 +500,16 @@ RANGE_CHECKED = {
 
 
 FINITE = ("AttackSpec.epsilon", "AttackSpec.step_size", "RunConfig.lr", "RunConfig.weight_decay",
-          "RunConfig.trades_lambda")  # run.json could not hold an infinite rate: JSON has no Infinity
+          "RunConfig.trades_lambda",  # run.json could not hold an infinite rate: JSON has no Infinity
+          "LaplaceStatsConfig.damping")  # an infinite ridge leaves no finite inverse
 
 
 @pytest.mark.parametrize("field, value", [(field, float("nan")) for field in RANGE_CHECKED]
                          + [(field, float("inf")) for field in FINITE])
 def test_range_checks_refuse_nan(field, value):
-    """NaN fails every range check, and an attack's radius and step and a run's learning rate,
-    weight decay and TRADES lambda are finite; the valid value 0.1 of each field builds."""
+    """NaN fails every range check, and an attack's radius and step, a run's learning rate,
+    weight decay and TRADES lambda and the Laplace damping are finite; the valid value 0.1 of each
+    field builds."""
     RANGE_CHECKED[field](0.1)
     with pytest.raises(ValueError):
         RANGE_CHECKED[field](value)
