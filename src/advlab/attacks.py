@@ -112,13 +112,19 @@ def _random_offset(shape: tuple[int, int], spec: AttackSpec, seed: int) -> np.nd
     return offset
 
 
+def _refuse_kl_at_its_reference(spec: AttackSpec):
+    """At its reference the KL gradient is exactly 0, and sign(0) = 0: a kl attack starting there never moves."""
+    if spec.loss == "kl" and not spec.random_start:
+        raise ValueError("a kl attack against the clean logits needs random_start: its gradient there is 0")
+
+
 def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=None,
         seed: int = 0) -> np.ndarray:
     """Projected gradient ascent on the configured loss within the ball.
 
     FGSM is the one-step case `AttackSpec(eps, eps, steps=1)`; logit-margin
     PGD is `loss="cw_margin"`. For the KL loss, `ref_logits` are the reference (clean) logits held
-    fixed across steps; they default to the network's output on `batch`.
+    fixed across steps; they default to the network's output on `batch`, which needs `random_start`.
     `seed` names the random start's stream; it is read only with `spec.random_start`.
     Returns the last iterate, a view of the iterate's buffer without its bias column.
     """
@@ -126,6 +132,7 @@ def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=No
         raise ValueError("an AttackSpec is required")
     origin = _as_input(net, batch)
     if spec.loss == "kl" and ref_logits is None:
+        _refuse_kl_at_its_reference(spec)
         ref_logits = forward(net, origin).logits
     return _ascend(net, origin, labels, spec, ref_logits, seed)
 
@@ -141,7 +148,7 @@ def first_flips(net: Network, batch, labels, spec: AttackSpec, seed: int = 0,
     whose random start is wrong. Wrong means `accuracy`'s rule
     (`network._wrong_rows`): the true class's logit does not beat every
     other one, so a tie is wrong. For the kl loss, the clean logits are the
-    reference.
+    reference, so a kl `spec` needs `random_start`.
 
     Each step's forward pass scores the iterate it starts from. With
     `compact`, a broken row leaves the attack: the rows still unbroken are
@@ -153,6 +160,7 @@ def first_flips(net: Network, batch, labels, spec: AttackSpec, seed: int = 0,
     takes every step, clean-wrong rows included: the iterates are `pgd`'s
     bit for bit, and the cost is `pgd`'s whatever the net's robustness.
     """
+    _refuse_kl_at_its_reference(spec)
     origin = _as_input(net, batch)
     truth = _true_class(labels, (len(origin), net.output_dim))
     clean_logits = (forward(net, origin).logits if clean_logits is None

@@ -28,12 +28,9 @@ from .network import ForwardTape, softmax
 
 @dataclass(frozen=True)
 class DecorrConfig:
-    """Penalty weight `alpha` and ridge factor `damping`.
+    """Penalty weight `alpha` and ridge factor `damping`, which `resolve_ridge` turns into the ridge.
 
-    The ridge is damping * trace(cov)/h, which keeps it meaningful across
-    activation scales; a dead layer (zero trace) gets the absolute ridge
-    `damping`. Minibatches smaller than the layer width make the
-    covariance singular routinely, so some ridge is always required.
+    Minibatches smaller than the layer width make the covariance singular routinely: some ridge is always required.
     """
 
     alpha: float = 0.3
@@ -52,12 +49,13 @@ def _second_moment(a: np.ndarray) -> np.ndarray:
     return a.T @ a / a.shape[0]
 
 
-def resolve_ridge(cov: np.ndarray, cfg: DecorrConfig) -> tuple[float, float]:
-    """The ridge for `cov` and its slope d ridge / d trace(cov)."""
+def resolve_ridge(cov: np.ndarray, damping: float) -> tuple[float, float]:
+    """The ridge of the penalty and of the Laplace record, and its slope d ridge / d trace(cov):
+    damping * trace(cov)/n, or `damping` itself for an all-zero `cov` (a dead layer, a saturated softmax)."""
     scale = float(np.trace(cov)) / cov.shape[0]
     if scale > 1e-300:
-        return cfg.damping * scale, cfg.damping / cov.shape[0]
-    return cfg.damping, 0.0  # a dead layer: the absolute ridge
+        return damping * scale, damping / cov.shape[0]
+    return damping, 0.0
 
 
 def _ridged_inverse(cov: np.ndarray, ridge: float) -> np.ndarray:
@@ -66,9 +64,9 @@ def _ridged_inverse(cov: np.ndarray, ridge: float) -> np.ndarray:
     return inverse_psd(ridged)
 
 
-def normalized_precision(cov: np.ndarray, damping: float) -> np.ndarray:
-    """Unit-diagonal normalization of (cov + damping*I)^-1."""
-    return normalize_to_correlation(_ridged_inverse(cov, damping))
+def normalized_precision(cov: np.ndarray, ridge: float) -> np.ndarray:
+    """Unit-diagonal normalization of (cov + ridge*I)^-1, for an absolute `ridge`."""
+    return normalize_to_correlation(_ridged_inverse(cov, ridge))
 
 
 def penalty_and_grad(a: np.ndarray, cfg: DecorrConfig) -> tuple[float, np.ndarray]:
@@ -78,7 +76,7 @@ def penalty_and_grad(a: np.ndarray, cfg: DecorrConfig) -> tuple[float, np.ndarra
     under the resolved ridge; both come from one ridged inverse M.
     """
     cov = _second_moment(a)
-    ridge, slope = resolve_ridge(cov, cfg)
+    ridge, slope = resolve_ridge(cov, cfg.damping)
     m = _ridged_inverse(cov, ridge)
     diag = np.diag(m)
     inv_sqrt = 1.0 / np.sqrt(diag)

@@ -103,16 +103,6 @@ def normalize_to_correlation(m) -> np.ndarray:
     return out
 
 
-def _check_eigen_bracket(lam_min: float, lam_max: float, dim: int):
-    """Raise the ValueError naming what is wrong with one bracket and dim."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if not (0.0 < lam_min <= 1.0 + TOL_PSD and 1.0 - TOL_PSD <= lam_max):
-        raise ValueError(f"need 0 < lam_min <= 1 <= lam_max, got [{lam_min}, {lam_max}]")
-    if lam_min > lam_max:
-        raise ValueError(f"lam_min {lam_min} exceeds lam_max {lam_max}")
-
-
 def det_lower_bound(lam_min: float, lam_max: float, dim: int) -> float:
     """Determinant lower bound for a unit-diagonal PSD matrix of size `dim`.
 
@@ -137,11 +127,15 @@ def logdet_lower_bound(lam_min, lam_max, dim: int):
     """
     lam_min, lam_max = np.broadcast_arrays(np.asarray(lam_min, dtype=np.float64),
                                            np.asarray(lam_max, dtype=np.float64))
-    ok = ((0.0 < lam_min) & (lam_min <= 1.0 + TOL_PSD) & (1.0 - TOL_PSD <= lam_max)
-          & (lam_min <= lam_max))
-    if dim < 1 or not ok.all():  # a NaN is not ok
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    bracket = (0.0 < lam_min) & (lam_min <= 1.0 + TOL_PSD) & (1.0 - TOL_PSD <= lam_max)
+    ok = bracket & (lam_min <= lam_max)
+    if not ok.all():  # a NaN is not ok
         i = np.argmin(ok)
-        _check_eigen_bracket(float(lam_min.flat[i]), float(lam_max.flat[i]), dim)
+        lo, hi = float(lam_min.flat[i]), float(lam_max.flat[i])
+        raise ValueError(f"lam_min {lo} exceeds lam_max {hi}" if bracket.flat[i]
+                         else f"need 0 < lam_min <= 1 <= lam_max, got [{lo}, {hi}]")
     lam_min, lam_max = np.minimum(lam_min, 1.0), np.maximum(lam_max, 1.0)
     with np.errstate(invalid="ignore"):  # k is 0/0 where lam_max == lam_min, i.e. both 1
         k = dim * (lam_max - 1.0) / (lam_max - lam_min)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, batches, epoch_seed_from
-from .decorr import hessian_kron_factors, normalized_precision
+from .decorr import hessian_kron_factors, normalized_precision, resolve_ridge
 from .io import FormatError, write_csv
 from .linalg import TOL_PSD, det_lower_bound, logdet_lower_bound, normalize_to_correlation
 from .network import Layer, Network, backward, cross_entropy, forward, loss_logit_grad
@@ -307,12 +307,11 @@ def laplace_stats_from_factors(
 ) -> LayerCorrStats:
     """Statistics of the Kronecker-structured correlation P (x) Q.
 
-    P and Q are the unit-diagonal normalizations of the damped factor
-    inverses; eigenvalues of the product structure are products of the
-    factor eigenvalues, so the whole summary comes from the small factors.
+    P and Q are the factors' normalized precisions under `resolve_ridge`'s ridge for `damping`,
+    so an all-zero factor (a softmax one-hot on every row) gives the identity. Eigenvalues of the
+    product structure are products of the factor eigenvalues, so the summary comes from the small factors.
     """
-    rc, rr = (normalized_precision(f, damping * float(np.trace(f)) / f.shape[0])
-              for f in (a_hat, h_hat))
+    rc, rr = (normalized_precision(f, resolve_ridge(f, damping)[0]) for f in (a_hat, h_hat))
     eig_c, eig_r = np.linalg.eigvalsh(rc), np.linalg.eigvalsh(rr)
     eig = np.multiply.outer(eig_c, eig_r).ravel()
     return _layer_stats(layer, rc, rr, eig_c, eig_r, eig, "laplace", sample_count)

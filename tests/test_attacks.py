@@ -170,9 +170,9 @@ class TestPgdMatchesReferenceLoop:
         AttackSpec(0.15, 0.15, 1),
         AttackSpec(0.15, 0.0375, 20),
         AttackSpec(0.15, 0.0375, 20, loss="cw_margin"),
-        AttackSpec(0.15, 0.0375, 10, loss="kl"),
+        AttackSpec(0.15, 0.0375, 10, loss="kl", random_start=True),  # the KL gradient is 0 at the reference
         AttackSpec(0.75, 0.1875, 20, norm="l2"),
-        AttackSpec(0.75, 0.1875, 10, norm="l2", loss="kl"),
+        AttackSpec(0.75, 0.1875, 10, norm="l2", loss="kl", random_start=True),
     ], ids=["fgsm", "linf", "cw_margin", "kl", "l2", "l2-kl"])
 
     @SPECS
@@ -405,13 +405,41 @@ def flip_case(dims, rows, seed=50):
 
 
 FLIP_SPECS = [AttackSpec(eps, eps / 4, 8, norm=norm, loss=loss, random_start=start)
-              for norm, eps in (("linf", 0.1), ("l2", 0.5)) for loss in LOSS_KINDS for start in (False, True)]
+              for norm, eps in (("linf", 0.1), ("l2", 0.5)) for loss in LOSS_KINDS for start in (False, True)
+              if start or loss != "kl"]  # a kl attack needs a random start: see KL_ORIGIN_SPECS
 FLIP_IDS = [f"{s.norm}-{s.loss}-{'start' if s.random_start else 'origin'}" for s in FLIP_SPECS]
+FLIP_DIMS = [(32, 10), (32, 96, 96, 10), (16, 24, 20, 12, 6)]
+# the kl specs that FLIP_SPECS leaves out: both attacks refuse them
+KL_ORIGIN_SPECS = [AttackSpec(eps, eps / 4, 8, norm=norm, loss="kl") for norm, eps in (("linf", 0.1), ("l2", 0.5))]
+KL_ORIGIN_IDS = ["linf-kl-origin", "l2-kl-origin"]
+
+
+KL_AT_ITS_REFERENCE = "a kl attack against the clean logits needs random_start: its gradient there is 0"
+
+
+class TestKlNeedsARandomStart:
+    @pytest.mark.parametrize("spec", KL_ORIGIN_SPECS, ids=KL_ORIGIN_IDS)
+    @pytest.mark.parametrize("dims", FLIP_DIMS)
+    def test_pgd_refuses_its_own_reference_without_a_start(self, spec, dims):
+        net, x, _ = flip_case(dims, 20)
+        with pytest.raises(ValueError, match=KL_AT_ITS_REFERENCE):
+            pgd(net, x, None, spec)
+        # another reference moves the batch; so does a random start
+        assert not np.array_equal(pgd(net, x, None, spec, ref_logits=forward(net, x[::-1]).logits), x)
+        assert not np.array_equal(pgd(net, x, None, dataclasses.replace(spec, random_start=True)), x)
+
+    @pytest.mark.parametrize("spec", KL_ORIGIN_SPECS, ids=KL_ORIGIN_IDS)
+    @pytest.mark.parametrize("dims", FLIP_DIMS)
+    def test_first_flips_always_refuses_it(self, spec, dims):
+        net, x, labels = flip_case(dims, 20)
+        for clean_logits in (None, forward(net, x).logits):
+            with pytest.raises(ValueError, match=KL_AT_ITS_REFERENCE):
+                first_flips(net, x, labels, spec, clean_logits=clean_logits)
 
 
 class TestFirstFlips:
     @pytest.mark.parametrize("spec", FLIP_SPECS, ids=FLIP_IDS)
-    @pytest.mark.parametrize("dims", [(32, 10), (32, 96, 96, 10), (16, 24, 20, 12, 6)])
+    @pytest.mark.parametrize("dims", FLIP_DIMS)
     @pytest.mark.parametrize("rows", [1, 300])
     def test_matches_pgd_scored_at_every_step(self, spec, dims, rows):
         net, x, labels = flip_case(dims, rows)
@@ -441,7 +469,7 @@ class TestFirstFlips:
                 assert np.linalg.norm(delta, axis=1).max() <= spec.epsilon * (1 + 1e-12)
 
     @pytest.mark.parametrize("spec", FLIP_SPECS, ids=FLIP_IDS)
-    @pytest.mark.parametrize("dims", [(32, 10), (32, 96, 96, 10), (16, 24, 20, 12, 6)])
+    @pytest.mark.parametrize("dims", FLIP_DIMS)
     def test_without_a_drop_the_last_iterate_is_pgds(self, monkeypatch, spec, dims):
         net, x, _ = flip_case(dims, 300)
         labels = forward(net, x).logits.argmax(axis=1)
@@ -454,7 +482,7 @@ class TestFirstFlips:
         assert last.tobytes() == adv.tobytes()
 
     @pytest.mark.parametrize("spec", FLIP_SPECS, ids=FLIP_IDS)
-    @pytest.mark.parametrize("dims", [(32, 10), (32, 96, 96, 10), (16, 24, 20, 12, 6)])
+    @pytest.mark.parametrize("dims", FLIP_DIMS)
     def test_after_drops_the_last_iterate_is_pgds_within_rounding(self, monkeypatch, spec, dims):
         # a GEMM's row can depend on how many rows it is given, so the
         # iterates of a shorter working set may move in the last bits
@@ -467,7 +495,7 @@ class TestFirstFlips:
         assert np.abs(last[survivors] - adv[rows[survivors]]).max(initial=0.0) <= 1e-12
 
     @pytest.mark.parametrize("spec", FLIP_SPECS, ids=FLIP_IDS)
-    @pytest.mark.parametrize("dims", [(32, 10), (32, 96, 96, 10), (16, 24, 20, 12, 6)])
+    @pytest.mark.parametrize("dims", FLIP_DIMS)
     def test_without_compaction_every_row_takes_pgds_steps(self, monkeypatch, spec, dims):
         net, x, labels = flip_case(dims, 300)
         iterates = []

@@ -17,6 +17,7 @@ from advlab.data import write_idx_images, write_idx_labels
 from advlab.io import FormatError
 from advlab.network import Network, load_checkpoint, save_checkpoint
 from advlab.train import DivergedTraining
+from advlab.weight_stats import LayerCorrStats
 
 DATASET = {
     "kind": "synthetic", "num_classes": 3, "per_class": 10, "dim": 5,
@@ -37,6 +38,10 @@ TRAIN_CONFIG = {
     "eval_subset": 30,
 }
 
+
+# a kl attack without a random start starts at its reference, where its gradient is 0
+KL_ATTACK = {"epsilon": 0.08, "step_size": 0.02, "steps": 3, "loss": "kl"}
+KL_AT_ITS_REFERENCE = "a kl attack against the clean logits needs random_start"
 
 # an IDX dataset whose splits hold no rows, read from the working directory (see write_empty_idx)
 EMPTY_IDX = {"kind": "idx", "train_images": "empty-images.idx", "train_labels": "empty-labels.idx",
@@ -218,6 +223,28 @@ class TestStatsCommand:
         adv = out / "stats_2_laplace_adversarial.csv"
         assert clean.exists() and adv.exists()
         assert clean.read_text().splitlines()[0].startswith("layer,")
+
+    @pytest.mark.parametrize("damping", [1e-3, 1.0, 100.0])
+    def test_laplace_of_a_saturated_softmax(self, tmp_path, trained, damping):
+        # an output layer that is the constant logits (1000, 0, 0) makes the softmax one-hot on
+        # every row, clean or attacked, so H is exactly 0: it takes the absolute ridge `damping`,
+        # and its correlation is the identity
+        net = load_checkpoint(trained / "checkpoint.json")
+        out_layer = np.zeros_like(net.weights[-1])
+        out_layer[0, -1] = 1e3  # the bias column
+        save_checkpoint(net.with_weights([*net.weights[:-1], out_layer]), tmp_path / "saturated.json")
+        doc = {
+            "checkpoint": str(tmp_path / "saturated.json"),
+            "dataset": DATASET,
+            "method": "laplace",
+            "damping": damping,
+            "attack": {"epsilon": 0.08, "step_size": 0.02, "steps": 5},
+            "seed": 3,
+        }
+        out = tmp_path / "stats-out"
+        assert run(["stats", "--config", write_config(tmp_path, doc, "stats.json"), "--out", out]) == EXIT_OK
+        for data in ("clean", "adversarial"):
+            assert LayerCorrStats.read_csv(out / f"stats_2_laplace_{data}.csv").lamr_max == 1.0
 
     def test_sampling_method(self, tmp_path, trained):
         doc = {
@@ -415,6 +442,10 @@ class TestBoundCommand:
         ("evaluate", {"dataset": EMPTY_IDX}, "dataset split 'test' has no rows"),
         ("stats", {"method": "laplace", "dataset": EMPTY_IDX}, "dataset split 'train' has no rows"),
         ("stats", {"method": "sampling", "dataset": EMPTY_IDX}, "dataset split 'train' has no rows"),
+        ("evaluate", {"attacks": [KL_ATTACK]}, KL_AT_ITS_REFERENCE),
+        ("train", {"method": "at", "attack_train": KL_ATTACK}, KL_AT_ITS_REFERENCE),
+        ("train", {"method": "at", "attack_eval": KL_ATTACK}, KL_AT_ITS_REFERENCE),
+        ("stats", {"method": "laplace", "attack": KL_ATTACK}, KL_AT_ITS_REFERENCE),
     ],
     ids=["laplace-hidden-layer", "evaluate-input-dim", "stats-input-dim", "sampling-stalled",
          "sampling-layer-above-depth", "sampling-layer-zero", "evaluate-class-count",
@@ -422,7 +453,9 @@ class TestBoundCommand:
          "sampling-negative-noise",
          "laplace-damping-zero", "laplace-damping-negative", "laplace-damping-overflow",
          "laplace-damping-string", "laplace-damping-tiny",
-         "train-empty-split", "evaluate-empty-split", "laplace-empty-split", "sampling-empty-split"],
+         "train-empty-split", "evaluate-empty-split", "laplace-empty-split", "sampling-empty-split",
+         "evaluate-kl-without-start", "train-kl-without-start", "train-eval-kl-without-start",
+         "stats-kl-without-start"],
 )
 def test_unmeetable_request_exits_2_with_one_line(tmp_path, trained, capsys, monkeypatch,
                                                   command, extra, message):

@@ -135,7 +135,7 @@ class TestDeadUnitFloor:
     def test_adds_exactly_one_to_the_live_block(self, seed):
         live, dead = self.live_and_dead(seed)
         cfg = DecorrConfig(damping=0.05)
-        ridge, _ = resolve_ridge(_second_moment(dead), cfg)
+        ridge, _ = resolve_ridge(_second_moment(dead), cfg.damping)
         live_block = normalized_precision(_second_moment(live), ridge)
         value_dead, grad_dead = penalty_and_grad(dead, cfg)
         expect = 1.0 + float((live_block ** 2).sum())
@@ -145,7 +145,7 @@ class TestDeadUnitFloor:
     def test_normalized_precision_row_is_the_unit_vector(self):
         _, dead = self.live_and_dead(3)
         cov = _second_moment(dead)
-        ridge, _ = resolve_ridge(cov, DecorrConfig(damping=0.05))
+        ridge, _ = resolve_ridge(cov, 0.05)
         p = normalized_precision(cov, ridge)
         unit = np.eye(dead.shape[1])[-1]
         assert np.array_equal(p[-1], unit) and np.array_equal(p[:, -1], unit)
@@ -153,10 +153,28 @@ class TestDeadUnitFloor:
     def test_dead_layer_gets_the_absolute_ridge(self):
         a = np.zeros((16, 7))
         cfg = DecorrConfig(damping=0.05)
-        assert resolve_ridge(_second_moment(a), cfg) == (0.05, 0.0)
+        assert resolve_ridge(_second_moment(a), cfg.damping) == (0.05, 0.0)
         value, grad = penalty_and_grad(a, cfg)
         assert value == 7.0
         assert np.array_equal(grad, np.zeros_like(a))
+
+
+class TestResolveRidge:
+    """The one rule that turns a damping into a ridge, for the penalty and the Laplace record."""
+
+    @pytest.mark.parametrize("damping", [1e-3, 0.05, 1.0, 100.0])
+    def test_is_damping_times_the_mean_diagonal(self, damping):
+        g = np.random.default_rng(7).standard_normal((5, 9))
+        cov = g @ g.T
+        ridge, slope = resolve_ridge(cov, damping)
+        assert ridge == pytest.approx(damping * np.diag(cov).mean(), rel=1e-15)
+        # the slope is d ridge / d trace(cov): adding 0.5 I adds 2.5 to the trace
+        assert resolve_ridge(cov + 0.5 * np.eye(5), damping)[0] - ridge == pytest.approx(2.5 * slope, rel=1e-12)
+
+    @pytest.mark.parametrize("damping", [1e-3, 1.0, 100.0])
+    def test_an_all_zero_matrix_takes_the_damping_itself(self, damping):
+        assert resolve_ridge(np.zeros((4, 4)), damping) == (damping, 0.0)
+        assert np.array_equal(normalized_precision(np.zeros((4, 4)), damping), np.eye(4))
 
 
 def penalty_weight_gradients(net, tape_clean, tape_adv, cfg):

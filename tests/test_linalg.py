@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from advlab import linalg
-from advlab.decorr import normalized_precision
+from advlab.decorr import normalized_precision, resolve_ridge
 from advlab.linalg import (
     NotPositiveDefinite,
     det_lower_bound,
@@ -120,7 +120,7 @@ class TestLogdetPsd:
         rng = np.random.default_rng(5)
         factors = random_pd(6, rng), random_pd(3, rng)
         stats = laplace_stats_from_factors(*factors, 1e-3, 1, 1)
-        rc, rr = (normalized_precision(f, 1e-3 * float(np.trace(f)) / f.shape[0]) for f in factors)
+        rc, rr = (normalized_precision(f, resolve_ridge(f, 1e-3)[0]) for f in factors)
         oracle = float(np.sum(np.log(np.linalg.eigvalsh(np.kron(rc, rr)))))
         assert stats.logdet == pytest.approx(oracle, abs=1e-9)
 
@@ -268,6 +268,15 @@ class TestDetLowerBound:
             expected = [linalg.logdet_lower_bound(a, b, dim) for a, b in zip(lo.tolist(), hi.tolist())]
             assert got.shape == lo.shape
             assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_rejects_a_bad_dim_and_a_crossed_bracket(self):
+        with pytest.raises(ValueError, match=r"dim must be >= 1, got 0"):
+            linalg.logdet_lower_bound(0.5, 2.0, 0)
+        # within the tolerance each end brackets 1, but the ends cross
+        with pytest.raises(ValueError, match=r"lam_min 1.00000000005 exceeds lam_max 0.99999999995"):
+            linalg.logdet_lower_bound(1 + 5e-11, 1 - 5e-11, 3)
+        with pytest.raises(ValueError, match=r"lam_min 1.00000000005 exceeds lam_max 0.99999999995"):
+            linalg.logdet_lower_bound(np.array([0.5, 1 + 5e-11]), np.array([2.0, 1 - 5e-11]), 3)
 
     @pytest.mark.parametrize("lo, hi", [(1.2, 2.0), (0.0, 2.0), (0.5, 0.9), (float("nan"), 2.0)])
     def test_array_bracket_error_names_the_first_bad_pair(self, lo, hi):

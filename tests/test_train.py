@@ -9,6 +9,7 @@ from advlab import attacks, data
 from advlab.attacks import AttackSpec, first_flips
 from advlab.data import Dataset, epoch_seed_from, synth_blobs, write_idx_images, write_idx_labels
 from advlab.decorr import DecorrConfig, decorr_penalty, penalty_dacts
+from advlab.linalg import NotPositiveDefinite
 from advlab.network import (
     Network,
     _cross_entropy_and_kl,
@@ -210,6 +211,23 @@ class TestTraining:
             train(config, tmp_path)
         for name in ("metrics.csv", "timing.csv"):
             assert len((tmp_path / name).read_text().splitlines()) == 1  # the header alone
+        assert_he_init_checkpoint(tmp_path, config)
+
+    def test_penalty_of_a_singular_covariance_is_nan(self, tmp_path, monkeypatch):
+        def singular(*args):
+            raise NotPositiveDefinite("inverse input is not positive definite")
+
+        monkeypatch.setattr(sys.modules["advlab.train"], "penalty_and_grad", singular)
+        train(tiny_config(method="standard", attack_train=None, epochs=1), tmp_path)
+        assert (tmp_path / "metrics.csv").read_text().splitlines()[1].endswith(",nan")
+        assert strict_json(tmp_path / "run.json")["final_metrics"]["penalty"] is None
+
+    def test_non_finite_loss_raises_and_keeps_the_init(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys.modules["advlab.train"], "cross_entropy", lambda logits, labels: np.inf)
+        config = tiny_config(method="standard", attack_train=None, epochs=1)
+        with pytest.raises(DivergedTraining):
+            train(config, tmp_path)
+        assert len((tmp_path / "metrics.csv").read_text().splitlines()) == 1  # the header alone
         assert_he_init_checkpoint(tmp_path, config)
 
     def test_all_methods_run_one_epoch(self, tmp_path):
@@ -424,7 +442,7 @@ class TestEvaluate:
         ds = synth_blobs(4, 40, 6, 0.3, seed=15)
         net = Network.he_init([6, 10, 4], seed=16)
         specs = [AttackSpec(0.3, 0.15, steps, loss=loss, random_start=start)
-                 for steps in (1, 5) for start in (False, True)]
+                 for steps in (1, 5) for start in (False, True) if start or loss != "kl"]
         clean, *robust = evaluate(net, ds, specs, seed=2)
         assert 0.0 < clean["accuracy"] < 1.0
         assert all(row["accuracy"] <= clean["accuracy"] for row in robust)

@@ -7,7 +7,7 @@ import scipy.stats
 
 from advlab import weight_stats
 from advlab.data import Dataset, synth_blobs
-from advlab.decorr import hessian_kron_factors, normalized_precision
+from advlab.decorr import hessian_kron_factors, normalized_precision, resolve_ridge
 from advlab.io import FormatError
 from advlab.linalg import (
     det_lower_bound,
@@ -83,7 +83,7 @@ def deep_trained_net(ds, seed=11, steps=200, lr=0.3):
 def laplace_correlations(net, ds, damping):
     """The Laplace estimator's column and row correlations, formed from the same factors."""
     factors = hessian_kron_factors(forward(net, ds.inputs), len(net.layers))
-    return [normalized_precision(f, damping * float(np.trace(f)) / f.shape[0]) for f in factors]
+    return [normalized_precision(f, resolve_ridge(f, damping)[0]) for f in factors]
 
 
 class TestSampling:
@@ -321,6 +321,30 @@ class TestLaplace:
         assert stats.lam_min == pytest.approx(eig[0], rel=1e-8)
         assert sign == 1.0 and stats.logdet == pytest.approx(logdet, rel=1e-10)
         assert stats.frob_sq == pytest.approx(frobenius_sq(r), rel=1e-12)
+
+    @pytest.mark.parametrize("damping", [1e-3, 1.0, 100.0])
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    def test_saturated_softmax_gets_the_identity_row_correlation(self, damping, scale):
+        # an output layer scaled x1e3 or more makes the softmax one-hot on every row,
+        # so H is exactly 0 and takes the absolute ridge `damping`
+        ds = synth_blobs(3, 20, 6, 0.1, seed=14)
+        net = small_trained_net(ds)
+        net = net.with_weights([*net.weights[:-1], scale * net.weights[-1]])
+        assert not hessian_kron_factors(forward(net, ds.inputs), 2)[1].any()
+        stats = corr_from_laplace(net, ds, 2, damping=damping)
+        stats.validate()
+        assert stats.lamr_max == 1.0
+
+    @pytest.mark.parametrize("damping", [1e-3, 1.0])
+    @pytest.mark.parametrize("zero", [0, 1], ids=["input-factor", "softmax-factor"])
+    def test_an_all_zero_factor_acts_as_the_identity(self, damping, zero):
+        g = np.random.default_rng(3).standard_normal((5, 7))
+        zeros, eye = [g @ g.T, g @ g.T], [g @ g.T, g @ g.T]
+        zeros[zero], eye[zero] = np.zeros((3, 3)), np.eye(3)
+        stats = laplace_stats_from_factors(*zeros, damping, layer=1, sample_count=1)
+        stats.validate()
+        assert stats == laplace_stats_from_factors(*eye, damping, layer=1, sample_count=1)
+        assert (stats.lamc_max, stats.lamr_max)[zero] == 1.0
 
     def test_hidden_layer_unsupported(self):
         ds = synth_blobs(2, 8, 4, 0.1, seed=15)
