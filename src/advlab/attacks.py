@@ -31,6 +31,11 @@ NEVER = -1  # first_flips' entry for a row that no iterate misclassifies
 
 @dataclasses.dataclass(frozen=True)
 class AttackSpec:
+    """`steps` ascent steps of `step_size` on `loss`, projected onto the `norm` ball of radius `epsilon`.
+
+    A kl spec needs `random_start`: at the reference the KL gradient is exactly 0, and sign(0) = 0.
+    """
+
     epsilon: float
     step_size: float
     steps: int = 1
@@ -49,6 +54,8 @@ class AttackSpec:
             raise ValueError("steps must be >= 1")
         if not 0 < self.step_size < np.inf:
             raise ValueError("step_size must be finite and positive")
+        if self.loss == "kl" and not self.random_start:
+            raise ValueError("a kl attack needs random_start: its gradient at the reference logits is 0")
         # epsilon = 0 is the degenerate no-op attack (projection pins the input)
         if self.epsilon > 0 and self.step_size > 2 * self.epsilon:
             raise ValueError("step_size must not exceed 2*epsilon")
@@ -112,27 +119,18 @@ def _random_offset(shape: tuple[int, int], spec: AttackSpec, seed: int) -> np.nd
     return offset
 
 
-def _refuse_kl_at_its_reference(spec: AttackSpec):
-    """At its reference the KL gradient is exactly 0, and sign(0) = 0: a kl attack starting there never moves."""
-    if spec.loss == "kl" and not spec.random_start:
-        raise ValueError("a kl attack against the clean logits needs random_start: its gradient there is 0")
-
-
-def pgd(net: Network, batch, labels=None, spec: AttackSpec = None, ref_logits=None,
-        seed: int = 0) -> np.ndarray:
+def pgd(net: Network, batch, labels, spec: AttackSpec, ref_logits=None, seed: int = 0) -> np.ndarray:
     """Projected gradient ascent on the configured loss within the ball.
 
     FGSM is the one-step case `AttackSpec(eps, eps, steps=1)`; logit-margin
     PGD is `loss="cw_margin"`. For the KL loss, `ref_logits` are the reference (clean) logits held
-    fixed across steps; they default to the network's output on `batch`, which needs `random_start`.
+    fixed across steps; they default to the network's output on `batch`. A kl `spec` has a random
+    start (`AttackSpec` refuses one without), and `labels` are not read.
     `seed` names the random start's stream; it is read only with `spec.random_start`.
     Returns the last iterate, a view of the iterate's buffer without its bias column.
     """
-    if spec is None:
-        raise ValueError("an AttackSpec is required")
     origin = _as_input(net, batch)
     if spec.loss == "kl" and ref_logits is None:
-        _refuse_kl_at_its_reference(spec)
         ref_logits = forward(net, origin).logits
     return _ascend(net, origin, labels, spec, ref_logits, seed)
 
@@ -148,7 +146,7 @@ def first_flips(net: Network, batch, labels, spec: AttackSpec, seed: int = 0,
     whose random start is wrong. Wrong means `accuracy`'s rule
     (`network._wrong_rows`): the true class's logit does not beat every
     other one, so a tie is wrong. For the kl loss, the clean logits are the
-    reference, so a kl `spec` needs `random_start`.
+    reference, and the spec's random start moves the rows off it.
 
     Each step's forward pass scores the iterate it starts from. With
     `compact`, a broken row leaves the attack: the rows still unbroken are
@@ -160,7 +158,6 @@ def first_flips(net: Network, batch, labels, spec: AttackSpec, seed: int = 0,
     takes every step, clean-wrong rows included: the iterates are `pgd`'s
     bit for bit, and the cost is `pgd`'s whatever the net's robustness.
     """
-    _refuse_kl_at_its_reference(spec)
     origin = _as_input(net, batch)
     truth = _true_class(labels, (len(origin), net.output_dim))
     clean_logits = (forward(net, origin).logits if clean_logits is None

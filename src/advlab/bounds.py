@@ -47,12 +47,13 @@ class BoundInputs:
     constant: float = 1.0
 
     def __post_init__(self):
-        if not self.gamma > 0:  # NaN fails these checks
-            raise ValueError("gamma must be > 0")
+        if not 0 < self.gamma < np.inf:  # NaN fails these checks
+            raise ValueError("gamma must be > 0 and finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.m < 1 or not (self.input_bound > 0 and self.epsilon >= 0 and self.constant > 0):
-            raise ValueError("m, input_bound, constant must be positive; epsilon >= 0")
+        if self.m < 1 or not (0 < self.input_bound < np.inf and 0 <= self.epsilon < np.inf
+                              and 0 < self.constant < np.inf):
+            raise ValueError("m, input_bound, constant must be positive; epsilon >= 0; each finite")
 
 
 @dataclass

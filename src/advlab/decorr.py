@@ -39,8 +39,8 @@ class DecorrConfig:
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError("alpha must be finite and >= 0")
-        if not self.damping >= 1e-8:
-            raise ValueError("damping must be >= 1e-8")
+        if not 1e-8 <= self.damping < np.inf:
+            raise ValueError("damping must be finite and >= 1e-8")
 
 
 def _second_moment(a: np.ndarray) -> np.ndarray:

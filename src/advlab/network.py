@@ -32,7 +32,7 @@ class Layer:
     weight: np.ndarray  # (h_out, h_in + 1), bias folded into the last column
 
     def __post_init__(self):
-        as_matrix(self.weight, "layer weight")
+        object.__setattr__(self, "weight", as_matrix(self.weight, "layer weight"))
 
     @property
     def out_dim(self) -> int:

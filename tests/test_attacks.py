@@ -273,8 +273,12 @@ class TestPgdBuffers:
         x = rng.uniform(0, 1, (9, 6))
         eps = 0.2 if norm == "linf" else 0.8
         ref = rng.standard_normal((9, 4))
-        adv = pgd(net, x, rng.integers(0, 4, size=9), AttackSpec(eps, eps / 4, steps, norm=norm, loss=loss),
-                  ref_logits=ref)
+        spec = AttackSpec(eps, eps / 4, steps, norm=norm, loss=loss, random_start=loss == "kl")
+        adv = pgd(net, x, rng.integers(0, 4, size=9), spec, ref_logits=ref)
+        if spec.random_start and norm == "l2":
+            # the start is projected in place in the tape's input buffer, with the steps' other buffers
+            start = seen["_project_l2"].pop(0)
+            assert start[0] == start[1] and start[1:] == seen["_project_l2"][0][1:]
         per_step = {"_forward": 1, "_input_gradient": 1, "_relu_mask": 2, "matmul": 6,
                     "_project_l2" if norm == "l2" else "sign": 1}
         assert {name: len(calls) for name, calls in seen.items()} == {k: steps * n for k, n in per_step.items()}
@@ -406,35 +410,9 @@ def flip_case(dims, rows, seed=50):
 
 FLIP_SPECS = [AttackSpec(eps, eps / 4, 8, norm=norm, loss=loss, random_start=start)
               for norm, eps in (("linf", 0.1), ("l2", 0.5)) for loss in LOSS_KINDS for start in (False, True)
-              if start or loss != "kl"]  # a kl attack needs a random start: see KL_ORIGIN_SPECS
+              if start or loss != "kl"]  # AttackSpec refuses a kl spec without a random start
 FLIP_IDS = [f"{s.norm}-{s.loss}-{'start' if s.random_start else 'origin'}" for s in FLIP_SPECS]
 FLIP_DIMS = [(32, 10), (32, 96, 96, 10), (16, 24, 20, 12, 6)]
-# the kl specs that FLIP_SPECS leaves out: both attacks refuse them
-KL_ORIGIN_SPECS = [AttackSpec(eps, eps / 4, 8, norm=norm, loss="kl") for norm, eps in (("linf", 0.1), ("l2", 0.5))]
-KL_ORIGIN_IDS = ["linf-kl-origin", "l2-kl-origin"]
-
-
-KL_AT_ITS_REFERENCE = "a kl attack against the clean logits needs random_start: its gradient there is 0"
-
-
-class TestKlNeedsARandomStart:
-    @pytest.mark.parametrize("spec", KL_ORIGIN_SPECS, ids=KL_ORIGIN_IDS)
-    @pytest.mark.parametrize("dims", FLIP_DIMS)
-    def test_pgd_refuses_its_own_reference_without_a_start(self, spec, dims):
-        net, x, _ = flip_case(dims, 20)
-        with pytest.raises(ValueError, match=KL_AT_ITS_REFERENCE):
-            pgd(net, x, None, spec)
-        # another reference moves the batch; so does a random start
-        assert not np.array_equal(pgd(net, x, None, spec, ref_logits=forward(net, x[::-1]).logits), x)
-        assert not np.array_equal(pgd(net, x, None, dataclasses.replace(spec, random_start=True)), x)
-
-    @pytest.mark.parametrize("spec", KL_ORIGIN_SPECS, ids=KL_ORIGIN_IDS)
-    @pytest.mark.parametrize("dims", FLIP_DIMS)
-    def test_first_flips_always_refuses_it(self, spec, dims):
-        net, x, labels = flip_case(dims, 20)
-        for clean_logits in (None, forward(net, x).logits):
-            with pytest.raises(ValueError, match=KL_AT_ITS_REFERENCE):
-                first_flips(net, x, labels, spec, clean_logits=clean_logits)
 
 
 class TestFirstFlips:
@@ -603,6 +581,15 @@ class TestSpecValidation:
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
             AttackSpec(epsilon=-0.1, step_size=0.1)
+
+    def test_a_kl_spec_needs_a_random_start(self):
+        # at its reference the KL gradient is exactly 0, and sign(0) = 0: the attack would never move
+        for norm, eps in (("linf", 0.1), ("l2", 0.5)):
+            spec = AttackSpec(eps, eps / 4, 8, norm=norm)
+            with pytest.raises(ValueError, match="^a kl attack needs random_start: its gradient at the "
+                                                 "reference logits is 0$"):
+                dataclasses.replace(spec, loss="kl")
+            assert dataclasses.replace(spec, loss="kl", random_start=True).loss == "kl"
 
     def test_zero_epsilon_is_noop(self):
         net = random_net(seed=20)

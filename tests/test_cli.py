@@ -41,7 +41,7 @@ TRAIN_CONFIG = {
 
 # a kl attack without a random start starts at its reference, where its gradient is 0
 KL_ATTACK = {"epsilon": 0.08, "step_size": 0.02, "steps": 3, "loss": "kl"}
-KL_AT_ITS_REFERENCE = "a kl attack against the clean logits needs random_start"
+KL_WITHOUT_START = "a kl attack needs random_start: its gradient at the reference logits is 0"
 
 # an IDX dataset whose splits hold no rows, read from the working directory (see write_empty_idx)
 EMPTY_IDX = {"kind": "idx", "train_images": "empty-images.idx", "train_labels": "empty-labels.idx",
@@ -442,10 +442,10 @@ class TestBoundCommand:
         ("evaluate", {"dataset": EMPTY_IDX}, "dataset split 'test' has no rows"),
         ("stats", {"method": "laplace", "dataset": EMPTY_IDX}, "dataset split 'train' has no rows"),
         ("stats", {"method": "sampling", "dataset": EMPTY_IDX}, "dataset split 'train' has no rows"),
-        ("evaluate", {"attacks": [KL_ATTACK]}, KL_AT_ITS_REFERENCE),
-        ("train", {"method": "at", "attack_train": KL_ATTACK}, KL_AT_ITS_REFERENCE),
-        ("train", {"method": "at", "attack_eval": KL_ATTACK}, KL_AT_ITS_REFERENCE),
-        ("stats", {"method": "laplace", "attack": KL_ATTACK}, KL_AT_ITS_REFERENCE),
+        ("evaluate", {"attacks": [KL_ATTACK]}, f"evaluate attacks[0]: {KL_WITHOUT_START}"),
+        ("train", {"method": "at", "attack_train": KL_ATTACK}, f"train attack_train: {KL_WITHOUT_START}"),
+        ("train", {"method": "at", "attack_eval": KL_ATTACK}, f"train attack_eval: {KL_WITHOUT_START}"),
+        ("stats", {"method": "laplace", "attack": KL_ATTACK}, f"stats attack: {KL_WITHOUT_START}"),
     ],
     ids=["laplace-hidden-layer", "evaluate-input-dim", "stats-input-dim", "sampling-stalled",
          "sampling-layer-above-depth", "sampling-layer-zero", "evaluate-class-count",
@@ -470,6 +470,21 @@ def test_unmeetable_request_exits_2_with_one_line(tmp_path, trained, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_a_kl_eval_without_a_start_is_refused_before_any_step(tmp_path, capsys, monkeypatch):
+    steps, original = [], advlab.train._step_gradients
+
+    def counted(*args):
+        steps.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(advlab.train, "_step_gradients", counted)
+    config = write_config(tmp_path, TRAIN_CONFIG | {"method": "at", "attack_eval": KL_ATTACK})
+    capsys.readouterr()
+    assert run(["train", "--config", config, "--out", tmp_path / "run"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: train attack_eval: {KL_WITHOUT_START}\n"
+    assert not steps and not any((tmp_path / "run").iterdir())
 
 
 def scaled_checkpoint(trained, scale):

@@ -27,6 +27,7 @@ from advlab.attacks import AttackSpec
 from advlab.bounds import BoundInputs
 from advlab.cli import EXIT_CONFIG, EXIT_OK, main
 from advlab.data import Dataset, split_blobs, write_idx_images, write_idx_labels
+from advlab.decorr import DecorrConfig
 from advlab.train import (
     SIMULATE_CONFIGS,
     STATS_CONFIGS,
@@ -488,6 +489,8 @@ RANGE_CHECKED = {
     "RunConfig.trades_lambda": lambda v: RunConfig({}, method="trades", attack_train=AttackSpec(0.1, 0.1),
                                                    trades_lambda=v),
     "LaplaceStatsConfig.damping": lambda v: LaplaceStatsConfig("net.json", "laplace", {}, damping=v),
+    "DecorrConfig.alpha": lambda v: DecorrConfig(alpha=v),
+    "DecorrConfig.damping": lambda v: DecorrConfig(damping=v),
     "BoundInputs.gamma": lambda v: BoundInputs(v, 0.05, 10, 1.0),
     "BoundInputs.input_bound": lambda v: BoundInputs(1.0, 0.05, 10, v),
     "BoundInputs.epsilon": lambda v: BoundInputs(1.0, 0.05, 10, 1.0, epsilon=v),
@@ -501,15 +504,18 @@ RANGE_CHECKED = {
 
 FINITE = ("AttackSpec.epsilon", "AttackSpec.step_size", "RunConfig.lr", "RunConfig.weight_decay",
           "RunConfig.trades_lambda",  # run.json could not hold an infinite rate: JSON has no Infinity
-          "LaplaceStatsConfig.damping")  # an infinite ridge leaves no finite inverse
+          "LaplaceStatsConfig.damping", "DecorrConfig.damping",  # an infinite ridge leaves no finite inverse
+          "DecorrConfig.alpha",
+          # an infinite margin, norm bound, radius or constant gives no finite bound
+          "BoundInputs.gamma", "BoundInputs.input_bound", "BoundInputs.epsilon", "BoundInputs.constant")
 
 
 @pytest.mark.parametrize("field, value", [(field, float("nan")) for field in RANGE_CHECKED]
                          + [(field, float("inf")) for field in FINITE])
 def test_range_checks_refuse_nan(field, value):
     """NaN fails every range check, and an attack's radius and step, a run's learning rate,
-    weight decay and TRADES lambda and the Laplace damping are finite; the valid value 0.1 of each
-    field builds."""
+    weight decay and TRADES lambda, both dampings, the penalty weight and the bound inputs are
+    finite; the valid value 0.1 of each field builds."""
     RANGE_CHECKED[field](0.1)
     with pytest.raises(ValueError):
         RANGE_CHECKED[field](value)

@@ -493,3 +493,10 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match="layer dims do not chain: 3 -> 2"):
             Network([Layer(np.ones((3, 4))), Layer(np.ones((2, 3)))])
 
+    def test_a_layer_keeps_its_weight_as_a_float64_matrix(self):
+        layer = Layer([[1.0, 2.0]])
+        assert (layer.out_dim, layer.in_dim) == (1, 1)
+        assert Layer(np.ones((2, 3), dtype=np.float32)).weight.dtype == np.float64
+        w = np.ones((2, 3))
+        assert Layer(w).weight is w  # a float64 matrix is kept, not copied
+
