@@ -12,7 +12,7 @@ activations from one ridged inverse: the chain batch covariance -> ridge
 -> matrix inverse (dM = -M dS M) -> unit-diagonal normalization -> squared
 Frobenius norm is differentiated in closed form. That activation gradient
 joins the network's one reverse pass per tape (`network.backward`'s
-`dacts`), which carries it to every upstream weight. Adversarial inputs
+`dlast`), which carries it to every upstream weight. Adversarial inputs
 are treated as constants (no differentiation through the attack).
 """
 
@@ -97,29 +97,12 @@ def penalty_and_grad(a: np.ndarray, cfg: DecorrConfig) -> tuple[float, np.ndarra
     return float(sq.sum()), grad
 
 
-def decorr_penalty(tape_clean: ForwardTape, tape_adv: ForwardTape, cfg: DecorrConfig) -> float:
-    """Penalty of the last layer's input, summed over both minibatches.
-
-    Unit diagonals alone contribute the layer width per tape, so the value
-    is always >= 2h.
-    """
-    if tape_clean.net is not tape_adv.net:
-        raise ValueError("clean and adversarial tapes come from different networks")
-    return sum(penalty_and_grad(tape.activations[-2], cfg)[0] for tape in (tape_clean, tape_adv))
+def penalty_dlast(tape: ForwardTape, cfg: DecorrConfig) -> np.ndarray:
+    """alpha-scaled penalty gradient w.r.t. the last layer's input, `network.backward`'s `dlast`."""
+    return cfg.alpha * penalty_and_grad(tape.activations[-2], cfg)[1]
 
 
-def penalty_dacts(tape: ForwardTape, cfg: DecorrConfig) -> dict[int, np.ndarray]:
-    """alpha-scaled penalty gradient w.r.t. the last layer's input activations.
-
-    Keyed by activation index, as `network.backward` takes them. A one-layer
-    net's last input is the data batch, which does not depend on the weights:
-    it gets no entry.
-    """
-    last = len(tape.net.layers) - 1
-    return {last: cfg.alpha * penalty_and_grad(tape.activations[last], cfg)[1]} if last else {}
-
-
-def hessian_kron_factors(tape: ForwardTape, layer: int) -> tuple[np.ndarray, np.ndarray]:
+def hessian_kron_factors(tape: ForwardTape) -> tuple[np.ndarray, np.ndarray]:
     """Kronecker factors of the softmax-CE Hessian for the output layer.
 
     Returns (A_hat, H_hat): A_hat is the batch second moment of the
@@ -133,9 +116,7 @@ def hessian_kron_factors(tape: ForwardTape, layer: int) -> tuple[np.ndarray, np.
     Softmax-CE only: its logit Hessian has this closed form and does not
     involve the labels, so none are taken.
     """
-    if layer != len(tape.net.layers):
-        raise ValueError("Hessian factorization is available for the output layer only")
-    a = tape.augmented[layer - 1]
+    a = tape.augmented[-1]
     a_hat = _second_moment(a)
     p = softmax(tape.logits)
     h_hat = (np.diag(p.sum(axis=0)) - p.T @ p) / a.shape[0]

@@ -178,32 +178,31 @@ def _check_tape(net: Network, tape: ForwardTape):
         raise ValueError("tape was recorded on a different network")
 
 
-def backward(net: Network, tape: ForwardTape, dlogits: np.ndarray, dacts=None) -> list[np.ndarray]:
+def backward(net: Network, tape: ForwardTape, dlogits: np.ndarray, dlast=None) -> list[np.ndarray]:
     """Exact gradients of a scalar loss w.r.t. every layer weight.
 
     `dlogits` is the loss gradient w.r.t. the logits for the batch on the
-    tape (already including any 1/batch factor). `dacts` maps an inner
-    activation index l (1 <= l < number of layers) to the gradient of
-    further loss terms w.r.t. activations[l]; it joins the one reverse
-    pass where the pass crosses that activation. With zero `dlogits` the
-    blocks of the layers above every such activation are exactly zero.
-    The pass stops at layer 1's weight gradient: the input gradient is
-    `input_gradient`'s job.
+    tape (already including any 1/batch factor). `dlast` is the gradient of
+    a further loss term w.r.t. the last layer's input, activations[-2]; it
+    joins the one reverse pass where the pass crosses that activation, and
+    with zero `dlogits` the last layer's block is exactly zero. A one-layer
+    net's last input is the data batch, which the pass never crosses, so
+    there `dlast` adds nothing. The pass stops at layer 1's weight
+    gradient: the input gradient is `input_gradient`'s job.
     """
     _check_tape(net, tape)
-    dacts = dacts or {}
-    for idx, dact in dacts.items():
-        if not 1 <= idx < len(net.layers) or np.shape(dact) != tape.activations[idx].shape:
-            raise ValueError(f"activation gradient {idx} does not match an inner activation")
+    if dlast is not None and np.shape(dlast) != tape.activations[-2].shape:
+        raise ValueError("dlast does not match the last layer's input")
     dz = np.asarray(dlogits, dtype=np.float64)
     grads: list[np.ndarray] = []
-    for idx in range(len(net.layers) - 1, -1, -1):
+    last = len(net.layers) - 1
+    for idx in range(last, -1, -1):
         grads.append(dz.T @ tape.augmented[idx])
         if idx == 0:
             break
         da = (dz @ net.layers[idx].weight)[:, :-1]
-        if idx in dacts:
-            da = da + dacts[idx]
+        if idx == last and dlast is not None:
+            da += dlast
         dz = da * _relu_mask(tape, idx)
     grads.reverse()
     return grads

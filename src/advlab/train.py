@@ -27,7 +27,7 @@ import numpy as np
 from .attacks import NEVER, AttackSpec, first_flips, pgd
 from .bounds import BoundInputs
 from .data import Dataset, batches, epoch_seed_from, idx_num_classes, load_idx, split_blobs
-from .decorr import DecorrConfig, penalty_and_grad, penalty_dacts
+from .decorr import DecorrConfig, penalty_and_grad, penalty_dlast
 from .io import write_csv, write_json
 from .linalg import NotPositiveDefinite
 from .network import (
@@ -51,17 +51,18 @@ METRICS_HEADER = ("epoch", "train_loss", "clean_train", "clean_test", "pgd_train
 
 
 class DivergedTraining(RuntimeError):
-    """Training hit a non-finite loss or logit; the last good checkpoint was kept."""
+    """Training hit a non-finite loss, logit or weight; the last good checkpoint was kept."""
 
 
 def build_config(cls, doc, what: str, path: str = "", seed: int | None = None):
     """The dataclass `cls` built from the JSON object `doc`; ValueError otherwise.
 
     Values are checked against the field annotations, never coerced: a bool is no number, a
-    number is finite, an int in a float field stays an int, `tuple[...]` takes a JSON list, a
-    nested dataclass is built by a recursive call, a `dict` is taken as it is, and a `seed` is
-    a non-negative int. A given `seed` (the CLI's --seed) replaces the document's, or is refused
-    if `cls` has none. Messages name the command `what` and the field's dotted path (at `path`).
+    number is finite, an int in a float field stays an int, an int field fits int64, `tuple[...]`
+    takes a JSON list, a nested dataclass is built by a recursive call, a `dict` is taken as it
+    is, and a `seed` is a non-negative int. A given `seed` (the CLI's --seed) replaces the
+    document's, or is refused if `cls` has none. Messages name the command `what` and the
+    field's dotted path (at `path`).
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{what} {path or 'config'} {doc!r} is not an object")
@@ -95,7 +96,9 @@ def build_variant(configs: dict, key: str, doc, what: str, seed: int | None = No
     return build_config(configs[doc[key]], doc, what, seed=seed)
 
 
-_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean", dict: "an object"}
+_INT64 = np.iinfo(np.int64)
+_KINDS = {int: "an integer within int64", float: "a number", str: "a string", bool: "a boolean",
+          dict: "an object"}
 
 
 def _checked(hint, value, what: str, path: str):
@@ -115,10 +118,12 @@ def _checked(hint, value, what: str, path: str):
     seed = path.rsplit(".", 1)[-1] == "seed"
     if hint is float:  # finite: JSON has no infinity, yet 1e400 parses as one
         ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    elif hint is int:  # within int64: numpy overflows on a wider count, width or seed
+        ok = type(value) is int and (0 if seed else _INT64.min) <= value <= _INT64.max
     else:
-        ok = type(value) is hint and not (seed and value < 0)
+        ok = type(value) is hint
     if not ok:
-        kind = "a non-negative integer" if seed else _KINDS[hint]
+        kind = "a non-negative integer within int64" if seed else _KINDS[hint]
         raise ValueError(f"{what} {path} {value!r} is not {kind}")
     return value
 
@@ -211,14 +216,16 @@ class RunConfig:
             raise ValueError("decorr methods need penalty.alpha > 0")
         if self.method.endswith("_decorr") and not self.hidden:  # else the penalty is the data's, which no weight moves
             raise ValueError("decorr methods need a hidden layer")
+        # trades attacks with attack_train's loss swapped for kl, so AttackSpec's kl rule holds for it
+        if self.method.startswith("trades") and not self.attack_train.random_start:
+            raise ValueError("trades methods attack with kl, which needs attack_train.random_start")
+        if self.method.startswith("trades") and self.attack_train.loss != "cross_entropy":
+            raise ValueError("trades methods attack with kl: attack_train.loss must be cross_entropy")
 
     @classmethod
     def from_dict(cls, doc: dict, seed: int | None = None) -> "RunConfig":
         """The `train` command's config from its JSON object `doc` (see build_config)."""
         return build_config(cls, doc, "train", seed=seed)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -296,7 +303,6 @@ SIMULATE_CONFIGS = {"random": RandomStudyConfig, "equicorrelation": Equicorrelat
 
 @dataclass
 class RunRecord:
-    config: dict
     metrics: list[dict]
     checkpoint_path: str
     wall_train_s: list[float]
@@ -324,7 +330,7 @@ def _step_gradients(net, xb, yb, config: RunConfig, attack_seed: int):
     spec = config.attack_train
     if method.startswith("trades"):  # clean CE plus KL to the attacked input, both sides live
         tape_clean = forward(net, xb)
-        kl_spec = dataclasses.replace(spec, loss="kl", random_start=True)  # KL gradient vanishes at x
+        kl_spec = dataclasses.replace(spec, loss="kl")  # RunConfig holds it to the kl rule
         x_adv = pgd(net, xb, None, kl_spec, ref_logits=tape_clean.logits, seed=attack_seed)
         return trades_gradients(net, tape_clean, forward(net, x_adv), yb, config.trades_lambda, penalty)
 
@@ -343,9 +349,9 @@ def trades_gradients(net, tape_clean, tape_adv, labels, trades_lambda: float, pe
 
     The tapes hold the clean and the (fixed) adversarial forward passes;
     the gradient flows through both. With a `penalty` DecorrConfig the
-    gradient also holds alpha times `decorr_penalty` of the two tapes; the
-    value stays the clean+KL objective. Each tape's log-softmax is formed
-    once (`network._cross_entropy_and_kl`).
+    gradient also holds alpha times the penalty of each tape's last-layer
+    input (`decorr.penalty_dlast`); the value stays the clean+KL objective.
+    Each tape's log-softmax is formed once (`network._cross_entropy_and_kl`).
     """
     ce, kl, d_ce, d_kl_clean, d_kl_adv = _cross_entropy_and_kl(tape_clean.logits, tape_adv.logits, labels)
     inv_lambda = 1.0 / trades_lambda
@@ -359,12 +365,12 @@ def _tape_pair_gradients(net, tape_clean, d_clean, tape_adv, d_adv, penalty):
     """Summed weight gradients of one reverse pass per tape.
 
     With a `penalty` config each pass also carries its tape's alpha-scaled
-    penalty activation gradients.
+    penalty gradient at the last layer's input.
     """
     tapes = ((tape_clean, d_clean), (tape_adv, d_adv))
     # both penalties before both passes: each kind of small kernel runs back to back
-    dacts = [None if penalty is None else penalty_dacts(tape, penalty) for tape, _ in tapes]
-    clean, adv = (backward(net, tape, dlogits, d) for (tape, dlogits), d in zip(tapes, dacts))
+    dlast = [None if penalty is None else penalty_dlast(tape, penalty) for tape, _ in tapes]
+    clean, adv = (backward(net, tape, dlogits, d) for (tape, dlogits), d in zip(tapes, dlast))
     return [g1 + g2 for g1, g2 in zip(clean, adv)]
 
 
@@ -410,8 +416,8 @@ def train(config: RunConfig, out_dir) -> RunRecord:
     epoch in each CSV. Every epoch ends with an eval on the same rows,
     drawn once. A zero-epoch run is one pass without steps: the He init's
     eval, written as epoch 0 with a NaN train_loss and a wall_train_s of
-    0.0. A non-finite loss, or non-finite logits (FloatingPointError), in
-    an epoch's steps or eval drops that epoch: the last epoch-end
+    0.0. A non-finite loss, logit or updated weight (FloatingPointError)
+    in an epoch's steps or eval drops that epoch: the last epoch-end
     checkpoint is kept and DivergedTraining is raised after the artifacts
     are written.
     """
@@ -446,11 +452,14 @@ def train(config: RunConfig, out_dir) -> RunRecord:
                 for w, g, v in zip(net.weights, grads, velocity):
                     v[...] = config.momentum * v + g + config.weight_decay * w
                     new_weights.append(w - lr * v)
-                net = net.with_weights(new_weights)
+                try:
+                    net = net.with_weights(new_weights)
+                except ValueError as exc:  # Layer's finiteness check: the update overflowed float64
+                    raise FloatingPointError(f"non-finite weights: {exc}") from exc
             t1 = time.perf_counter()
             row = {"epoch": epoch + trained, "train_loss": float(np.mean(losses)) if trained else float("nan")}
             row |= _epoch_metrics(net, eval_rows, config, master)
-        except FloatingPointError:  # forward's on non-finite logits, or the loss check's
+        except FloatingPointError:  # forward's on non-finite logits, or the loss or weight check's
             diverged = True
             break
         wall_train.append(t1 - t0 if trained else 0.0)
@@ -460,14 +469,15 @@ def train(config: RunConfig, out_dir) -> RunRecord:
 
     save_checkpoint(good_net, checkpoint_path)
     write_csv(out / "metrics.csv", METRICS_HEADER, ([r[k] for k in METRICS_HEADER] for r in metrics))
-    write_json(out / "run.json", {"config": config.to_dict(), "epochs_completed": len(metrics),
+    write_json(out / "run.json", {"config": asdict(config), "epochs_completed": len(metrics),
                                   "final_metrics": metrics[-1] if metrics else None})
     # wall-clock is environment noise: kept out of the deterministic set
     write_csv(out / "timing.csv", ("epoch", "wall_train_s", "wall_eval_s"),
               ((r["epoch"], f"{a:.6f}", f"{b:.6f}") for r, a, b in zip(metrics, wall_train, wall_eval)))
     if diverged:
-        raise DivergedTraining(f"non-finite loss or logits; last good checkpoint kept at {checkpoint_path}")
-    return RunRecord(config.to_dict(), metrics, str(checkpoint_path), wall_train, wall_eval)
+        raise DivergedTraining(f"non-finite loss, logits or weights; "
+                               f"last good checkpoint kept at {checkpoint_path}")
+    return RunRecord(metrics, str(checkpoint_path), wall_train, wall_eval)
 
 
 def evaluate(net: Network, ds: Dataset, attacks: list[AttackSpec], seed: int = 0) -> list[dict]:

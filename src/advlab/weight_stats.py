@@ -334,7 +334,7 @@ def corr_from_laplace(net: Network, ds: Dataset, layer: int, damping: float = 1e
     for start in range(0, len(ds), LAPLACE_CHUNK):
         xb = ds.inputs[start : start + LAPLACE_CHUNK]
         tape = forward(net, xb)
-        a_part, h_part = hessian_kron_factors(tape, layer)
+        a_part, h_part = hessian_kron_factors(tape)
         a_hat += a_part * len(xb)
         h_hat += h_part * len(xb)
     a_hat /= len(ds)

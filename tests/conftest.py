@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 
+from advlab.decorr import penalty_and_grad
 from advlab.network import forward
 
 
@@ -50,6 +51,12 @@ def full_reverse_input_gradient(net, tape, dlogits):
         if idx > 0:  # layer idx's input is a hidden ReLU output
             dz = dz * (tape.activations[idx] > 0.0)
     return dz
+
+
+def pair_penalty(tape_clean, tape_adv, cfg):
+    """The penalty of the last layer's input, summed over a clean and an adversarial tape:
+    the term whose alpha-scaled weight gradient training adds, for finite-difference oracles."""
+    return sum(penalty_and_grad(tape.activations[-2], cfg)[0] for tape in (tape_clean, tape_adv))
 
 
 def max_rel_error(analytic, oracle):

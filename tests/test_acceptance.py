@@ -18,7 +18,7 @@ from conftest import away_from_relu_kinks, fd_weight_gradients, max_rel_error
 from advlab.attacks import AttackSpec
 from advlab.bounds import BoundInputs, evaluate_bound
 from advlab.cli import EXIT_OK, main
-from advlab.decorr import DecorrConfig, hessian_kron_factors, penalty_and_grad, penalty_dacts
+from advlab.decorr import DecorrConfig, hessian_kron_factors, penalty_and_grad, penalty_dlast
 from advlab.linalg import (
     det_lower_bound,
     equicorrelation,
@@ -94,8 +94,8 @@ def test_criterion_1_gradient_suite():
 
     t_clean, t_adv = forward(net, x), forward(net, x_adv)
     d_adv = loss_logit_grad("cross_entropy", t_adv.logits, y)
-    adv = backward(net, t_adv, d_adv, penalty_dacts(t_adv, cfg))
-    clean = backward(net, t_clean, np.zeros_like(d_adv), penalty_dacts(t_clean, cfg))
+    adv = backward(net, t_adv, d_adv, penalty_dlast(t_adv, cfg))
+    clean = backward(net, t_clean, np.zeros_like(d_adv), penalty_dlast(t_clean, cfg))
     analytic = [a + b for a, b in zip(adv, clean)]
     oracle = fd_weight_gradients(augmented, net, step=1e-6)
     worst["augmented"] = max_rel_error(analytic, oracle)
@@ -208,7 +208,7 @@ def test_criterion_5_kronecker_hessian():
     x = rng.uniform(0, 1, (1, 3))
     y = [1]
     tape = forward(net, x)
-    a_hat, h_hat = hessian_kron_factors(tape, 1)
+    a_hat, h_hat = hessian_kron_factors(tape)
     kron = np.kron(a_hat, h_hat)
 
     w0 = net.weights[0]
@@ -236,7 +236,7 @@ def test_criterion_5_kronecker_hessian():
     # informational: the factorized expectation over a batch is approximate
     xb = rng.uniform(0, 1, (16, 3))
     tape_b = forward(net, xb)
-    a_b, h_b = hessian_kron_factors(tape_b, 1)
+    a_b, h_b = hessian_kron_factors(tape_b)
     from advlab.network import softmax
 
     exact = np.zeros((dim, dim))

@@ -13,9 +13,9 @@ from conftest import CHECKPOINT_CORRUPTION_MESSAGES, CHECKPOINT_CORRUPTIONS, str
 import advlab
 from advlab import cli
 from advlab.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
-from advlab.data import write_idx_images, write_idx_labels
+from advlab.data import epoch_seed_from, write_idx_images, write_idx_labels
 from advlab.io import FormatError
-from advlab.network import Network, load_checkpoint, save_checkpoint
+from advlab.network import Network, checkpoint_text, load_checkpoint, save_checkpoint
 from advlab.train import DivergedTraining
 from advlab.weight_stats import LayerCorrStats
 
@@ -128,7 +128,8 @@ class TestTrainCommand:
         assert capsys.readouterr().err == "config error: train: decorr methods need a hidden layer\n"
 
     def test_inconsistent_config_exits_2(self, tmp_path):
-        doc = dict(TRAIN_CONFIG, method="trades", trades_lambda=0.0)
+        doc = dict(TRAIN_CONFIG, method="trades", trades_lambda=0.0,
+                   attack_train=TRAIN_CONFIG["attack_train"] | {"random_start": True})
         config = write_config(tmp_path, doc)
         assert run(["train", "--config", config, "--out", tmp_path / "x"]) == EXIT_CONFIG
 
@@ -139,6 +140,20 @@ class TestTrainCommand:
         doc.pop("attack_train")
         config = write_config(tmp_path, doc)
         assert run(["train", "--config", config, "--out", tmp_path / "x"]) == EXIT_DIVERGED
+
+    def test_an_update_that_overflows_the_weights_exits_3_and_keeps_the_init(self, tmp_path, capsys):
+        # a weight decay this large takes the first step's weights past float64
+        config = write_config(tmp_path, dict(TRAIN_CONFIG, lr=10.0, weight_decay=1.7e308))
+        out = tmp_path / "x"
+        assert run(["train", "--config", config, "--out", out]) == EXIT_DIVERGED
+        assert capsys.readouterr().err.startswith("diverged: non-finite loss, logits or weights")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.json", "metrics.csv", "run.json", "timing.csv"]
+        assert len((out / "metrics.csv").read_text().splitlines()) == 1  # the header alone
+        assert json.loads((out / "run.json").read_text())["epochs_completed"] == 0
+        init = Network.he_init([DATASET["dim"], *TRAIN_CONFIG["hidden"], DATASET["num_classes"]],
+                               seed=epoch_seed_from(TRAIN_CONFIG["seed"], 0))
+        assert (out / "checkpoint.json").read_text() == checkpoint_text(init)
 
 
 class TestEvaluateCommand:
@@ -472,7 +487,9 @@ def test_unmeetable_request_exits_2_with_one_line(tmp_path, trained, capsys, mon
     assert message in err
 
 
-def test_a_kl_eval_without_a_start_is_refused_before_any_step(tmp_path, capsys, monkeypatch):
+def train_refused_before_any_step(tmp_path, capsys, monkeypatch, extra) -> str:
+    """The stderr of a `train` run of TRAIN_CONFIG | extra, which must exit 2 before its
+    first training step, leaving `--out` empty."""
     steps, original = [], advlab.train._step_gradients
 
     def counted(*args):
@@ -480,11 +497,59 @@ def test_a_kl_eval_without_a_start_is_refused_before_any_step(tmp_path, capsys, 
         return original(*args)
 
     monkeypatch.setattr(advlab.train, "_step_gradients", counted)
-    config = write_config(tmp_path, TRAIN_CONFIG | {"method": "at", "attack_eval": KL_ATTACK})
+    config = write_config(tmp_path, TRAIN_CONFIG | extra)
     capsys.readouterr()
     assert run(["train", "--config", config, "--out", tmp_path / "run"]) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: train attack_eval: {KL_WITHOUT_START}\n"
     assert not steps and not any((tmp_path / "run").iterdir())
+    return capsys.readouterr().err
+
+
+def test_a_kl_eval_without_a_start_is_refused_before_any_step(tmp_path, capsys, monkeypatch):
+    err = train_refused_before_any_step(tmp_path, capsys, monkeypatch, {"method": "at", "attack_eval": KL_ATTACK})
+    assert err == f"config error: train attack_eval: {KL_WITHOUT_START}\n"
+
+
+# trades attacks with attack_train's loss swapped for kl, which needs a random start
+@pytest.mark.parametrize("method", ["trades", "trades_decorr"])
+@pytest.mark.parametrize("attack, message", [
+    ({"loss": "cross_entropy", "random_start": False},
+     "trades methods attack with kl, which needs attack_train.random_start"),
+    ({"loss": "cw_margin", "random_start": False},  # the start is checked first
+     "trades methods attack with kl, which needs attack_train.random_start"),
+    ({"loss": "cw_margin", "random_start": True},
+     "trades methods attack with kl: attack_train.loss must be cross_entropy"),
+    ({"loss": "kl", "random_start": True},
+     "trades methods attack with kl: attack_train.loss must be cross_entropy"),
+], ids=["no-start", "cw-margin-no-start", "cw-margin", "kl"])
+def test_a_trades_attack_it_would_not_run_is_refused_before_any_step(tmp_path, capsys, monkeypatch,
+                                                                     method, attack, message):
+    extra = {"method": method, "attack_train": TRAIN_CONFIG["attack_train"] | attack}
+    err = train_refused_before_any_step(tmp_path, capsys, monkeypatch, extra)
+    assert err == f"config error: train: {message}\n"
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("bound", {"kind": "xiao", "inputs": {"gamma": 1.0, "delta": 0.05, "m": 10**400, "input_bound": 3.0}},
+     f"bound inputs.m {10**400} is not an integer within int64"),
+    ("simulate", {"family": "perturbation", "h": 2**64},
+     f"simulate h {2**64} is not an integer within int64"),
+    ("simulate", {"family": "equicorrelation", "dim": 10**200},
+     f"simulate dim {10**200} is not an integer within int64"),
+    ("simulate", {"family": "random", "dim": 4, "n_samples": 20, "seed": 2**63},
+     f"simulate seed {2**63} is not a non-negative integer within int64"),
+], ids=["bound-m-401-digits", "perturbation-h", "equicorrelation-dim", "seed"])
+def test_an_integer_beyond_int64_exits_2_with_one_line(tmp_path, trained, capsys, command, doc, message):
+    if command == "bound":
+        doc = doc | {"checkpoint": str(trained / "checkpoint.json")}
+    config = write_config(tmp_path, doc, "wide.json")
+    capsys.readouterr()
+    assert run([command, "--config", config, "--out", tmp_path / "x"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_the_int64_maximum_is_a_seed(tmp_path):
+    config = write_config(tmp_path, {"family": "random", "dim": 4, "n_samples": 20, "seed": 2**63 - 1})
+    assert run(["simulate", "--config", config, "--out", tmp_path / "x"]) == EXIT_OK
 
 
 def scaled_checkpoint(trained, scale):

@@ -486,7 +486,8 @@ RANGE_CHECKED = {
     "AttackSpec.step_size": lambda v: AttackSpec(0.0, v, norm="l2"),  # no 2*epsilon cap at epsilon 0
     "RunConfig.lr": lambda v: RunConfig({}, method="standard", lr=v),
     "RunConfig.weight_decay": lambda v: RunConfig({}, method="standard", weight_decay=v),
-    "RunConfig.trades_lambda": lambda v: RunConfig({}, method="trades", attack_train=AttackSpec(0.1, 0.1),
+    "RunConfig.trades_lambda": lambda v: RunConfig({}, method="trades",
+                                                   attack_train=AttackSpec(0.1, 0.1, random_start=True),
                                                    trades_lambda=v),
     "LaplaceStatsConfig.damping": lambda v: LaplaceStatsConfig("net.json", "laplace", {}, damping=v),
     "DecorrConfig.alpha": lambda v: DecorrConfig(alpha=v),

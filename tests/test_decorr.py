@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import away_from_relu_kinks, fd_input_gradient, fd_weight_gradients, max_rel_error
+from conftest import away_from_relu_kinks, fd_input_gradient, fd_weight_gradients, max_rel_error, pair_penalty
 
 from advlab.decorr import (
     DecorrConfig,
     _second_moment,
-    decorr_penalty,
     hessian_kron_factors,
     normalized_precision,
     penalty_and_grad,
-    penalty_dacts,
+    penalty_dlast,
     resolve_ridge,
 )
 from advlab.linalg import normalize_to_correlation
@@ -88,7 +87,7 @@ class TestPenalty:
         x = 0.7 * np.eye(dim)  # orthogonal rows: diagonal covariance
         tape = forward(net, x)
         cfg = DecorrConfig(alpha=1.0)
-        assert decorr_penalty(tape, tape, cfg) == 2.0 * dim
+        assert pair_penalty(tape, tape, cfg) == 2.0 * dim
 
     def test_rank_one_activations_exceed_floor(self):
         dim = 4
@@ -96,7 +95,7 @@ class TestPenalty:
         x = np.tile([[0.9, 0.8, 0.7, 0.6]], (6, 1))
         tape = forward(net, x)
         cfg = DecorrConfig(alpha=1.0, damping=1e-3)
-        assert decorr_penalty(tape, tape, cfg) > 2.0 * dim
+        assert pair_penalty(tape, tape, cfg) > 2.0 * dim
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -107,13 +106,6 @@ class TestPenalty:
         assert penalty_and_grad(a[:, perm], cfg)[0] == pytest.approx(
             penalty_and_grad(a, cfg)[0], rel=1e-12
         )
-
-    def test_rejects_mismatched_tapes(self):
-        net_a = identity_passthrough_net(2)
-        net_b = identity_passthrough_net(2)
-        x = np.array([[0.5, 0.5]])
-        with pytest.raises(ValueError, match="clean and adversarial tapes come from different networks"):
-            decorr_penalty(forward(net_a, x), forward(net_b, x), DecorrConfig())
 
 
 class TestDeadUnitFloor:
@@ -178,8 +170,8 @@ class TestResolveRidge:
 
 
 def penalty_weight_gradients(net, tape_clean, tape_adv, cfg):
-    """alpha * d decorr_penalty / d weights: one zero-logits reverse pass per tape."""
-    clean, adv = (backward(net, t, np.zeros_like(t.logits), penalty_dacts(t, cfg))
+    """alpha * d pair_penalty / d weights: one zero-logits reverse pass per tape."""
+    clean, adv = (backward(net, t, np.zeros_like(t.logits), penalty_dlast(t, cfg))
                   for t in (tape_clean, tape_adv))
     return [g1 + g2 for g1, g2 in zip(clean, adv)]
 
@@ -203,7 +195,7 @@ class TestActivationGradient:
 class TestGradient:
     def fd_reference(self, net, x_clean, x_adv, cfg):
         def scalar(n):
-            return cfg.alpha * decorr_penalty(forward(n, x_clean), forward(n, x_adv), cfg)
+            return cfg.alpha * pair_penalty(forward(n, x_clean), forward(n, x_adv), cfg)
 
         return fd_weight_gradients(scalar, net, step=1e-6)
 
@@ -231,7 +223,8 @@ class TestGradient:
         # the last layer's input is the data batch, which no weight moves
         net = Network.he_init([4, 3], seed=19)
         tape = forward(net, np.random.default_rng(9).uniform(0, 1, (5, 4)))
-        assert penalty_dacts(tape, DecorrConfig(alpha=1.0)) == {}
+        with_penalty = penalty_weight_gradients(net, tape, tape, DecorrConfig(alpha=1.0))
+        assert all(not g.any() for g in with_penalty)
 
     def test_alpha_linearity(self):
         rng = np.random.default_rng(8)
@@ -248,14 +241,14 @@ class TestHessianFactors:
     def test_uniform_two_class(self):
         net = Network([Layer(np.zeros((2, 3)))])
         tape = forward(net, np.array([[0.3, 0.4]]))
-        _, h_hat = hessian_kron_factors(tape, 1)
+        _, h_hat = hessian_kron_factors(tape)
         assert np.allclose(h_hat, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
 
     def test_one_hot_probabilities(self):
         w = np.array([[100.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         net = Network([Layer(w)])
         tape = forward(net, np.array([[1.0, 0.0]]))
-        _, h_hat = hessian_kron_factors(tape, 1)
+        _, h_hat = hessian_kron_factors(tape)
         assert np.abs(h_hat).max() < 1e-12
 
     def test_single_sample_kron_equals_fd_hessian(self):
@@ -264,7 +257,7 @@ class TestHessianFactors:
         x = rng.uniform(0, 1, (1, 3))
         y = [2]
         tape = forward(net, x)
-        a_hat, h_hat = hessian_kron_factors(tape, 1)
+        a_hat, h_hat = hessian_kron_factors(tape)
         kron = np.kron(a_hat, h_hat)
 
         w0 = net.weights[0]
@@ -294,7 +287,7 @@ class TestHessianFactors:
         net = Network.he_init([3, 4], seed=21)
         x = rng.uniform(0, 1, (6, 3))
         tape = forward(net, x)
-        a_hat, h_hat = hessian_kron_factors(tape, 1)
+        a_hat, h_hat = hessian_kron_factors(tape)
         from advlab.network import softmax
 
         aug = np.hstack([x, np.ones((6, 1))])
@@ -312,7 +305,7 @@ class TestHessianFactors:
         net = Network.he_init([6, 8, 10], seed=27)
         x = np.random.default_rng(13).uniform(0, 1, (500, 6))
         tape = forward(net, x)
-        _, h_hat = hessian_kron_factors(tape, 2)
+        _, h_hat = hessian_kron_factors(tape)
         from advlab.network import softmax
 
         reference = np.zeros((10, 10))
@@ -321,18 +314,12 @@ class TestHessianFactors:
         reference /= 500
         assert np.abs(h_hat - reference).max() <= 1e-13 * np.abs(reference).max()
 
-    def test_hidden_layer_unsupported(self):
-        net = Network.he_init([3, 4, 2], seed=23)
-        tape = forward(net, np.random.default_rng(11).uniform(0, 1, (2, 3)))
-        with pytest.raises(ValueError, match="available for the output layer only"):
-            hessian_kron_factors(tape, 1)
-
     def test_single_sample_factorization_is_exact(self):
         rng = np.random.default_rng(12)
         net = Network.he_init([3, 4], seed=25)
         x = rng.uniform(0, 1, (1, 3))
         tape = forward(net, x)
-        a_hat, h_hat = hessian_kron_factors(tape, 1)
+        a_hat, h_hat = hessian_kron_factors(tape)
         from advlab.network import softmax
 
         aug = np.append(x[0], 1.0)

@@ -1,14 +1,15 @@
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import away_from_relu_kinks, fd_weight_gradients, max_rel_error, strict_json
+from conftest import away_from_relu_kinks, fd_weight_gradients, max_rel_error, pair_penalty, strict_json
 
 from advlab import attacks, data
 from advlab.attacks import AttackSpec, first_flips
 from advlab.data import Dataset, epoch_seed_from, synth_blobs, write_idx_images, write_idx_labels
-from advlab.decorr import DecorrConfig, decorr_penalty, penalty_dacts
+from advlab.decorr import DecorrConfig, penalty_dlast
 from advlab.linalg import NotPositiveDefinite
 from advlab.network import (
     Network,
@@ -84,7 +85,7 @@ class TestConfig:
         config = RunConfig.from_dict(doc)
         assert config.method == "at_decorr"
         assert config.penalty.alpha == 0.3
-        snap = config.to_dict()
+        snap = dataclasses.asdict(config)
         assert snap["attack_train"]["epsilon"] == 0.08
 
     def test_unknown_method_rejected(self):
@@ -111,7 +112,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig.from_dict({
                 "dataset": DATASET, "method": "trades",
-                "attack_train": dict(ATTACK), "trades_lambda": 0.0,
+                "attack_train": dict(ATTACK, random_start=True), "trades_lambda": 0.0,
             })
 
     def test_bad_dataset_spec(self):
@@ -235,7 +236,7 @@ class TestTraining:
             config = tiny_config(
                 method=method,
                 epochs=1,
-                attack_train=None if method == "standard" else AttackSpec(**ATTACK),
+                attack_train=None if method == "standard" else AttackSpec(**ATTACK, random_start=True),
                 penalty=DecorrConfig(alpha=0.3),
             )
             record = train(config, tmp_path / method)
@@ -280,7 +281,7 @@ class TestTradesGradient:
         def objective(n):
             tape_clean, tape_adv = forward(n, xb), forward(n, x_adv)
             value, _ = trades_gradients(n, tape_clean, tape_adv, yb, lam)
-            return value + cfg.alpha * decorr_penalty(tape_clean, tape_adv, cfg)
+            return value + cfg.alpha * pair_penalty(tape_clean, tape_adv, cfg)
 
         _, analytic = trades_gradients(net, forward(net, xb), forward(net, x_adv), yb, lam, cfg)
         oracle = fd_weight_gradients(objective, net, step=1e-6)
@@ -303,9 +304,9 @@ class TestTradesGradient:
         expect_loss = cross_entropy(zp, yb) + (1.0 / lam) * kl_softmax(zp, zq)
         d_clean = loss_logit_grad("cross_entropy", zp, yb) + (1.0 / lam) * kl_softmax_grad_p(zp, zq)
         d_adv = (1.0 / lam) * loss_logit_grad("kl", zq, ref_logits=zp)
-        dacts = [None if penalty is None else penalty_dacts(t, penalty) for t in (tape_clean, tape_adv)]
-        expect = [a + b for a, b in zip(backward(net, tape_clean, d_clean, dacts[0]),
-                                        backward(net, tape_adv, d_adv, dacts[1]))]
+        dlast = [None if penalty is None else penalty_dlast(t, penalty) for t in (tape_clean, tape_adv)]
+        expect = [a + b for a, b in zip(backward(net, tape_clean, d_clean, dlast[0]),
+                                        backward(net, tape_adv, d_adv, dlast[1]))]
         assert np.float64(loss).tobytes() == np.float64(expect_loss).tobytes()
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in expect]
 
@@ -354,7 +355,7 @@ class TestStepGradients:
 
         def objective(n):
             tape_clean, tape_adv = forward(n, xb), forward(n, x_adv)
-            return cross_entropy(tape_adv.logits, yb) + cfg.alpha * decorr_penalty(tape_clean, tape_adv, cfg)
+            return cross_entropy(tape_adv.logits, yb) + cfg.alpha * pair_penalty(tape_clean, tape_adv, cfg)
 
         assert loss == cross_entropy(forward(net, x_adv).logits, yb)
         assert max_rel_error(analytic, fd_weight_gradients(objective, net, step=1e-6)) < 1e-4

@@ -82,7 +82,7 @@ def deep_trained_net(ds, seed=11, steps=200, lr=0.3):
 
 def laplace_correlations(net, ds, damping):
     """The Laplace estimator's column and row correlations, formed from the same factors."""
-    factors = hessian_kron_factors(forward(net, ds.inputs), len(net.layers))
+    factors = hessian_kron_factors(forward(net, ds.inputs))
     return [normalized_precision(f, resolve_ridge(f, damping)[0]) for f in factors]
 
 
@@ -330,7 +330,7 @@ class TestLaplace:
         ds = synth_blobs(3, 20, 6, 0.1, seed=14)
         net = small_trained_net(ds)
         net = net.with_weights([*net.weights[:-1], scale * net.weights[-1]])
-        assert not hessian_kron_factors(forward(net, ds.inputs), 2)[1].any()
+        assert not hessian_kron_factors(forward(net, ds.inputs))[1].any()
         stats = corr_from_laplace(net, ds, 2, damping=damping)
         stats.validate()
         assert stats.lamr_max == 1.0
