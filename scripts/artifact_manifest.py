@@ -3,7 +3,8 @@
 Runs the README demo (the `configs/*.json` commands) through
 `advlab.cli.main` in a temporary directory, with the advlab of this
 checkout's `src/`, and prints the environment as `# <field> <value>`
-lines (python, numpy, scipy and numpy's BLAS), then one
+lines (python, numpy, scipy, numpy's BLAS and the CPU core each bundled
+OpenBLAS picked its kernels for), then one
 `<sha256>  <run dir>/<file>` line per artifact. `timing.csv` holds
 wall-clock times and is left out. Equal manifests from two checkouts mean
 byte-identical artifacts:
@@ -20,13 +21,14 @@ moves artifact bytes writes it anew in the same commit:
 `--check` compares the artifacts with it: exit 0 when every line is
 equal, 1 (printing each differing line) when not, and 2 when this
 environment differs from the recorded one, naming the field, because
-another numpy, scipy or BLAS may round differently.
+another numpy, scipy, BLAS or BLAS kernel may round differently.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
@@ -37,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.linalg  # advlab loads it lazily; its OpenBLAS must be loaded to be named
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -57,6 +60,9 @@ DEMO = (
     ("simulate", "simulate_equicorrelation.json", "demo-sim-equicorrelation"),
 )
 SKIPPED = {"timing.csv"}
+# each bundled OpenBLAS: the extension module that links it and its core-name getter
+BLAS_CORES = {"numpy_blas_core": ("numpy._core._multiarray_umath", "scipy_openblas_get_corename64_"),
+              "scipy_blas_core": ("scipy.linalg._flapack", "scipy_openblas_get_corename")}
 
 
 def manifest() -> list[str]:
@@ -80,11 +86,23 @@ def manifest() -> list[str]:
     return lines
 
 
+def blas_core(module: str, getter: str) -> str:
+    """The CPU core whose kernels the OpenBLAS linked by `module` runs (`OPENBLAS_CORETYPE` forces one)."""
+    linked = sys.modules.get(module)
+    get = linked and getattr(ctypes.CDLL(linked.__file__), getter, None)
+    if not get:  # another BLAS, which names no core
+        return "unknown"
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
+
+
 def environment() -> dict[str, str]:
-    """The fields a manifest is recorded with: the interpreter, numpy, scipy and numpy's BLAS."""
+    """The fields a manifest is recorded with: the interpreter, numpy, scipy, numpy's BLAS and the
+    GEMM kernels' core of each bundled OpenBLAS, since another core moves the demo's bytes."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}"}
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            **{field: blas_core(*where) for field, where in BLAS_CORES.items()}}
 
 
 def read(path: Path = MANIFEST) -> tuple[dict[str, str], list[str]]:

@@ -3,20 +3,49 @@
 Four bound structures are evaluated: the classical spectral generalization
 bound over clean data ("neyshabur"), its robust counterpart with the
 attack radius folded into the input-norm bound ("xiao"), and two
-correlation-aware robust bounds that add the weight-correlation factor to
-the capacity product and a negative log-determinant term — using the true
-per-layer log-determinant ("corr") or the trace-constrained determinant
-lower bound built from eigenvalue extremes over clean and adversarial
-statistics ("corr_mixed").
+correlation-aware robust bounds that take the weight-correlation extremes
+into each layer's perturbation step and add a negative log-determinant
+term — using the true per-layer log-determinant ("corr") or the
+trace-constrained determinant lower bound built from eigenvalue extremes
+over clean and adversarial statistics ("corr_mixed").
 
-Every kind reports the plain argument of the square root: these are
-relative complexity measures up to the universal constants the theory
-leaves unspecified, not certified error bounds. The placeholder constant
-is an input and is always recorded.
+Every kind has one numerator:
+
+    radius^2 * (sum_l s_l)^2 * phi + logdet_term + ln(n m / delta)
+
+phi is the capacity product prod_l ||W_l||_2^2 * sum_l ||W_l||_F^2 / ||W_l||_2^2
+of the n folded weight matrices; radius is the input bound B, plus the
+attack radius epsilon for every kind but "neyshabur"; logdet_term is 0
+for the spectral kinds. s_l bounds ||U_l||_2 / sigma for the Gaussian
+perturbation U_l = sigma Rr^1/2 Z Rc^1/2 of layer l, whose folded weights
+are h_out x (h_in + 1), with unit-diagonal row and column correlations Rr
+and Rc of spectral norms lamr^2 and lamc^2 (lamc = lamr = 1, iid weights,
+for the spectral kinds):
+
+- Chevet's inequality (Vershynin, High-Dimensional Probability, 2018,
+  section 8.7) gives E||U||_2 / sigma <= ||Rr^1/2|| ||Rc^1/2||_F +
+  ||Rr^1/2||_F ||Rc^1/2|| = lamr sqrt(h_in + 1) + lamc sqrt(h_out), as Rc
+  and Rr have traces h_in + 1 and h_out.
+- ||U||_2 is sigma lamc lamr-Lipschitz in Z, so Gaussian concentration adds
+  lamc lamr sqrt(2 ln(2n)) at probability 1/(2n) per layer, and all n
+  layers hold together with probability >= 1/2.
+
+    s_l = lamr sqrt(h_in + 1) + lamc sqrt(h_out) + lamc lamr sqrt(2 ln(2n))
+
+That is what the perturbation lemma of Neyshabur et al. (2018) needs: it
+bounds the output change by sum_l ||U_l||_2, hence the square of the sum.
+At identity statistics a correlation kind's phi_term is xiao's, bit for
+bit. The matrix-normal form Rc (x) Rr is exact for Laplace records, whose
+precision is Kronecker-factored, and a model for sampling records.
+Neyshabur et al.'s sigma constants (their 42) are dropped, alike from
+every kind, and the log-determinant enters with weight 1: every kind
+reports the plain argument of the square root, a relative complexity
+measure rather than a certified error bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,9 +63,7 @@ class BoundInputs:
     """Scalar inputs shared by every bound kind.
 
     input_bound is the l2 norm bound B on the inputs; epsilon the attack
-    radius (0 reduces the robust kinds toward the clean structure);
-    constant the placeholder for the theory's unspecified universal
-    constant, reported verbatim in every output.
+    radius (0 reduces the robust kinds toward the clean structure).
     """
 
     gamma: float
@@ -44,16 +71,14 @@ class BoundInputs:
     m: int
     input_bound: float
     epsilon: float = 0.0
-    constant: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.gamma < np.inf:  # NaN fails these checks
             raise ValueError("gamma must be > 0 and finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.m < 1 or not (0 < self.input_bound < np.inf and 0 <= self.epsilon < np.inf
-                              and 0 < self.constant < np.inf):
-            raise ValueError("m, input_bound, constant must be positive; epsilon >= 0; each finite")
+        if self.m < 1 or not (0 < self.input_bound < np.inf and 0 <= self.epsilon < np.inf):
+            raise ValueError("m, input_bound must be positive; epsilon >= 0; each finite")
 
 
 @dataclass
@@ -67,7 +92,6 @@ class BoundReport:
     numerator: float
     complexity_term: float
     n_layers: int
-    width: int
     inputs: BoundInputs
     per_layer: list[dict]
 
@@ -76,8 +100,8 @@ class BoundReport:
 
     CSV_FIELDS = (
         "kind", "phi", "phi_term", "logdet_term", "log_term", "kl_proxy",
-        "numerator", "complexity_term", "n_layers", "width",
-        "gamma", "delta", "m", "input_bound", "epsilon", "constant",
+        "numerator", "complexity_term", "n_layers",
+        "gamma", "delta", "m", "input_bound", "epsilon",
     )
 
     def write_csv(self, path):
@@ -142,25 +166,14 @@ def evaluate_bound(
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r} (choose from {BOUND_KINDS})")
     n = len(net.layers)
-    width = max(layer.out_dim for layer in net.layers)
     log_term = float(np.log(n * inputs.m / inputs.delta))
     per_layer = _layer_norms(net)
-
-    if kind in ("neyshabur", "xiao"):
-        phi = _capacity(per_layer)
-        radius = inputs.input_bound if kind == "neyshabur" else inputs.input_bound + inputs.epsilon
-        phi_term = radius**2 * n**2 * width * np.log(n * width) * phi
-        logdet_term = 0.0
-    else:
+    radius = inputs.input_bound if kind == "neyshabur" else inputs.input_bound + inputs.epsilon
+    logdet_term = 0.0
+    if kind in ("corr", "corr_mixed"):
         if stats is None:
             raise ValueError("correlation bound kinds need layer statistics")
-        table = _lam_by_layer(net, stats)
-        phi = _capacity(per_layer) * sum(e["lamc"] + e["lamr"] for e in table.values()) ** 2
-        radius = inputs.input_bound + inputs.epsilon
-        phi_term = radius**2 * inputs.constant**2 * phi
-        logdet_term = 0.0
-        for layer_idx in sorted(table):
-            entry = table[layer_idx]
+        for layer_idx, entry in sorted(_lam_by_layer(net, stats).items()):
             per_layer[layer_idx - 1].update(
                 lamc=entry["lamc"], lamr=entry["lamr"], det_lb=entry["det_lb"]
             )
@@ -177,11 +190,18 @@ def evaluate_bound(
                     raise ValueError(f"layer {layer_idx} has a vanishing determinant lower bound")
                 # log space: the bound itself underflows at realistic dims
                 logdet_term -= logdet_lower_bound(lo, hi, entry["dim"])
-
-    phi_term = float(phi_term)
+    phi = _capacity(per_layer)
+    tail = math.sqrt(2.0 * math.log(2 * n))
+    for row, layer in zip(per_layer, net.layers):  # the module docstring's s_l
+        lamc, lamr = row.get("lamc", 1.0), row.get("lamr", 1.0)
+        h_out, h_in1 = layer.weight.shape
+        row["step"] = lamr * math.sqrt(h_in1) + lamc * math.sqrt(h_out) + lamc * lamr * tail
+    total = sum(row["step"] for row in per_layer)
+    # products, not **: a float product that overflows is inf, for the check below, not OverflowError
+    phi_term = float(radius * radius * (total * total) * phi)
     numerator = phi_term + logdet_term + log_term
-    # in float64, a gamma**2 that underflows to 0 gives inf rather than ZeroDivisionError
-    complexity = float(np.sqrt(np.float64(numerator) / (inputs.gamma**2 * inputs.m)))
+    # in float64, a gamma*gamma that underflows to 0 gives inf rather than ZeroDivisionError
+    complexity = float(np.sqrt(np.float64(numerator) / (inputs.gamma * inputs.gamma * inputs.m)))
     for name, value in (("phi", phi), ("numerator", numerator), ("complexity_term", complexity)):
         if not np.isfinite(value):  # JSON has no Infinity or NaN to report it with
             raise ValueError(f"bound term {name} is {value}: the weights or inputs exceed float64 range")
@@ -195,7 +215,6 @@ def evaluate_bound(
         numerator=float(numerator),
         complexity_term=complexity,
         n_layers=n,
-        width=width,
         inputs=inputs,
         per_layer=per_layer,
     )

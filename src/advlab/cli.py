@@ -8,9 +8,10 @@ no random numbers and rejects it.
 One rule maps a failure to its exit code, whatever the command: 4 for a
 file that cannot be read (OSError) or is not in the format advlab writes
 (advlab.io.FormatError); 3 for diverged training (DivergedTraining); 2 for
-any other request the library rejects (a ValueError, or the
-FloatingPointError of non-finite logits). 0 is success. A failure prints
-one line to stderr.
+any other request the library rejects (a ValueError, the
+FloatingPointError of non-finite logits, or the MemoryError of an array
+larger than memory, which numpy refuses before allocating). 0 is success.
+A failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ def main(argv=None) -> int:
     except DivergedTraining as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValueError, FloatingPointError) as exc:  # the latter: network._forward's non-finite logits
+    # FloatingPointError: network._forward's non-finite logits; MemoryError: an array numpy refuses
+    except (ValueError, FloatingPointError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

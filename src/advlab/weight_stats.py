@@ -467,10 +467,9 @@ def simulate_correlation_study(
 class PerturbationReport:
     """Distribution of ||U||_2 / (2 sqrt(h) sigma) for iid Gaussian U.
 
-    For an iid Gaussian h x h matrix both the column and row correlation
-    matrices are h * I, so the reference scale (sqrt of each spectral
-    norm, summed) is 2 sqrt(h) in units of sigma; the ratios calibrate the
-    constant left unstated by the probabilistic bound.
+    2 sqrt(h) is the expectation term of `advlab.bounds`' perturbation step
+    for an iid h x h matrix (lamc = lamr = 1), in units of sigma; the
+    ratios show how far a draw lies from it before the step's tail term.
     """
 
     h: int

@@ -1,6 +1,8 @@
 """The demo artifacts are byte-identical to the committed manifest, scripts/demo_manifest.txt."""
 
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,10 +25,27 @@ def test_demo_artifacts_match_the_committed_manifest():
 
 def test_another_environment_is_named():
     env, lines = artifact_manifest.read()
-    assert set(env) == {"python", "numpy", "scipy", "blas"} and len(lines) == 15
+    assert set(env) == {"python", "numpy", "scipy", "blas", "numpy_blas_core", "scipy_blas_core"}
+    assert len(lines) == 15
     assert artifact_manifest.environment_difference(artifact_manifest.environment()) is None
     reason = artifact_manifest.environment_difference(env | {"numpy": "1.26.4"})
     assert reason.startswith("numpy is ") and reason.endswith(" but '1.26.4' in demo_manifest.txt")
+
+
+def test_another_blas_core_is_named(monkeypatch):
+    # environment() alone, in a child whose OpenBLAS is forced to other kernels: no demo run
+    code = ("import importlib.util, json, sys; "
+            "spec = importlib.util.spec_from_file_location('artifact_manifest', sys.argv[1]); "
+            "module = importlib.util.module_from_spec(spec); spec.loader.exec_module(module); "
+            "print(json.dumps(module.environment()))")
+    result = subprocess.run([sys.executable, "-c", code, str(SCRIPT)], capture_output=True, text=True,
+                            env=os.environ | {"OPENBLAS_CORETYPE": "Haswell"}, check=True)
+    there = json.loads(result.stdout)
+    assert there["numpy_blas_core"] == there["scipy_blas_core"] == "Haswell"
+    monkeypatch.setattr(artifact_manifest, "environment", lambda: there)
+    recorded = there | {"numpy_blas_core": "SkylakeX", "scipy_blas_core": "SkylakeX"}
+    assert artifact_manifest.environment_difference(recorded) == (
+        "numpy_blas_core is 'Haswell' here but 'SkylakeX' in demo_manifest.txt")
 
 
 def test_differences_name_each_moved_or_missing_artifact():

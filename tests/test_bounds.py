@@ -9,7 +9,7 @@ from advlab.bounds import (
     BoundReport,
     evaluate_bound,
 )
-from advlab.linalg import random_correlation
+from advlab.linalg import equicorrelation, random_correlation
 from advlab.network import Layer, Network
 from advlab.weight_stats import LayerCorrStats
 
@@ -42,13 +42,20 @@ INPUTS = BoundInputs(gamma=0.5, delta=0.05, m=1000, input_bound=3.0, epsilon=0.1
 
 
 def capacity(net):
-    """The capacity product of the spectral kinds, as `evaluate_bound` reports it."""
+    """The capacity product of every kind, as `evaluate_bound` reports it."""
     return evaluate_bound(net, INPUTS, "xiao").phi
 
 
-def correlated_capacity(net, stats):
-    """The capacity product inflated by (sum_l lamc_l + lamr_l)^2, as the `corr` kind reports it."""
-    return evaluate_bound(net, INPUTS, "corr", stats).phi
+def steps(net, stats=None):
+    """Each layer's perturbation step, as the report's per-layer rows carry it."""
+    kind = "xiao" if stats is None else "corr"
+    return [row["step"] for row in evaluate_bound(net, INPUTS, kind, stats).per_layer]
+
+
+def hand_step(shape, n, lamc=1.0, lamr=1.0):
+    """s_l of the `advlab.bounds` docstring for folded weights of `shape` in an n-layer net."""
+    h_out, h_in1 = shape
+    return lamr * np.sqrt(h_in1) + lamc * np.sqrt(h_out) + lamc * lamr * np.sqrt(2 * np.log(2 * n))
 
 
 class TestPhiStandard:
@@ -77,63 +84,90 @@ class TestPhiStandard:
 
 
 class TestPhiCorrelated:
-    """The correlation-inflated capacity product phi of the correlation kinds."""
+    """The phi_term of the correlation kinds: their statistics enter each layer's step s_l."""
 
-    def test_identity_correlations_give_two_n_squared(self):
+    def test_identity_statistics_give_the_iid_steps(self):
         net = Network.he_init([4, 6, 5, 3], seed=2)
         n = len(net.layers)
-        got = correlated_capacity(net, identity_stats(net))
-        assert got == pytest.approx(capacity(net) * (2 * n) ** 2, rel=1e-12)
+        assert steps(net, identity_stats(net)) == steps(net)
+        assert steps(net) == pytest.approx([hand_step(l.weight.shape, n) for l in net.layers], rel=1e-15)
+
+    def test_demo_net_steps(self):
+        # 32-96-96-10: folded weights (96, 33), (96, 97) and (10, 97)
+        got = steps(Network.he_init([32, 96, 96, 10], seed=0))
+        assert got == pytest.approx([17.435540090495586, 21.53983524575366, 14.90415393478933],
+                                    rel=1e-14)
+        assert sum(got) ** 2 == pytest.approx(2903.0036744687022, rel=1e-14)
 
     def test_single_layer_hand_value(self):
-        net = single_identity_net(3)
+        net = single_identity_net(3)  # folded (3, 4), n = 1
         stats = [stats_entry(1, net.layers[0].weight.size, lamc=2.0, lamr=3.0)]
-        assert correlated_capacity(net, stats) == pytest.approx(25.0 * capacity(net), rel=1e-12)
+        (step,) = steps(net, stats)
+        assert step == pytest.approx(3.0 * 2.0 + 2.0 * np.sqrt(3.0) + 6.0 * np.sqrt(2 * np.log(2)),
+                                     rel=1e-15)
+        report = evaluate_bound(net, INPUTS, "corr", stats)
+        assert report.phi == capacity(net)  # the statistics enter the step, never phi
+        radius = INPUTS.input_bound + INPUTS.epsilon
+        assert report.phi_term == pytest.approx(radius**2 * step**2 * capacity(net), rel=1e-15)
 
-    def test_uniform_scaling_is_quadratic(self):
-        net = Network.he_init([4, 5, 3], seed=3)
-        base = identity_stats(net)
-        t = 1.7
-        scaled = [
-            stats_entry(s.layer, s.dim, lamc=t * s.lamc_max, lamr=t * s.lamr_max)
-            for s in base
-        ]
-        assert correlated_capacity(net, scaled) == pytest.approx(
-            t * t * correlated_capacity(net, base), rel=1e-12
-        )
+    def test_phi_term_scales_with_the_squared_step_sum(self):
+        net = Network.he_init([4, 5, 6, 3], seed=3)
+        n = len(net.layers)
+        lams = [(1.3, 1.1), (2.0, 1.0), (1.0, 1.6)]
+        stats = [stats_entry(i, l.weight.size, lamc=c, lamr=r)
+                 for i, (l, (c, r)) in enumerate(zip(net.layers, lams), start=1)]
+        want = [hand_step(l.weight.shape, n, c, r) for l, (c, r) in zip(net.layers, lams)]
+        assert steps(net, stats) == pytest.approx(want, rel=1e-15)
+        corr = evaluate_bound(net, INPUTS, "corr", stats)
+        xiao = evaluate_bound(net, INPUTS, "xiao")
+        assert corr.phi_term / xiao.phi_term == pytest.approx(
+            (sum(want) / sum(steps(net))) ** 2, rel=1e-13)
 
     def test_missing_layer_rejected(self):
         net = Network.he_init([4, 5, 3], seed=4)
         with pytest.raises(ValueError, match=r"statistics cover layers \[1\], not 1..2"):
-            correlated_capacity(net, identity_stats(net)[:1])
+            steps(net, identity_stats(net)[:1])
 
     def test_max_over_clean_and_adversarial(self):
-        net = single_identity_net(2)
+        net = single_identity_net(2)  # folded (2, 3), n = 1
         dim = net.layers[0].weight.size
         stats = [
             stats_entry(1, dim, lamc=1.0, lamr=1.0, data="clean"),
             stats_entry(1, dim, lamc=2.0, lamr=0.5, data="adversarial"),
         ]
         # per-layer maxima: lamc 2.0, lamr 1.0
-        assert correlated_capacity(net, stats) == pytest.approx(9.0 * capacity(net), rel=1e-12)
+        assert steps(net, stats) == [hand_step((2, 3), 1, lamc=2.0, lamr=1.0)]
+
+    @pytest.mark.parametrize("r_col, r_row", [(0.0, 0.0), (0.3, 0.0), (0.3, 0.5)],
+                             ids=["iid", "column-correlated", "both-correlated"])
+    def test_step_bounds_matrix_normal_draws(self, r_col, r_row):
+        # U = Lr Z Lc^T with Lr Lr^T = Rr and Lc Lc^T = Rc has the law of Rr^1/2 Z Rc^1/2;
+        # the (96, 97) middle layer of the demo net, n = 3
+        net = Network.he_init([32, 96, 96, 10], seed=0)
+        n, draws = len(net.layers), 300
+        h_out, h_in1 = net.layers[1].weight.shape
+        rc, rr = equicorrelation(h_in1, r_col), equicorrelation(h_out, r_row)
+        stats = identity_stats(net)
+        stats[1] = stats_entry(2, rc.shape[0] * rr.shape[0],
+                               lamc=float(np.sqrt(np.linalg.eigvalsh(rc)[-1])),
+                               lamr=float(np.sqrt(np.linalg.eigvalsh(rr)[-1])))
+        step = steps(net, stats)[1]
+        z = np.random.default_rng(31).standard_normal((draws, h_out, h_in1))
+        norms = np.linalg.norm(np.linalg.cholesky(rr) @ z @ np.linalg.cholesky(rc).T, 2, axis=(1, 2))
+        p = 1.0 / (2 * n)  # each layer's share of the 1/2 failure probability
+        assert np.mean(norms > step) <= p + 3.0 * np.sqrt(p * (1.0 - p) / draws)
+        if r_col == r_row == 0.0:  # not vacuous: the iid step is near the largest draw
+            assert norms.max() >= 0.9 * step
 
 
 class TestEvaluateBound:
     def test_identity_correlation_reduction(self):
         net = Network.he_init([4, 6, 3], seed=5)
-        n, h = len(net.layers), max(l.out_dim for l in net.layers)
-        # align the placeholder constant with the clean bound's width factor
-        inputs = BoundInputs(
-            gamma=0.5, delta=0.05, m=1000, input_bound=3.0, epsilon=0.1,
-            constant=float(n * np.sqrt(h * np.log(n * h))),
-        )
-        xiao = evaluate_bound(net, inputs, "xiao")
-        corr = evaluate_bound(net, inputs, "corr", identity_stats(net))
+        xiao = evaluate_bound(net, INPUTS, "xiao")
+        corr = evaluate_bound(net, INPUTS, "corr", identity_stats(net))
         assert corr.logdet_term == 0.0
-        assert corr.phi_term == pytest.approx(xiao.phi_term * (2 * n) ** 2, rel=1e-12)
-        assert corr.numerator - corr.log_term == pytest.approx(
-            (xiao.numerator - xiao.log_term) * (2 * n) ** 2, rel=1e-12
-        )
+        assert corr.phi_term == xiao.phi_term
+        assert corr.numerator == xiao.numerator
 
     def test_zero_epsilon_collapses_to_clean_radius(self):
         net = Network.he_init([4, 5, 3], seed=6)
@@ -153,6 +187,13 @@ class TestEvaluateBound:
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError, match="gamma must be > 0"):
             BoundInputs(gamma=0.0, delta=0.05, m=10, input_bound=1.0)
+
+    def test_float64_overflow_is_a_value_error(self):
+        net = single_identity_net(3)
+        with pytest.raises(ValueError, match="bound term numerator is inf"):
+            evaluate_bound(net, BoundInputs(0.5, 0.05, 10, input_bound=1e300), "xiao")
+        # a margin whose square overflows reads as an infinite margin
+        assert evaluate_bound(net, BoundInputs(1e200, 0.05, 10, 1.0), "xiao").complexity_term == 0.0
 
     def test_mixed_bound_dominates_true_logdet_bound(self):
         rng = np.random.default_rng(7)

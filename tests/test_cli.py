@@ -461,6 +461,8 @@ class TestBoundCommand:
         ("train", {"method": "at", "attack_train": KL_ATTACK}, f"train attack_train: {KL_WITHOUT_START}"),
         ("train", {"method": "at", "attack_eval": KL_ATTACK}, f"train attack_eval: {KL_WITHOUT_START}"),
         ("stats", {"method": "laplace", "attack": KL_ATTACK}, f"stats attack: {KL_WITHOUT_START}"),
+        # numpy refuses an array this large at once, so nothing is allocated
+        ("train", {"hidden": [10**12]}, "Unable to allocate"),
     ],
     ids=["laplace-hidden-layer", "evaluate-input-dim", "stats-input-dim", "sampling-stalled",
          "sampling-layer-above-depth", "sampling-layer-zero", "evaluate-class-count",
@@ -470,7 +472,7 @@ class TestBoundCommand:
          "laplace-damping-string", "laplace-damping-tiny",
          "train-empty-split", "evaluate-empty-split", "laplace-empty-split", "sampling-empty-split",
          "evaluate-kl-without-start", "train-kl-without-start", "train-eval-kl-without-start",
-         "stats-kl-without-start"],
+         "stats-kl-without-start", "train-beyond-memory"],
 )
 def test_unmeetable_request_exits_2_with_one_line(tmp_path, trained, capsys, monkeypatch,
                                                   command, extra, message):

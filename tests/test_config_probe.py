@@ -62,8 +62,7 @@ SAMPLING = {
     "num_samples": 5, "loss_tolerance": 0.005, "refine_epochs": 1, "refine_lr": 0.05,
     "refine_batch_size": 64, "noise_sigma": 0.05, "layers": [2, 3],
 }
-INPUTS = {"gamma": 0.5, "delta": 0.05, "m": 100, "input_bound": 2.0, "epsilon": 0.08,
-          "constant": 1.0}
+INPUTS = {"gamma": 0.5, "delta": 0.05, "m": 100, "input_bound": 2.0, "epsilon": 0.08}
 SIMULATE = {
     "random": {"dim": 4, "n_samples": 20, "seed": 0},
     "equicorrelation": {"dim": 4, "n_samples": 20, "r_range": [0.0, 0.9]},
@@ -374,7 +373,7 @@ SECOND = {
     "bound": {
         "kind": ("xiao", "neyshabur"),
         **_under("inputs", {"gamma": (0.5, 0.6), "delta": (0.05, 0.1), "m": (100, 200),
-                            "input_bound": (2.0, 3.0), "epsilon": (0.08, 0.1), "constant": (1.0, 2.0)}),
+                            "input_bound": (2.0, 3.0), "epsilon": (0.08, 0.1)}),
     },
     "simulate": {
         "family": ("random", "equicorrelation"), "h": (4, 5), "trials": (30, 31),
@@ -403,13 +402,12 @@ INERT_BY_DESIGN = {
     ("train", "trades_lambda"): "weighs the KL term of the trades methods alone",
     ("evaluate-idx", "dataset.train_images"): "the test split never reads the train images",
     ("bound", "stats"): "the spectral kinds read no correlation statistics",
-    ("bound", "inputs.constant"): "the spectral kinds have no universal constant",
 }
 
 # what a run echoes from its config rather than computes from it
 ECHOED = {"run.json", "timing.csv", "simulate_summary.json", "attack", "norm", "epsilon", "steps",
           "step_size", "loss", "layer", "source", "data", "kind", "inputs", "gamma", "delta", "m",
-          "input_bound", "constant"}
+          "input_bound"}
 
 
 def leaf_paths(doc, prefix=()):
@@ -495,7 +493,6 @@ RANGE_CHECKED = {
     "BoundInputs.gamma": lambda v: BoundInputs(v, 0.05, 10, 1.0),
     "BoundInputs.input_bound": lambda v: BoundInputs(1.0, 0.05, 10, v),
     "BoundInputs.epsilon": lambda v: BoundInputs(1.0, 0.05, 10, 1.0, epsilon=v),
-    "BoundInputs.constant": lambda v: BoundInputs(1.0, 0.05, 10, 1.0, constant=v),
     "SamplingConfig.loss_tolerance": lambda v: SamplingConfig(loss_tolerance=v),
     "SamplingConfig.refine_lr": lambda v: SamplingConfig(refine_lr=v),
     "SamplingConfig.noise_sigma": lambda v: SamplingConfig(noise_sigma=v),
@@ -507,8 +504,8 @@ FINITE = ("AttackSpec.epsilon", "AttackSpec.step_size", "RunConfig.lr", "RunConf
           "RunConfig.trades_lambda",  # run.json could not hold an infinite rate: JSON has no Infinity
           "LaplaceStatsConfig.damping", "DecorrConfig.damping",  # an infinite ridge leaves no finite inverse
           "DecorrConfig.alpha",
-          # an infinite margin, norm bound, radius or constant gives no finite bound
-          "BoundInputs.gamma", "BoundInputs.input_bound", "BoundInputs.epsilon", "BoundInputs.constant")
+          # an infinite margin, norm bound or radius gives no finite bound
+          "BoundInputs.gamma", "BoundInputs.input_bound", "BoundInputs.epsilon")
 
 
 @pytest.mark.parametrize("field, value", [(field, float("nan")) for field in RANGE_CHECKED]
